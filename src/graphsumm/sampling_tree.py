@@ -2,16 +2,18 @@
 
 The tree is a complete binary tree stored in an array: node i has children
 2i and 2i+1, leaves occupy the last level (the leaf count is padded to a
-power of two with permanently-zero slots). Each internal node holds the sum
-of its children, so the root holds the total weight, and drawing a leaf with
-probability proportional to its weight is a single root-to-leaf descent
-steered by a uniform number in [0, total).
+power of two with permanently-zero slots). Each internal node holds exactly
+the float sum of its two children: an update rewrites the leaf and then
+recomputes every ancestor from its two children instead of adding a delta,
+so the sums depend only on the current leaf weights, never on the history of
+updates. There is no drift to repair, and zeroing a leaf and restoring it
+leaves every sum bit-identical.
 
-Updates add the same delta to a leaf and to each of its ancestors. Because
-float addition is not associative the internal sums can drift from the true
-child sums by a few ulps over many updates; the structure recomputes all
-internal sums bottom-up every REBUILD_INTERVAL updates, which keeps the
-drift far below the 1e-9 * total tolerance asserted by check_consistency.
+Drawing a leaf with probability proportional to its weight is a single
+root-to-leaf descent steered by a uniform number in [0, total). Rounding in
+the running subtraction of left-subtree weights can still carry the number
+onto a right subtree whose sum is zero; the descent then takes the left
+sibling, so every draw ends on a bound leaf with positive weight.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from typing import Iterable
 
 
 class SamplingTree:
-    REBUILD_INTERVAL = 1 << 20
-
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
@@ -35,9 +35,9 @@ class SamplingTree:
         self._leaf_vertex: list[int | None] = [None] * padded
         self._leaf_of: dict[int, int] = {}
         self._free_slots: list[int] = list(range(capacity))
-        self._updates = 0
-        # Nodes visited by the most recent sample/update, for cost assertions.
-        self.last_op_visits = 0
+        # Nodes visited by every draw and update (one root-to-leaf path),
+        # for cost assertions.
+        self.last_op_visits = padded.bit_length()
 
     @classmethod
     def build(cls, weights: Iterable[tuple[int, float]]) -> "SamplingTree":
@@ -57,7 +57,8 @@ class SamplingTree:
             tree._leaf_vertex[slot] = vertex
             tree._leaf_of[vertex] = slot
         tree._free_slots = []
-        tree._recompute_sums()
+        for idx in range(padded - 1, 0, -1):
+            sums[idx] = sums[2 * idx] + sums[2 * idx + 1]
         return tree
 
     # ------------------------------------------------------------------
@@ -85,39 +86,26 @@ class SamplingTree:
 
         Requires 0 <= r < total_weight; a uniform r selects each leaf with
         probability weight/total. Ties at range boundaries go to the right
-        neighbor (strict "r < left subtree weight" test), so zero-weight
-        leaves are never returned.
+        neighbor (strict "r < left subtree weight" test), and a right subtree
+        without mass is never entered, so only bound leaves with positive
+        weight are returned.
         """
-        total = self._sums[1]
+        sums = self._sums
+        total = sums[1]
         if total <= 0.0:
             raise ValueError("empty distribution")
         if not 0.0 <= r < total:
             raise ValueError(f"r={r} outside [0, {total})")
-        vertex = self._descend(r)
-        if vertex is None:
-            # Accumulated float drift steered the descent into an unbound
-            # slot; exact sums make this impossible, so rebuild and retry.
-            self._recompute_sums()
-            vertex = self._descend(min(r, self._sums[1] * (1 - 1e-16)))
-            if vertex is None:
-                raise ValueError("sampling failed: all mass on unbound leaves")
-        return vertex
-
-    def _descend(self, r: float) -> int | None:
-        sums = self._sums
-        idx = 1
-        visits = 1
         padded = self._padded
+        idx = 1
         while idx < padded:
-            left = idx << 1
-            left_weight = sums[left]
-            if r < left_weight:
-                idx = left
-            else:
+            idx <<= 1
+            left_weight = sums[idx]
+            # r can reach a massless right subtree only through rounding in
+            # "r -= left_weight"; the left sibling then holds all the mass
+            if r >= left_weight and sums[idx | 1] > 0.0:
                 r -= left_weight
-                idx = left | 1
-            visits += 1
-        self.last_op_visits = visits
+                idx |= 1
         return self._leaf_vertex[idx - padded]
 
     def update_weight(self, vertex: int, new_weight: float) -> None:
@@ -151,35 +139,21 @@ class SamplingTree:
             raise ValueError(f"negative weight {new_weight}")
         sums = self._sums
         idx = self._padded + slot
-        delta = new_weight - sums[idx]
-        sums[idx] = new_weight
-        visits = 1
-        idx >>= 1
-        while idx:
-            sums[idx] += delta
+        sums[idx] = weight = new_weight
+        while idx > 1:
+            weight += sums[idx ^ 1]
             idx >>= 1
-            visits += 1
-        self.last_op_visits = visits
-        self._updates += 1
-        if self._updates >= self.REBUILD_INTERVAL:
-            self._recompute_sums()
-
-    def _recompute_sums(self) -> None:
-        sums = self._sums
-        for idx in range(self._padded - 1, 0, -1):
-            sums[idx] = sums[2 * idx] + sums[2 * idx + 1]
-        self._updates = 0
+            sums[idx] = weight
 
     # ------------------------------------------------------------------
 
-    def check_consistency(self, tol: float = 1e-9) -> None:
-        """Assert the parent-sum invariant within tol * total_weight."""
+    def check_consistency(self) -> None:
+        """Assert that every internal node is exactly the sum of its children."""
         sums = self._sums
-        bound = tol * max(1.0, abs(sums[1]))
         for idx in range(1, self._padded):
             child_sum = sums[2 * idx] + sums[2 * idx + 1]
-            assert abs(sums[idx] - child_sum) <= bound, \
-                f"parent-sum drift at node {idx}: {sums[idx]} vs {child_sum}"
+            assert sums[idx] == child_sum, \
+                f"parent-sum mismatch at node {idx}: {sums[idx]} vs {child_sum}"
         for slot in range(self._padded):
             assert sums[self._padded + slot] >= 0.0, f"negative leaf at slot {slot}"
             if slot >= self.capacity:

@@ -1,9 +1,12 @@
 """Greedy pair-merge summarization with weighted candidate sampling.
 
 Each iteration samples a handful of candidate supernode pairs (two weighted
-draws per pair), scores every candidate by how much the l1 reconstruction
+draws per pair, the partner drawn with the first node's mass excluded when
+the two coincide), scores every candidate by how much the l1 reconstruction
 error would drop if the pair were merged, merges the best one, and patches
-the sampling weights of the merged node and its neighbors. The score of a
+the sampling weights of the merged node and its neighbors. In sketch mode the
+pair's coordinates are detached from the neighbors' sketches before the
+merge and the merged node's coordinate is attached after it. The score of a
 pair has a closed form whose only non-constant part is a cross term over
 common neighbors; in sketch mode that term is replaced by a count-min
 inner-product estimate, making every scoring O(width * depth).
@@ -43,7 +46,6 @@ class SummarizerConfig:
     sketch_width: int = 100
     sketch_depth: int = 2
     seed: int = 0
-    max_resample_attempts: int = 64
 
     def __post_init__(self):
         if self.target_k < 1:
@@ -52,8 +54,6 @@ class SummarizerConfig:
             raise ValueError(f"unknown score mode {self.score_mode!r}")
         if self.score_mode == "sketch" and (self.sketch_width < 1 or self.sketch_depth < 1):
             raise ValueError("sketch width and depth must be positive")
-        if self.max_resample_attempts < 1:
-            raise ValueError("max_resample_attempts must be positive")
         parse_sample_rule(self.sample_rule)  # validates
 
 
@@ -185,34 +185,57 @@ def score_approx(g: SummaryGraph, a: int, b: int,
 # sampling
 
 def sample_pairs(g: SummaryGraph, tree: SamplingTree, s: int,
-                 rng: random.Random, max_attempts: int = 64) -> list[tuple[int, int]]:
-    """Draw s candidate pairs, two independent weighted draws per pair,
-    redrawing the partner while it equals the first draw.
+                 rng: random.Random) -> list[tuple[int, int]]:
+    """Draw s candidate pairs of distinct nodes, two weighted draws per pair.
 
-    A zero total weight falls back to uniform sampling over alive nodes so
-    the loop can always make progress; failing to produce a distinct partner
-    within max_attempts raises (all mass concentrated on one node).
+    Only when the partner equals the first draw is it drawn once more, with
+    the first node's leaf zeroed; that gives the same distribution as
+    redrawing until distinct, and the leaf is then restored bit-exactly (the
+    tree's sums depend only on its leaves). When no other node carries mass,
+    a zero total weight included, draws are uniform over the alive nodes, so
+    any two alive nodes always yield a pair.
     """
     total = tree.total_weight
-    if total <= 0.0:
-        alive = sorted(g.alive_ids())
-        if len(alive) < 2:
-            raise ValueError("need at least 2 alive nodes to sample a pair")
-        draw = lambda: alive[rng.randrange(len(alive))]
+    if total > 0.0:
+        alive = None
+        draw = lambda: tree.get_leaf(rng.random() * total)
     else:
-        draw = lambda: tree.get_leaf(rng.random() * tree.total_weight)
+        alive = _alive_sorted(g)
+        draw = lambda: alive[rng.randrange(len(alive))]
     pairs = []
     for _ in range(s):
         first = draw()
         partner = draw()
-        attempts = 1
-        while partner == first:
-            if attempts >= max_attempts:
-                raise ValueError("degenerate weight distribution")
-            partner = draw()
-            attempts += 1
+        if partner == first:
+            partner = _draw_other(g, tree, first, rng, alive)
         pairs.append((first, partner))
     return pairs
+
+
+def _alive_sorted(g: SummaryGraph) -> list[int]:
+    alive = sorted(g.alive_ids())
+    if len(alive) < 2:
+        raise ValueError("need at least 2 alive nodes to sample a pair")
+    return alive
+
+
+def _draw_other(g: SummaryGraph, tree: SamplingTree, first: int,
+                rng: random.Random, alive: list[int] | None) -> int:
+    """One draw conditioned on differing from first: weighted from the mass
+    left without first, or uniform over the other alive nodes when none is
+    left (alive is given when the whole tree is known to be massless)."""
+    if alive is None:
+        weight = tree.weight_of(first)
+        tree.update_weight(first, 0.0)
+        rest = tree.total_weight
+        partner = tree.get_leaf(rng.random() * rest) if rest > 0.0 else None
+        tree.update_weight(first, weight)
+        if partner is not None:
+            return partner
+        alive = _alive_sorted(g)
+    # index len-1 stands in for first's own index
+    partner = alive[rng.randrange(len(alive) - 1)]
+    return alive[-1] if partner == first else partner
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +285,7 @@ class Summarizer:
         merged node's id."""
         g = self.graph
         s = sample_size(self.cfg.sample_rule, g.alive_count)
-        pairs = sample_pairs(g, self.tree, s, self.rng,
-                             self.cfg.max_resample_attempts)
+        pairs = sample_pairs(g, self.tree, s, self.rng)
         approx = self.sketches is not None
         best = None
         candidates = []
@@ -275,11 +297,28 @@ class Summarizer:
         self.last_candidates = candidates
         a, b = best.a, best.b
 
-        if self.sketches is not None:
-            snapshot = self._pre_merge_snapshot(a, b)
+        sketches = self.sketches
+        if sketches is not None:
+            # Detach: a and b leave their neighbors' vectors, and the merged
+            # vector is the sum of a's and b's with the mutual coordinates
+            # dropped (those edges become internal).
+            for u, v in ((a, b), (b, a)):
+                sqrt_u = math.sqrt(g.nodes[u].size_n)
+                for x, edge in g.adj[u].items():
+                    if x != v:
+                        sketches[x].update(u, -edge.cross_e / sqrt_u)
+            merged = CountMinSketch.combined(sketches.pop(a), sketches.pop(b))
+            e_ab = g.cross_count(a, b)
+            if e_ab:
+                merged.update(b, -e_ab / math.sqrt(g.nodes[b].size_n))
+                merged.update(a, -e_ab / math.sqrt(g.nodes[a].size_n))
         z = g.merge(a, b)
-        if self.sketches is not None:
-            self._patch_sketches(z, *snapshot)
+        if sketches is not None:
+            # Attach: every neighbor of the merged node gains its coordinate.
+            sketches[z] = merged
+            inv_sqrt_z = 1.0 / math.sqrt(g.nodes[z].size_n)
+            for x, edge in g.adj[z].items():
+                sketches[x].update(z, edge.cross_e * inv_sqrt_z)
 
         tree = self.tree
         tree.delete(a)
@@ -294,44 +333,6 @@ class Summarizer:
         while self.graph.alive_count > self.cfg.target_k:
             self.step()
         return self.graph
-
-    # ------------------------------------------------------------------
-
-    def _pre_merge_snapshot(self, a, b):
-        g = self.graph
-        neighbors_a = [(x, edge.cross_e) for x, edge in g.adj[a].items() if x != b]
-        neighbors_b = [(x, edge.cross_e) for x, edge in g.adj[b].items() if x != a]
-        return (a, b, g.nodes[a].size_n, g.nodes[b].size_n,
-                g.cross_count(a, b), neighbors_a, neighbors_b)
-
-    def _patch_sketches(self, z, a, b, size_a, size_b, e_ab,
-                        neighbors_a, neighbors_b):
-        # The merged node's vector is the sum of its parents' vectors with
-        # the mutual coordinates dropped (those edges became internal), and
-        # every neighbor swaps its a/b coordinates for a single z coordinate.
-        sketches = self.sketches
-        sqrt_a = math.sqrt(size_a)
-        sqrt_b = math.sqrt(size_b)
-        inv_sqrt_z = 1.0 / math.sqrt(size_a + size_b)
-        merged = CountMinSketch.combined(sketches[a], sketches[b])
-        if e_ab:
-            merged.update(b, -e_ab / sqrt_b)
-            merged.update(a, -e_ab / sqrt_a)
-        del sketches[a]
-        del sketches[b]
-        sketches[z] = merged
-        affected: dict[int, list[int]] = {}
-        for x, e_ax in neighbors_a:
-            affected[x] = [e_ax, 0]
-        for x, e_bx in neighbors_b:
-            affected.setdefault(x, [0, 0])[1] = e_bx
-        for x, (e_ax, e_bx) in affected.items():
-            sk = sketches[x]
-            if e_ax:
-                sk.update(a, -e_ax / sqrt_a)
-            if e_bx:
-                sk.update(b, -e_bx / sqrt_b)
-            sk.update(z, (e_ax + e_bx) * inv_sqrt_z)
 
 
 def summarize(g: SummaryGraph, cfg: SummarizerConfig) -> SummaryGraph:

@@ -165,6 +165,18 @@ class TestMain:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_k_one_with_self_loop_only_vertex(self, tmp_path, capsys):
+        # vertex 5 has no edges and so no sampling mass: the last merge
+        # must still find it as the partner
+        graph = tmp_path / "loop.txt"
+        graph.write_text("0 1\n5 5\n")
+        out = tmp_path / "loop.summary"
+        assert main(["--input", str(graph), "--k", "1",
+                     "--summary-out", str(out)]) == 0
+        values = report_values(capsys.readouterr().out)
+        assert float(values["re_l1"]) == pytest.approx(8.0 / 3.0)
+        assert read_summary(out).alive_count == 1
+
     def test_k_too_large(self, tmp_path, capsys):
         graph = self.write_p3(tmp_path)
         assert main(["--input", str(graph), "--k", "9"]) == 1

@@ -189,11 +189,31 @@ class TestSamplePairs:
             seen.update((a, b))
         assert seen == set(g.alive_ids())
 
-    def test_degenerate_distribution_errors(self):
-        g = p3()
-        tree = SamplingTree.build([(1, 1.0), (2, 0.0), (3, 0.0)])
-        with pytest.raises(ValueError, match="degenerate weight distribution"):
-            sample_pairs(g, tree, 1, random.Random(0), max_attempts=16)
+    def test_concentrated_mass_still_yields_distinct_pairs(self):
+        for weights in ([(1, 1.0), (2, 0.0), (3, 0.0)],
+                        [(1, 1e9), (2, 1.0), (3, 1.0)]):
+            g = p3()
+            tree = SamplingTree.build(weights)
+            sums = list(tree._sums)
+            for a, b in sample_pairs(g, tree, 2000, random.Random(0)):
+                assert a != b
+                assert g.is_alive(a) and g.is_alive(b)
+            assert tree._sums == sums
+
+    def test_partner_excludes_first_mass(self):
+        stats = pytest.importorskip("scipy.stats")
+        g = SummaryGraph.from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4)])
+        weights = {0: 40.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
+        tree = SamplingTree.build(sorted(weights.items()))
+        total = sum(weights.values())
+        partners = {v: {x: 0 for x in weights if x != v} for v in weights}
+        for a, b in sample_pairs(g, tree, 40_000, random.Random(12)):
+            partners[a][b] += 1
+        for first, counts in partners.items():
+            drawn = sum(counts.values())
+            rest = total - weights[first]
+            expected = [weights[x] / rest * drawn for x in counts]
+            assert stats.chisquare(list(counts.values()), expected).pvalue > 0.001
 
 
 class TestSummarize:
