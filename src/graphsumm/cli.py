@@ -127,75 +127,84 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None) -> None:
 
 
 def read_summary(path: str) -> SummaryGraph:
-    """Parse a SUMMARY v1 file, validating every structural invariant."""
-    with open(path) as stream:
-        lines = [line.rstrip("\n") for line in stream if line.strip()]
-    if not lines or not lines[0].startswith("SUMMARY v1 "):
-        raise ValueError("not a SUMMARY v1 file")
-    header = lines[0].split()
-    if len(header) != 5:
-        raise ValueError("malformed header")
-    n, m, k = (int(tok) for tok in header[2:])
-    if k < 1 or n < k or m < 0:
-        raise ValueError(f"inconsistent header counts n={n} m={m} k={k}")
+    """Parse a SUMMARY v1 file, validating every structural invariant.
 
-    g = SummaryGraph()
-    g.original_vertex_count = n
-    g.original_edge_count = m
-    g.alive_count = k
-    g._next_id = k
-    members_seen: set[int] = set()
-    internal_total = 0
-    cross_total = 0
-    for line in lines[1:]:
-        fields = line.split()
-        if fields[0] == "N":
-            if len(fields) < 4:
-                raise ValueError(f"malformed supernode line: {line!r}")
-            node_id, size_n, internal_e = int(fields[1]), int(fields[2]), int(fields[3])
-            if node_id in g.nodes:
-                raise ValueError(f"duplicate supernode id {node_id}")
-            if not 0 <= node_id < k:
-                raise ValueError(f"supernode id {node_id} out of range")
-            if size_n < 1:
-                raise ValueError(f"supernode {node_id} has size {size_n}")
-            pairs = size_n * (size_n - 1) // 2
-            if not 0 <= internal_e <= pairs:
-                raise ValueError(f"supernode {node_id}: internal edge count "
-                                 f"{internal_e} exceeds {pairs}")
-            members = None
-            if len(fields) > 4:
-                members = set(int(tok) for tok in fields[4:])
-                if len(members) != size_n:
-                    raise ValueError(f"supernode {node_id}: {len(members)} members "
-                                     f"listed but size is {size_n}")
-                overlap = members & members_seen
-                if overlap:
-                    raise ValueError(f"vertex {min(overlap)} in two supernodes")
-                members_seen |= members
-            g.nodes[node_id] = SuperNode(node_id, size_n, internal_e, 0.0, members)
-            g.adj[node_id] = {}
-            internal_total += internal_e
-        elif fields[0] == "E":
-            if len(fields) != 4:
-                raise ValueError(f"malformed superedge line: {line!r}")
-            i, j, cross_e = int(fields[1]), int(fields[2]), int(fields[3])
-            if i == j:
-                raise ValueError(f"self superedge at {i}")
-            if i not in g.nodes or j not in g.nodes:
-                raise ValueError(f"superedge {i}-{j} references unknown supernode")
-            if j in g.adj[i]:
-                raise ValueError(f"duplicate superedge {i}-{j}")
-            limit = g.nodes[i].size_n * g.nodes[j].size_n
-            if not 1 <= cross_e <= limit:
-                raise ValueError(f"superedge {i}-{j}: count {cross_e} "
-                                 f"outside [1, {limit}]")
-            edge = SuperEdge(i, j, cross_e)
-            g.adj[i][j] = edge
-            g.adj[j][i] = edge
-            cross_total += cross_e
-        else:
-            raise ValueError(f"unrecognized line: {line!r}")
+    An error found on one line names that line's 1-based number in the file.
+    """
+    with open(path) as stream:
+        lines = [(lineno, line.rstrip("\n"))
+                 for lineno, line in enumerate(stream, 1) if line.strip()]
+    if not lines or not lines[0][1].startswith("SUMMARY v1 "):
+        raise ValueError("not a SUMMARY v1 file")
+    lineno, line = lines[0]
+    try:
+        header = line.split()
+        if len(header) != 5:
+            raise ValueError("malformed header")
+        n, m, k = (int(tok) for tok in header[2:])
+        if k < 1 or n < k or m < 0:
+            raise ValueError(f"inconsistent header counts n={n} m={m} k={k}")
+
+        g = SummaryGraph()
+        g.original_vertex_count = n
+        g.original_edge_count = m
+        g.alive_count = k
+        g._next_id = k
+        members_seen: set[int] = set()
+        internal_total = 0
+        cross_total = 0
+        for lineno, line in lines[1:]:
+            fields = line.split()
+            if fields[0] == "N":
+                if len(fields) < 4:
+                    raise ValueError(f"malformed supernode line: {line!r}")
+                node_id, size_n, internal_e = (int(fields[1]), int(fields[2]),
+                                               int(fields[3]))
+                if node_id in g.nodes:
+                    raise ValueError(f"duplicate supernode id {node_id}")
+                if not 0 <= node_id < k:
+                    raise ValueError(f"supernode id {node_id} out of range")
+                if size_n < 1:
+                    raise ValueError(f"supernode {node_id} has size {size_n}")
+                pairs = size_n * (size_n - 1) // 2
+                if not 0 <= internal_e <= pairs:
+                    raise ValueError(f"supernode {node_id}: internal edge count "
+                                     f"{internal_e} exceeds {pairs}")
+                members = None
+                if len(fields) > 4:
+                    members = set(int(tok) for tok in fields[4:])
+                    if len(members) != size_n:
+                        raise ValueError(f"supernode {node_id}: {len(members)} members "
+                                         f"listed but size is {size_n}")
+                    overlap = members & members_seen
+                    if overlap:
+                        raise ValueError(f"vertex {min(overlap)} in two supernodes")
+                    members_seen |= members
+                g.nodes[node_id] = SuperNode(node_id, size_n, internal_e, 0.0, members)
+                g.adj[node_id] = {}
+                internal_total += internal_e
+            elif fields[0] == "E":
+                if len(fields) != 4:
+                    raise ValueError(f"malformed superedge line: {line!r}")
+                i, j, cross_e = int(fields[1]), int(fields[2]), int(fields[3])
+                if i == j:
+                    raise ValueError(f"self superedge at {i}")
+                if i not in g.nodes or j not in g.nodes:
+                    raise ValueError(f"superedge {i}-{j} references unknown supernode")
+                if j in g.adj[i]:
+                    raise ValueError(f"duplicate superedge {i}-{j}")
+                limit = g.nodes[i].size_n * g.nodes[j].size_n
+                if not 1 <= cross_e <= limit:
+                    raise ValueError(f"superedge {i}-{j}: count {cross_e} "
+                                     f"outside [1, {limit}]")
+                edge = SuperEdge(i, j, cross_e)
+                g.adj[i][j] = edge
+                g.adj[j][i] = edge
+                cross_total += cross_e
+            else:
+                raise ValueError(f"unrecognized line: {line!r}")
+    except ValueError as err:
+        raise ValueError(f"line {lineno}: {err}") from None
     if len(g.nodes) != k:
         raise ValueError(f"header says {k} supernodes, file has {len(g.nodes)}")
     if sum(node.size_n for node in g.nodes.values()) != n:

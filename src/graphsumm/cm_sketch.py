@@ -12,6 +12,9 @@ drives the failure probability down exponentially in d.
 
 All sketches of one run must share the same hash seeds: that is what makes
 cell-wise addition of two sketches equal the sketch of the summed vectors.
+``SketchRows`` keeps such a family as the rows of one (slots, depth, width)
+array, so one coordinate is patched in many sketches by a single array write
+and merging two sketches is adding one row into another.
 """
 
 from __future__ import annotations
@@ -32,32 +35,53 @@ def make_hash_seeds(depth: int, master_seed: int) -> tuple[tuple[int, int], ...]
                  for _ in range(depth))
 
 
+def _bucket(seed: tuple[int, int], coordinate: int, width: int) -> int:
+    a, b = seed
+    return ((a * coordinate + b) % _MERSENNE_61) % width
+
+
+def _check_dimensions(width: int, depth: int, seeds) -> None:
+    if width < 1 or depth < 1:
+        raise ValueError(f"width and depth must be positive, got {width}, {depth}")
+    if len(seeds) != depth:
+        raise ValueError(f"need {depth} hash seeds, got {len(seeds)}")
+
+
 class CountMinSketch:
-    __slots__ = ("width", "depth", "seeds", "cells", "l1_mass")
+    """One sketch: ``cells`` is (depth, width) and ``l1_mass`` the running
+    sum of all updates. A standalone sketch owns its arrays; one held by a
+    ``SketchRows`` views row ``slot`` of that family's shared arrays."""
+
+    __slots__ = ("width", "depth", "seeds", "cells", "_mass", "slot")
 
     def __init__(self, width: int, depth: int, seeds: tuple[tuple[int, int], ...]):
-        if width < 1 or depth < 1:
-            raise ValueError(f"width and depth must be positive, got {width}, {depth}")
-        if len(seeds) != depth:
-            raise ValueError(f"need {depth} hash seeds, got {len(seeds)}")
+        _check_dimensions(width, depth, seeds)
         self.width = width
         self.depth = depth
         self.seeds = seeds
         self.cells = np.zeros((depth, width))
-        self.l1_mass = 0.0
+        self._mass = np.zeros(1)
+        self.slot = None
+
+    @property
+    def l1_mass(self) -> float:
+        return float(self._mass[0])
+
+    @l1_mass.setter
+    def l1_mass(self, value: float) -> None:
+        self._mass[0] = value
 
     def bucket(self, row: int, coordinate: int) -> int:
-        a, b = self.seeds[row]
-        return ((a * coordinate + b) % _MERSENNE_61) % self.width
+        return _bucket(self.seeds[row], coordinate, self.width)
 
     def update(self, coordinate: int, delta: float) -> None:
         """Add delta to one coordinate (all rows). Caller guarantees the
         true value of every coordinate stays non-negative."""
         cells = self.cells
         width = self.width
-        for row, (a, b) in enumerate(self.seeds):
-            cells[row, ((a * coordinate + b) % _MERSENNE_61) % width] += delta
-        self.l1_mass += delta
+        for row, seed in enumerate(self.seeds):
+            cells[row, _bucket(seed, coordinate, width)] += delta
+        self._mass[0] += delta
 
     def row_sums(self) -> np.ndarray:
         return self.cells.sum(axis=1)
@@ -112,3 +136,63 @@ class CountMinSketch:
         merged.cells = first.cells + second.cells
         merged.l1_mass = first.l1_mass + second.l1_mass
         return merged
+
+
+class SketchRows(dict):
+    """Sketches sharing one width, depth and seed family, keyed by id.
+
+    The sketch of the i-th id given is a ``CountMinSketch`` whose ``cells``
+    and ``l1_mass`` view row ``slot`` = i of one (slots, depth, width) array
+    and one (slots,) array. ``add`` patches a coordinate in many rows with
+    one fancy-index write per hash row, and ``add_row`` merges one sketch
+    into another in place. Both apply the same float operations, in the same order, as
+    per-sketch ``update`` and ``combined`` calls, so the cells come out
+    bit-identical.
+    """
+
+    def __init__(self, ids: list[int], width: int, depth: int,
+                 seeds: tuple[tuple[int, int], ...]):
+        super().__init__()
+        _check_dimensions(width, depth, seeds)
+        self.width = width
+        self.depth = depth
+        self.seeds = seeds
+        self.cells = np.zeros((len(ids), depth, width))
+        self.l1_mass = np.zeros(len(ids))
+        self._flat = self.cells.reshape(-1)
+        for slot, a in enumerate(ids):
+            view = CountMinSketch.__new__(CountMinSketch)
+            view.width = width
+            view.depth = depth
+            view.seeds = seeds
+            view.cells = self.cells[slot]
+            view._mass = self.l1_mass[slot:slot + 1]
+            view.slot = slot
+            self[a] = view
+
+    def bucket_table(self, coordinates: list[int]) -> np.ndarray:
+        """(depth, len(coordinates)) buckets: each coordinate hashed once
+        per row."""
+        width = self.width
+        count = len(coordinates)
+        table = np.empty((self.depth, count), np.intp)
+        for row, seed in enumerate(self.seeds):
+            table[row] = np.fromiter((_bucket(seed, c, width) for c in coordinates),
+                                     np.intp, count)
+        return table
+
+    def add(self, slots: np.ndarray, coordinate: int, values: np.ndarray) -> None:
+        """Add values[i] to ``coordinate`` in the sketch of row slots[i].
+        The slots must be distinct: a fancy-index ``+=`` applies only one
+        of several writes to the same cell."""
+        width = self.width
+        starts = slots * (self.depth * width)
+        for row, seed in enumerate(self.seeds):
+            column = row * width + _bucket(seed, coordinate, width)
+            self._flat[starts + column] += values
+        self.l1_mass[slots] += values
+
+    def add_row(self, target: int, source: int) -> None:
+        """Add the sketch in row ``source`` into row ``target``."""
+        self.cells[target] += self.cells[source]
+        self.l1_mass[target] += self.l1_mass[source]

@@ -5,8 +5,10 @@ draws per pair, the partner drawn with the first node's mass excluded when
 the two coincide), scores every candidate by how much the l1 reconstruction
 error would drop if the pair were merged, merges the best one, and patches
 the sampling weights of the merged node and its neighbors. In sketch mode the
-pair's coordinates are detached from the neighbors' sketches before the
-merge and the merged node's coordinate is attached after it. The score of a
+sketches are rows of one array: the pair's coordinates are detached from the
+neighbors' rows before the merge, a's row becomes the merged node's by
+adding b's row into it, and the merged node's coordinate is attached to its
+neighbors' rows after the merge, each a few array writes. The score of a
 pair has a closed form whose only non-constant part is a cross term over
 common neighbors; in sketch mode that term is replaced by a count-min
 inner-product estimate, making every scoring O(width * depth).
@@ -22,7 +24,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cm_sketch import CountMinSketch, make_hash_seeds
+import numpy as np
+
+from .cm_sketch import CountMinSketch, SketchRows, make_hash_seeds
 from .sampling_tree import SamplingTree
 from .summary_graph import SummaryGraph
 
@@ -242,16 +246,41 @@ def _draw_other(g: SummaryGraph, tree: SamplingTree, first: int,
 # main loop
 
 def build_sketches(g: SummaryGraph, width: int, depth: int,
-                   seeds) -> dict[int, CountMinSketch]:
-    """One neighbor-vector sketch per alive supernode, all sharing seeds."""
-    sketches = {}
-    nodes = g.nodes
-    for a in g.alive_ids():
-        sk = CountMinSketch(width, depth, seeds)
-        for x, edge in g.adj[a].items():
-            sk.update(x, edge.cross_e / math.sqrt(nodes[x].size_n))
-        sketches[a] = sk
+                   seeds) -> SketchRows:
+    """One neighbor-vector sketch per alive supernode, all sharing seeds,
+    stored as the rows of one array (row i for the i-th alive id).
+
+    Every alive id is hashed once per row into a bucket table; ``np.add.at``
+    then adds the adjacency entries in adjacency order, which is the order
+    per-coordinate updates would take, so every cell gets the same bits.
+    """
+    ids = list(g.alive_ids())
+    sketches = SketchRows(ids, width, depth, seeds)
+    adj = g.adj
+    degrees = [len(adj[a]) for a in ids]
+    count = sum(degrees)
+    owner = np.repeat(np.arange(len(ids)), degrees)
+    neighbor = np.fromiter((sketches[x].slot for a in ids for x in adj[a]),
+                           np.intp, count)
+    values = np.fromiter((edge.cross_e for a in ids for edge in adj[a].values()),
+                         np.float64, count)
+    sizes = np.fromiter((g.nodes[a].size_n for a in ids), np.float64, len(ids))
+    values /= np.sqrt(sizes)[neighbor]
+    buckets = sketches.bucket_table(ids)
+    for row in range(depth):
+        np.add.at(sketches.cells[:, row], (owner, buckets[row, neighbor]), values)
+    np.add.at(sketches.l1_mass, owner, values)
     return sketches
+
+
+def _neighbor_rows(sketches: SketchRows, adj_u: dict, skip: int | None):
+    """Rows and cross counts of u's neighbors other than skip."""
+    count = len(adj_u) - (skip in adj_u)
+    rows = np.fromiter((sketches[x].slot for x in adj_u if x != skip),
+                       np.intp, count)
+    cross = np.fromiter((edge.cross_e for x, edge in adj_u.items() if x != skip),
+                        np.float64, count)
+    return rows, cross
 
 
 class Summarizer:
@@ -299,15 +328,16 @@ class Summarizer:
 
         sketches = self.sketches
         if sketches is not None:
-            # Detach: a and b leave their neighbors' vectors, and the merged
-            # vector is the sum of a's and b's with the mutual coordinates
-            # dropped (those edges become internal).
+            # Detach: a and b leave their neighbors' vectors, written into
+            # all of the neighbors' rows at once.
             for u, v in ((a, b), (b, a)):
-                sqrt_u = math.sqrt(g.nodes[u].size_n)
-                for x, edge in g.adj[u].items():
-                    if x != v:
-                        sketches[x].update(u, -edge.cross_e / sqrt_u)
-            merged = CountMinSketch.combined(sketches.pop(a), sketches.pop(b))
+                rows, cross = _neighbor_rows(sketches, g.adj[u], v)
+                sketches.add(rows, u, cross / -math.sqrt(g.nodes[u].size_n))
+            # Merge rows: the merged vector is the sum of a's and b's, kept
+            # in a's row, with the mutual coordinates dropped (those edges
+            # become internal); b's row is left unused.
+            merged = sketches.pop(a)
+            sketches.add_row(merged.slot, sketches.pop(b).slot)
             e_ab = g.cross_count(a, b)
             if e_ab:
                 merged.update(b, -e_ab / math.sqrt(g.nodes[b].size_n))
@@ -316,9 +346,8 @@ class Summarizer:
         if sketches is not None:
             # Attach: every neighbor of the merged node gains its coordinate.
             sketches[z] = merged
-            inv_sqrt_z = 1.0 / math.sqrt(g.nodes[z].size_n)
-            for x, edge in g.adj[z].items():
-                sketches[x].update(z, edge.cross_e * inv_sqrt_z)
+            rows, cross = _neighbor_rows(sketches, g.adj[z], None)
+            sketches.add(rows, z, cross * (1.0 / math.sqrt(g.nodes[z].size_n)))
 
         tree = self.tree
         tree.delete(a)

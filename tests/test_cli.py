@@ -110,6 +110,29 @@ class TestSummaryRoundTrip:
         with pytest.raises(ValueError, match="unrecognized"):
             read_summary(path)
 
+    def test_non_integer_field_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.summary"
+        path.write_text("SUMMARY v1 2 1 2\n"
+                        "\n"
+                        "N 0 2 x\n")
+        with pytest.raises(ValueError, match=r"^line 3: .*'x'"):
+            read_summary(path)
+
+    def test_duplicate_id_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.summary"
+        path.write_text("SUMMARY v1 2 1 2\n"
+                        "N 0 1 0 1\n"
+                        "N 0 1 0 2\n")
+        with pytest.raises(ValueError, match="^line 3: duplicate supernode id 0$"):
+            read_summary(path)
+
+    def test_non_integer_header_count_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.summary"
+        path.write_text("SUMMARY v1 2 one 2\n"
+                        "N 0 1 0 1\n")
+        with pytest.raises(ValueError, match=r"^line 1: .*'one'"):
+            read_summary(path)
+
 
 class TestMain:
     def write_p3(self, tmp_path):

@@ -66,6 +66,28 @@ class TestUpdate:
         sketches = build_sketches(g, 16, 2, SEEDS2)
         np.testing.assert_allclose(sketches[2].row_sums(), 2.0, rtol=1e-12)
 
+    def test_build_matches_per_coordinate_updates(self):
+        # huge sparse ids (no dense bucket table) and merged blocks, whose
+        # scaled coordinates cross_e / sqrt(size) are not integers
+        base = 1 << 40
+        rng = random.Random(21)
+        edges = [(base + 7 * u, base + 7 * v) for u in range(30)
+                 for v in range(u + 1, 30) if rng.random() < 0.3]
+        g = SummaryGraph.from_edge_list(edges)
+        alive = sorted(g.alive_ids())
+        z = g.merge(alive[0], alive[1])
+        z = g.merge(z, alive[2])
+        g.merge(alive[3], alive[4])
+        g.merge(z, alive[5])
+        sketches = build_sketches(g, 8, 2, SEEDS2)
+        assert set(sketches) == set(g.alive_ids())
+        for a in g.alive_ids():
+            vec = {x: edge.cross_e / math.sqrt(g.nodes[x].size_n)
+                   for x, edge in g.adj[a].items()}
+            reference = sketch_of(vec, 8, 2, SEEDS2)
+            assert np.array_equal(sketches[a].cells, reference.cells)
+            assert sketches[a].l1_mass == reference.l1_mass
+
 
 class TestInnerProduct:
     def test_zero_vector(self):

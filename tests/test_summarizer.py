@@ -2,10 +2,11 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from conftest import gnp_edges, score_oracle
-from graphsumm import (SamplingTree, Summarizer, SummarizerConfig,
+from conftest import gnp_edges, score_oracle, sketch_of
+from graphsumm import (CountMinSketch, SamplingTree, Summarizer, SummarizerConfig,
                        SummaryGraph, make_hash_seeds, node_weight, re_brute,
                        re_closed, sample_pairs, score_approx, score_exact,
                        summarize)
@@ -299,13 +300,57 @@ class TestSummarize:
         g = SummaryGraph.from_edge_list(gnp_edges(24, 0.25, rng))
         cfg = SummarizerConfig(target_k=6, seed=2, score_mode="sketch",
                                sketch_width=32)
-        driver = Summarizer(g, cfg)
-        driver.run()
-        seeds = next(iter(driver.sketches.values())).seeds
+        loop = Summarizer(g, cfg)
+        loop.run()
+        seeds = next(iter(loop.sketches.values())).seeds
         fresh = build_sketches(g, 32, 2, seeds)
         for a in g.alive_ids():
-            diff = abs(driver.sketches[a].cells - fresh[a].cells).max()
+            diff = abs(loop.sketches[a].cells - fresh[a].cells).max()
             assert diff < 1e-9
+            assert abs(loop.sketches[a].l1_mass - fresh[a].l1_mass) < 1e-9
+
+    def test_sketch_patch_replays_per_coordinate_updates(self):
+        # Oracle: standalone sketches patched one coordinate at a time, in
+        # the order detach a, detach b, combine minus the mutual
+        # coordinates, attach z. Width 4 makes buckets collide.
+        rng = random.Random(31)
+        g = SummaryGraph.from_edge_list(gnp_edges(30, 0.3, rng))
+        cfg = SummarizerConfig(target_k=4, seed=5, score_mode="sketch",
+                               sketch_width=4)
+        loop = Summarizer(g, cfg)
+        seeds = make_hash_seeds(2, cfg.seed)
+
+        def scaled(graph, a):
+            return {x: edge.cross_e / math.sqrt(graph.nodes[x].size_n)
+                    for x, edge in graph.adj[a].items()}
+
+        oracle = {a: sketch_of(scaled(g, a), 4, 2, seeds) for a in g.alive_ids()}
+        mutual_merges = 0
+        while g.alive_count > cfg.target_k:
+            before = g.copy()
+            z = loop.step()
+            best = max(loop.last_candidates, key=lambda c: c.score)
+            a, b = best.a, best.b
+            for u, v in ((a, b), (b, a)):
+                sqrt_u = math.sqrt(before.nodes[u].size_n)
+                for x, edge in before.adj[u].items():
+                    if x != v:
+                        oracle[x].update(u, -edge.cross_e / sqrt_u)
+            merged = CountMinSketch.combined(oracle.pop(a), oracle.pop(b))
+            e_ab = before.cross_count(a, b)
+            if e_ab:
+                mutual_merges += 1
+                merged.update(b, -e_ab / math.sqrt(before.nodes[b].size_n))
+                merged.update(a, -e_ab / math.sqrt(before.nodes[a].size_n))
+            oracle[z] = merged
+            inv_sqrt_z = 1.0 / math.sqrt(g.nodes[z].size_n)
+            for x, edge in g.adj[z].items():
+                oracle[x].update(z, edge.cross_e * inv_sqrt_z)
+            assert set(loop.sketches) == set(oracle) == set(g.alive_ids())
+            for x, expected in oracle.items():
+                assert np.array_equal(loop.sketches[x].cells, expected.cells)
+                assert loop.sketches[x].l1_mass == expected.l1_mass
+        assert mutual_merges > 0
 
     def test_concurrent_scoring_matches_serial(self):
         rng = random.Random(3)
