@@ -9,6 +9,7 @@ that round-trips bit-exactly (see write_summary).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from dataclasses import dataclass
@@ -284,6 +285,19 @@ def _format_report(manifest: RunManifest, summary: SummaryGraph,
 
 
 def main(argv=None) -> int:
+    # The graphs, dicts and sets a run builds hold no reference cycle, so
+    # the cyclic collector would only rescan them over and over; reference
+    # counting frees them all when the run ends.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -217,7 +217,14 @@ def build_report(original: SummaryGraph, summary: SummaryGraph,
     all original vertices (or the given sample); the triangle error is
     relative. Ground-truth centrality uses the same degree-proportional
     surrogate on the original graph, so the error isolates summarization.
+    An empty sample or a vertex unknown to either graph raises ValueError.
     """
+    if sample_of_vertices is None:
+        vertices = [v for v in original.nodes if original.nodes[v].alive]
+    else:
+        vertices = list(sample_of_vertices)
+    if not vertices:
+        raise ValueError("empty vertex sample")
     re1 = re_closed(summary)
     if original.original_vertex_count <= oracle_limit:
         brute = re_brute(original, summary, oracle_limit)
@@ -225,14 +232,13 @@ def build_report(original: SummaryGraph, summary: SummaryGraph,
             f"closed-form RE {re1} disagrees with brute force {brute}"
     index = membership_index(summary)
     block_degree = {a: _block_degree(summary, a) for a in summary.adj}
-    if sample_of_vertices is None:
-        vertices = [v for v in original.nodes if original.nodes[v].alive]
-    else:
-        vertices = list(sample_of_vertices)
     two_m = 2.0 * original.original_edge_count
     degree_errors = np.empty(len(vertices))
     for pos, v in enumerate(vertices):
-        degree_errors[pos] = abs(block_degree[index[v]] - len(original.adj[v]))
+        try:
+            degree_errors[pos] = abs(block_degree[index[v]] - len(original.adj[v]))
+        except KeyError:
+            raise ValueError(f"unknown vertex {v}") from None
     centrality_errors = degree_errors / two_m
     exact_triangles = triangle_count_exact(original)
     estimated_triangles = triangle_estimate(summary)

@@ -8,8 +8,10 @@ time; it is maintained incrementally on every merge and only ever recomputed
 from scratch by the validation helpers.
 
 A superedge is stored once and shared by both endpoints' adjacency maps, so
-updating the multiplicity (or dropping the edge) on one side is automatically
-visible from the other side without scanning anybody's list.
+the symmetric view can never drift and dropping the edge from one side
+needs no scan of anybody's list. Superedges and member sets are never
+changed after creation (a merge builds new ones), so ``copy`` shares them
+between the original and the copy.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ class SuperEdge:
 
     Sharing is what replaces an explicit mirror pointer: ``g.adj[a][b]`` and
     ``g.adj[b][a]`` are the same object, so the symmetric view can never drift.
+    A superedge is never changed after creation: ``merge`` drops the old
+    edges and builds new ones, and ``SummaryGraph.copy`` shares them.
     """
 
     __slots__ = ("a", "b", "cross_e")
@@ -95,7 +99,7 @@ class SummaryGraph:
         g = cls()
         nodes = g.nodes
         adj = g.adj
-        seen: set[tuple[int, int]] = set()
+        edge_count = 0
         for u, v in edges:
             if u < 0 or v < 0:
                 raise ValueError(f"negative vertex id in edge ({u}, {v})")
@@ -103,20 +107,18 @@ class SummaryGraph:
                 if w not in nodes:
                     nodes[w] = SuperNode(w, members={w} if retain_members else None)
                     adj[w] = {}
-            if u == v:
+            adj_u = adj[u]
+            if u == v or v in adj_u:
                 continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            edge = SuperEdge(key[0], key[1], 1)
-            adj[u][v] = edge
+            edge = SuperEdge(u, v, 1) if u < v else SuperEdge(v, u, 1)
+            adj_u[v] = edge
             adj[v][u] = edge
+            edge_count += 1
         for w, node in nodes.items():
             node.d_value = float(len(adj[w]))  # singleton terms are 1^2/1 each
         g.alive_count = len(nodes)
         g.original_vertex_count = len(nodes)
-        g.original_edge_count = len(seen)
+        g.original_edge_count = edge_count
         g._next_id = max(nodes) + 1
         return g
 
@@ -227,26 +229,19 @@ class SummaryGraph:
     # copying and validation
 
     def copy(self) -> "SummaryGraph":
-        """Deep copy preserving ids and the shared-edge structure."""
+        """Independent copy preserving ids: new supernodes and adjacency maps
+        that share the never-changed superedges and member sets."""
         g = SummaryGraph()
         g.alive_count = self.alive_count
         g.original_vertex_count = self.original_vertex_count
         g.original_edge_count = self.original_edge_count
         g._next_id = self._next_id
         for i, node in self.nodes.items():
-            members = set(node.members) if node.members is not None else None
-            clone = SuperNode(i, node.size_n, node.internal_e, node.d_value, members)
+            clone = SuperNode(i, node.size_n, node.internal_e, node.d_value,
+                              node.members)
             clone.alive = node.alive
             g.nodes[i] = clone
-        for a, entries in self.adj.items():
-            g.adj[a] = {}
-        for a, entries in self.adj.items():
-            for x, edge in entries.items():
-                if x < a:
-                    continue
-                clone = SuperEdge(edge.a, edge.b, edge.cross_e)
-                g.adj[a][x] = clone
-                g.adj[x][a] = clone
+        g.adj = {a: entries.copy() for a, entries in self.adj.items()}
         return g
 
     def recomputed_d_value(self, a: int) -> float:

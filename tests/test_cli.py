@@ -1,7 +1,10 @@
+import gc
 import io
+import random
 
 import pytest
 
+from conftest import gnp_edges
 from graphsumm import SummaryGraph, re_closed
 from graphsumm.cli import main, parse_edge_list, read_summary, write_summary
 
@@ -222,3 +225,39 @@ class TestMain:
         graph = self.write_p3(tmp_path)
         assert main(["--input", str(graph), "--k", "2",
                      "--sample", "sqrtn"]) == 1
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("k, code", [("2", 0), ("9", 1)])
+    def test_collector_state_restored(self, tmp_path, capsys, enabled, k, code):
+        graph = self.write_p3(tmp_path)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["--input", str(graph), "--k", k]) == code
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_run_triggers_no_collection(self, tmp_path):
+        rng = random.Random(4)
+        graph = tmp_path / "gnp.txt"
+        graph.write_text("".join(f"{u} {v}\n" for u, v in gnp_edges(300, 0.05, rng)))
+        collections = []
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()  # start from empty generation counts
+        gc.callbacks.append(record)
+        try:
+            assert main(["--input", str(graph), "--k", "100", "--retain-members",
+                         "--summary-out", str(tmp_path / "out.summary"),
+                         "--report", str(tmp_path / "out.report")]) == 0
+        finally:
+            gc.callbacks.remove(record)
+            if not was_enabled:
+                gc.disable()
+        assert collections == []

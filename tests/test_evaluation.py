@@ -227,3 +227,13 @@ class TestBuildReport:
                                sample_of_vertices=list(original.nodes)[:4])
         assert sampled.re_l1 == full.re_l1
         assert math.isfinite(sampled.degree_err_avg)
+
+    def test_unknown_sample_vertex(self):
+        original = p3()
+        with pytest.raises(ValueError, match="unknown vertex 42"):
+            build_report(original, p3_twin_summary(), sample_of_vertices=[1, 42])
+
+    def test_empty_sample_rejected(self):
+        original = p3()
+        with pytest.raises(ValueError, match="empty vertex sample"):
+            build_report(original, p3_twin_summary(), sample_of_vertices=[])

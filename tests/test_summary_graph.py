@@ -28,6 +28,15 @@ class TestFromEdgeList:
         assert g.alive_count == 2
         assert g.original_edge_count == 1
         assert g.cross_count(1, 2) == 1
+        g = SummaryGraph.from_edge_list(
+            [(3, 1), (1, 3), (2, 2), (5, 3), (3, 5), (1, 5), (0, 4)])
+        assert list(g.nodes) == list(g.adj) == [3, 1, 2, 5, 0, 4]
+        assert g.original_edge_count == 4
+        assert list(g.adj[3]) == [1, 5]
+        for a, entries in g.adj.items():
+            for x, edge in entries.items():
+                assert edge.a < edge.b and {edge.a, edge.b} == {a, x}
+        g.validate()
 
     def test_triangle_edge_conservation(self):
         g = k3()
@@ -138,9 +147,32 @@ class TestInvariantsUnderRandomMerges:
             assert g.nodes[last].internal_e == edge_count
 
     def test_copy_is_independent(self):
-        g = p3()
+        rng = random.Random(3)
+        g = SummaryGraph.from_edge_list(gnp_edges(12, 0.4, rng),
+                                        retain_members=True)
+        g.merge(0, 1)
+
+        def snapshot(graph):
+            nodes = sorted((i, node.size_n, node.internal_e, node.d_value,
+                            sorted(node.members))
+                           for i, node in graph.nodes.items() if node.alive)
+            edges = sorted((edge.a, edge.b, edge.cross_e)
+                           for entries in graph.adj.values()
+                           for edge in entries.values())
+            return nodes, edges
+
+        before = snapshot(g)
         clone = g.copy()
-        clone.merge(1, 2)
-        assert g.alive_count == 3
+        for a, entries in g.adj.items():
+            assert clone.adj[a] is not entries
+            for x, edge in entries.items():
+                assert clone.adj[a][x] is edge
+        for i, node in g.nodes.items():
+            assert clone.nodes[i] is not node
+            assert clone.nodes[i].members is node.members
+        while clone.alive_count > 1:
+            a, b = sorted(clone.alive_ids())[:2]
+            clone.merge(a, b)
+            clone.validate()
         g.validate()
-        clone.validate()
+        assert snapshot(g) == before
