@@ -12,42 +12,11 @@ import argparse
 import gc
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from .evaluation import build_report, re_closed
 from .summary_graph import SuperEdge, SuperNode, SummaryGraph
 from .summarizer import SummarizerConfig, summarize
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run; echoed into every report."""
-    input_path: str
-    k: int
-    sample_rule: str
-    score_mode: str
-    width: int
-    depth: int
-    seed: int
-    retain_members: bool
-    oracle_limit: int
-    summary_out: str | None
-    report_out: str | None
-
-    def echo_lines(self) -> list[str]:
-        return [
-            f"manifest_input={self.input_path}",
-            f"manifest_k={self.k}",
-            f"manifest_sample={self.sample_rule}",
-            f"manifest_score={self.score_mode}",
-            f"manifest_width={self.width}",
-            f"manifest_depth={self.depth}",
-            f"manifest_seed={self.seed}",
-            f"manifest_retain_members={'true' if self.retain_members else 'false'}",
-            f"manifest_oracle_limit={self.oracle_limit}",
-            f"manifest_summary_out={self.summary_out or ''}",
-            f"manifest_report={self.report_out or ''}",
-        ]
 
 
 def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
@@ -96,29 +65,29 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None) -> None:
     label when membership is retained (mapped through id_map if given) and
     by internal id otherwise, so identical summaries serialize identically.
     """
-    blocks = [node for node in summary.nodes.values() if node.alive]
-    retained = blocks and blocks[0].members is not None
+    blocks = list(summary.nodes.items())
+    retained = blocks and blocks[0][1].members is not None
 
     def member_labels(node):
         labels = node.members if id_map is None else (id_map[m] for m in node.members)
         return sorted(labels)
 
     if retained:
-        blocks.sort(key=lambda node: member_labels(node)[0])
+        blocks.sort(key=lambda block: member_labels(block[1])[0])
     else:
-        blocks.sort(key=lambda node: node.id)
-    file_id = {node.id: pos for pos, node in enumerate(blocks)}
+        blocks.sort(key=lambda block: block[0])
+    file_id = {a: pos for pos, (a, _) in enumerate(blocks)}
     lines = [f"SUMMARY v1 {summary.original_vertex_count} "
              f"{summary.original_edge_count} {len(blocks)}"]
-    for pos, node in enumerate(blocks):
+    for pos, (_, node) in enumerate(blocks):
         line = f"N {pos} {node.size_n} {node.internal_e}"
         if retained:
             line += " " + " ".join(str(m) for m in member_labels(node))
         lines.append(line)
     superedges = []
-    for node in blocks:
-        for x, edge in summary.adj[node.id].items():
-            i, j = file_id[node.id], file_id[x]
+    for a, _ in blocks:
+        for x, edge in summary.adj[a].items():
+            i, j = file_id[a], file_id[x]
             if i < j:
                 superedges.append((i, j, edge.cross_e))
     superedges.sort()
@@ -149,7 +118,6 @@ def read_summary(path: str) -> SummaryGraph:
         g = SummaryGraph()
         g.original_vertex_count = n
         g.original_edge_count = m
-        g.alive_count = k
         g._next_id = k
         members_seen: set[int] = set()
         internal_total = 0
@@ -181,7 +149,7 @@ def read_summary(path: str) -> SummaryGraph:
                     if overlap:
                         raise ValueError(f"vertex {min(overlap)} in two supernodes")
                     members_seen |= members
-                g.nodes[node_id] = SuperNode(node_id, size_n, internal_e, 0.0, members)
+                g.nodes[node_id] = SuperNode(size_n, internal_e, 0.0, members)
                 g.adj[node_id] = {}
                 internal_total += internal_e
             elif fields[0] == "E":
@@ -198,7 +166,7 @@ def read_summary(path: str) -> SummaryGraph:
                 if not 1 <= cross_e <= limit:
                     raise ValueError(f"superedge {i}-{j}: count {cross_e} "
                                      f"outside [1, {limit}]")
-                edge = SuperEdge(i, j, cross_e)
+                edge = SuperEdge(cross_e)
                 g.adj[i][j] = edge
                 g.adj[j][i] = edge
                 cross_total += cross_e
@@ -238,49 +206,53 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--retain-members", action="store_true",
                         help="keep vertex membership; enables query error reporting")
-    parser.add_argument("--report", default=None, help="report path (default stdout)")
-    parser.add_argument("--summary-out", default=None, help="summary file path")
     parser.add_argument("--oracle-limit", type=int, default=1024,
                         help="max |V| for the brute-force RE cross-check")
+    parser.add_argument("--summary-out", default=None, help="summary file path")
+    parser.add_argument("--report", default=None, help="report path (default stdout)")
     return parser
 
 
-def _format_report(manifest: RunManifest, summary: SummaryGraph,
+def _manifest_lines(args: argparse.Namespace) -> list[str]:
+    """Every parsed argument, in the parser's order, as a manifest_<dest>=
+    line: everything needed to reproduce the run."""
+    lines = []
+    for dest, value in vars(args).items():
+        if value is None:
+            value = ""
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        lines.append(f"manifest_{dest}={value}")
+    return lines
+
+
+def _format_report(args: argparse.Namespace, summary: SummaryGraph,
                    report, elapsed: float) -> str:
     rows = [
-        ("input", manifest.input_path),
+        ("input", args.input),
         ("vertices", summary.original_vertex_count),
         ("edges", summary.original_edge_count),
         ("supernodes", summary.alive_count),
-        ("score mode", manifest.score_mode),
-        ("sample rule", manifest.sample_rule),
-        ("seed", manifest.seed),
+        ("score mode", args.score),
+        ("sample rule", args.sample),
+        ("seed", args.seed),
     ]
     width = max(len(name) for name, _ in rows)
     lines = ["graph summary report", "====================="]
     lines += [f"{name.ljust(width)}  {value}" for name, value in rows]
     lines.append("")
     if report is not None:
-        values = [
-            ("re_l1", report.re_l1),
-            ("re_l1_normalized", report.re_l1_normalized),
-            ("re_l2_squared", report.re_l2_squared),
-            ("degree_err_avg", report.degree_err_avg),
-            ("degree_err_std", report.degree_err_std),
-            ("centrality_err_avg", report.centrality_err_avg),
-            ("centrality_err_std", report.centrality_err_std),
-            ("triangle_relative_err", report.triangle_relative_err),
-        ]
+        values = asdict(report)
     else:
         re1 = re_closed(summary)
-        values = [
-            ("re_l1", re1),
-            ("re_l1_normalized", re1 / summary.original_vertex_count),
-            ("re_l2_squared", re1 / 2.0),
-        ]
-    lines += [f"{key}={value!r}" for key, value in values]
-    lines.append(f"elapsed_seconds={elapsed!r}")
-    lines += manifest.echo_lines()
+        values = {
+            "re_l1": re1,
+            "re_l1_normalized": re1 / summary.original_vertex_count,
+            "re_l2_squared": re1 / 2.0,
+            "elapsed_seconds": elapsed,
+        }
+    lines += [f"{key}={value!r}" for key, value in values.items()]
+    lines += _manifest_lines(args)
     return "\n".join(lines) + "\n"
 
 
@@ -303,12 +275,6 @@ def _run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
-    manifest = RunManifest(
-        input_path=args.input, k=args.k, sample_rule=args.sample,
-        score_mode=args.score, width=args.width, depth=args.depth,
-        seed=args.seed, retain_members=args.retain_members,
-        oracle_limit=args.oracle_limit, summary_out=args.summary_out,
-        report_out=args.report)
     try:
         with open(args.input) as stream:
             edges, original_ids = parse_edge_list(stream)
@@ -329,7 +295,7 @@ def _run(argv) -> int:
         if args.retain_members:
             report = build_report(original, summary, elapsed_seconds=elapsed,
                                   oracle_limit=args.oracle_limit)
-        text = _format_report(manifest, summary, report, elapsed)
+        text = _format_report(args, summary, report, elapsed)
         if args.report:
             with open(args.report, "w") as out:
                 out.write(text)

@@ -35,13 +35,11 @@ class QueryErrorReport:
 def membership_index(summary: SummaryGraph) -> dict[int, int]:
     """Map each original vertex to its supernode; needs retained members."""
     index: dict[int, int] = {}
-    for node in summary.nodes.values():
-        if not node.alive:
-            continue
+    for a, node in summary.nodes.items():
         if node.members is None:
             raise ValueError("membership not retained on this summary")
         for v in node.members:
-            index[v] = node.id
+            index[v] = a
     return index
 
 
@@ -80,7 +78,7 @@ def re_brute(original: SummaryGraph, summary: SummaryGraph,
         raise ValueError(f"{n} vertices exceeds the brute-force oracle "
                          f"limit {oracle_limit}")
     index = membership_index(summary)
-    vertices = [v for v in original.nodes if original.nodes[v].alive]
+    vertices = list(original.nodes)
     nodes = summary.nodes
     adj = summary.adj
     density = {i: _internal_density(nodes[i]) for i in adj}
@@ -108,7 +106,7 @@ def re_closed(summary: SummaryGraph) -> float:
     total = 0.0
     nodes = summary.nodes
     for node in nodes.values():
-        if not node.alive or node.internal_e == 0:
+        if node.internal_e == 0:
             continue
         pairs = node.size_n * (node.size_n - 1) / 2.0
         total += 4.0 * node.internal_e - 4.0 * node.internal_e ** 2 / pairs
@@ -146,8 +144,11 @@ def degree_estimate(summary: SummaryGraph, v: int,
 
 def centrality_estimate(summary: SummaryGraph, v: int,
                         index: dict[int, int] | None = None) -> float:
-    """Degree-proportional centrality surrogate, estimated degree / 2|E|."""
-    return degree_estimate(summary, v, index) / (2.0 * summary.original_edge_count)
+    """Degree-proportional centrality surrogate, estimated degree / 2|E|;
+    0 on a graph without edges, where every degree is 0."""
+    degree = degree_estimate(summary, v, index)
+    two_m = 2.0 * summary.original_edge_count
+    return degree / two_m if two_m else 0.0
 
 
 def triangle_count_exact(original: SummaryGraph) -> int:
@@ -216,11 +217,12 @@ def build_report(original: SummaryGraph, summary: SummaryGraph,
     closed form. Degree and centrality errors are absolute, averaged over
     all original vertices (or the given sample); the triangle error is
     relative. Ground-truth centrality uses the same degree-proportional
-    surrogate on the original graph, so the error isolates summarization.
-    An empty sample or a vertex unknown to either graph raises ValueError.
+    surrogate on the original graph, so the error isolates summarization;
+    on a graph without edges both surrogates are 0. An empty sample or a
+    vertex unknown to either graph raises ValueError.
     """
     if sample_of_vertices is None:
-        vertices = [v for v in original.nodes if original.nodes[v].alive]
+        vertices = list(original.nodes)
     else:
         vertices = list(sample_of_vertices)
     if not vertices:
@@ -239,7 +241,10 @@ def build_report(original: SummaryGraph, summary: SummaryGraph,
             degree_errors[pos] = abs(block_degree[index[v]] - len(original.adj[v]))
         except KeyError:
             raise ValueError(f"unknown vertex {v}") from None
-    centrality_errors = degree_errors / two_m
+    if two_m:
+        centrality_errors = degree_errors / two_m
+    else:  # without edges every degree is 0, and so is every surrogate
+        centrality_errors = np.zeros_like(degree_errors)
     exact_triangles = triangle_count_exact(original)
     estimated_triangles = triangle_estimate(summary)
     if exact_triangles:

@@ -1,17 +1,21 @@
 """Mutable supergraph over a partition of an undirected graph's vertices.
 
-Every supernode knows how many original vertices it holds (``size_n``), how
-many original edges lie entirely inside it (``internal_e``), and a cached
-real number ``d_value`` = sum over neighbors i of cross_e(a,i)^2 / size_n(i).
-The cache is what makes per-pair scoring and per-node weighting constant
-time; it is maintained incrementally on every merge and only ever recomputed
-from scratch by the validation helpers.
+The live supernodes are exactly the keys of ``nodes``, and ``adj`` has the
+same keys in the same order; a supernode's id is its key. Every supernode
+knows how many original vertices it holds (``size_n``), how many original
+edges lie entirely inside it (``internal_e``), and a cached real number
+``d_value`` = sum over neighbors i of cross_e(a,i)^2 / size_n(i). The cache
+is what makes per-pair scoring and per-node weighting constant time; it is
+maintained incrementally on every merge and only ever recomputed from
+scratch by the validation helpers.
 
-A superedge is stored once and shared by both endpoints' adjacency maps, so
-the symmetric view can never drift and dropping the edge from one side
-needs no scan of anybody's list. Superedges and member sets are never
-changed after creation (a merge builds new ones), so ``copy`` shares them
-between the original and the copy.
+A superedge is just its crossing edge count; its endpoints are the two
+adjacency keys under which it is stored. It is stored once and shared by
+both endpoints' adjacency maps, so the symmetric view can never drift and
+dropping the edge from one side needs no scan of anybody's list.
+Superedges and member sets are never changed after creation (a merge
+builds new ones), so ``copy`` shares them between the original and the
+copy.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from typing import Iterable, Iterator
 
 
 class SuperNode:
-    """One class of the vertex partition."""
+    """One class of the vertex partition; its id is its key in
+    ``SummaryGraph.nodes``. ``alive`` turns False when a merge removes the
+    node from the graph, for callers still holding the object."""
 
-    __slots__ = ("id", "size_n", "internal_e", "d_value", "members", "alive")
+    __slots__ = ("size_n", "internal_e", "d_value", "members", "alive")
 
-    def __init__(self, node_id: int, size_n: int = 1, internal_e: int = 0,
+    def __init__(self, size_n: int = 1, internal_e: int = 0,
                  d_value: float = 0.0, members: set | None = None):
-        self.id = node_id
         self.size_n = size_n
         self.internal_e = internal_e
         self.d_value = d_value
@@ -34,12 +39,13 @@ class SuperNode:
         self.alive = True
 
     def __repr__(self):
-        return (f"SuperNode(id={self.id}, n={self.size_n}, e={self.internal_e}, "
-                f"alive={self.alive})")
+        return f"SuperNode(n={self.size_n}, e={self.internal_e}, alive={self.alive})"
 
 
 class SuperEdge:
-    """Undirected superedge; one object shared by both endpoints' adjacency maps.
+    """Undirected superedge: the count of original edges crossing between its
+    endpoints, which are the keys it is stored under. One object is shared by
+    both endpoints' adjacency maps.
 
     Sharing is what replaces an explicit mirror pointer: ``g.adj[a][b]`` and
     ``g.adj[b][a]`` are the same object, so the symmetric view can never drift.
@@ -47,18 +53,13 @@ class SuperEdge:
     edges and builds new ones, and ``SummaryGraph.copy`` shares them.
     """
 
-    __slots__ = ("a", "b", "cross_e")
+    __slots__ = ("cross_e",)
 
-    def __init__(self, a: int, b: int, cross_e: int):
-        self.a = a
-        self.b = b
+    def __init__(self, cross_e: int):
         self.cross_e = cross_e
 
-    def other(self, node_id: int) -> int:
-        return self.b if node_id == self.a else self.a
-
     def __repr__(self):
-        return f"SuperEdge({self.a}, {self.b}, cross_e={self.cross_e})"
+        return f"SuperEdge(cross_e={self.cross_e})"
 
 
 class SummaryGraph:
@@ -72,7 +73,6 @@ class SummaryGraph:
     def __init__(self):
         self.nodes: dict[int, SuperNode] = {}
         self.adj: dict[int, dict[int, SuperEdge]] = {}
-        self.alive_count = 0
         self.original_vertex_count = 0
         self.original_edge_count = 0
         self._next_id = 0
@@ -80,6 +80,10 @@ class SummaryGraph:
         # count excludes creation of the merged node's new entries so that
         # 2*(deg(a)+deg(b)) is the right yardstick for the merge cost.
         self.last_merge_touched = 0
+
+    @property
+    def alive_count(self) -> int:
+        return len(self.nodes)
 
     # ------------------------------------------------------------------
     # construction
@@ -105,18 +109,17 @@ class SummaryGraph:
                 raise ValueError(f"negative vertex id in edge ({u}, {v})")
             for w in (u, v):
                 if w not in nodes:
-                    nodes[w] = SuperNode(w, members={w} if retain_members else None)
+                    nodes[w] = SuperNode(members={w} if retain_members else None)
                     adj[w] = {}
             adj_u = adj[u]
             if u == v or v in adj_u:
                 continue
-            edge = SuperEdge(u, v, 1) if u < v else SuperEdge(v, u, 1)
+            edge = SuperEdge(1)
             adj_u[v] = edge
             adj[v][u] = edge
             edge_count += 1
         for w, node in nodes.items():
             node.d_value = float(len(adj[w]))  # singleton terms are 1^2/1 each
-        g.alive_count = len(nodes)
         g.original_vertex_count = len(nodes)
         g.original_edge_count = edge_count
         g._next_id = max(nodes) + 1
@@ -126,11 +129,10 @@ class SummaryGraph:
     # queries
 
     def is_alive(self, a: int) -> bool:
-        node = self.nodes.get(a)
-        return node is not None and node.alive
+        return a in self.nodes
 
     def alive_ids(self) -> Iterator[int]:
-        return (i for i, node in self.nodes.items() if node.alive)
+        return iter(self.nodes)
 
     def degree(self, a: int) -> int:
         return len(self.adj[a])
@@ -142,8 +144,7 @@ class SummaryGraph:
 
     def neighbors(self, a: int) -> Iterator[tuple[int, int]]:
         """Yield (neighbor id, cross edge count) for an alive node."""
-        node = self.nodes.get(a)
-        if node is None or not node.alive:
+        if a not in self.nodes:
             raise ValueError(f"node {a} is dead or unknown")
         return ((x, edge.cross_e) for x, edge in self.adj[a].items())
 
@@ -158,12 +159,11 @@ class SummaryGraph:
         by key (the shared-edge analogue of a mirror pointer), and every
         affected d_value is patched incrementally.
         """
-        node_a = self.nodes.get(a)
-        node_b = self.nodes.get(b)
-        if (a == b or node_a is None or node_b is None
-                or not node_a.alive or not node_b.alive):
-            raise ValueError("invalid merge pair")
         nodes = self.nodes
+        node_a = nodes.get(a)
+        node_b = nodes.get(b)
+        if a == b or node_a is None or node_b is None:
+            raise ValueError("invalid merge pair")
         adj = self.adj
         adj_a = adj[a]
         adj_b = adj[b]
@@ -173,40 +173,35 @@ class SummaryGraph:
         pair_edge = adj_a.get(b)
         e_ab = pair_edge.cross_e if pair_edge is not None else 0
 
-        touched = 0
         new_cross: dict[int, int] = {}
         for x, edge in adj_a.items():
-            touched += 1
             if x == b:
                 continue
             e_ax = edge.cross_e
             new_cross[x] = e_ax
             nodes[x].d_value -= e_ax * e_ax / size_a
             del adj[x][a]
-            touched += 1
         for x, edge in adj_b.items():
-            touched += 1
             if x == a:
                 continue
             e_bx = edge.cross_e
             new_cross[x] = new_cross.get(x, 0) + e_bx
             nodes[x].d_value -= e_bx * e_bx / size_b
             del adj[x][b]
-            touched += 1
 
         z = self._next_id
         self._next_id += 1
         members = None
         if node_a.members is not None:
             members = node_a.members | node_b.members
-        node_z = SuperNode(z, size_z, node_a.internal_e + node_b.internal_e + e_ab,
+        node_z = SuperNode(size_z, node_a.internal_e + node_b.internal_e + e_ab,
                            0.0, members)
         nodes[z] = node_z
         adj_z: dict[int, SuperEdge] = {}
         adj[z] = adj_z
         d_z = 0.0
         for x, e_zx in new_cross.items():
-            edge = SuperEdge(z, x, e_zx)
+            edge = SuperEdge(e_zx)
             adj_z[x] = edge
             adj[x][z] = edge
             nodes[x].d_value += e_zx * e_zx / size_z
@@ -215,32 +210,27 @@ class SummaryGraph:
 
         node_a.alive = False
         node_b.alive = False
-        node_a.members = None
-        node_b.members = None
-        node_a.d_value = 0.0
-        node_b.d_value = 0.0
-        del adj[a]
-        del adj[b]
-        self.alive_count -= 1
-        self.last_merge_touched = touched
+        del nodes[a], nodes[b], adj[a], adj[b]
+        # each entry of a's and b's maps is read, and each one not between
+        # a and b is also deleted from the neighbour's map
+        self.last_merge_touched = (2 * (len(adj_a) + len(adj_b))
+                                   - (2 if pair_edge is not None else 0))
         return z
 
     # ------------------------------------------------------------------
     # copying and validation
 
     def copy(self) -> "SummaryGraph":
-        """Independent copy preserving ids: new supernodes and adjacency maps
-        that share the never-changed superedges and member sets."""
+        """Independent copy of the live supernodes, preserving ids: new
+        supernodes and adjacency maps that share the never-changed
+        superedges and member sets."""
         g = SummaryGraph()
-        g.alive_count = self.alive_count
         g.original_vertex_count = self.original_vertex_count
         g.original_edge_count = self.original_edge_count
         g._next_id = self._next_id
-        for i, node in self.nodes.items():
-            clone = SuperNode(i, node.size_n, node.internal_e, node.d_value,
-                              node.members)
-            clone.alive = node.alive
-            g.nodes[i] = clone
+        g.nodes = {i: SuperNode(node.size_n, node.internal_e, node.d_value,
+                                node.members)
+                   for i, node in self.nodes.items()}
         g.adj = {a: entries.copy() for a, entries in self.adj.items()}
         return g
 
@@ -251,22 +241,22 @@ class SummaryGraph:
 
     def validate(self, rel_tol: float = 1e-9) -> None:
         """Check every structural invariant; raises AssertionError on failure."""
-        alive = [node for node in self.nodes.values() if node.alive]
-        assert len(alive) == self.alive_count, "alive_count out of sync"
-        assert sum(node.size_n for node in alive) == self.original_vertex_count, \
+        nodes = self.nodes
+        adj = self.adj
+        assert list(nodes) == list(adj), "nodes and adjacency keys differ"
+        assert sum(node.size_n for node in nodes.values()) \
+            == self.original_vertex_count, \
             "supernode sizes do not partition the vertex set"
         internal_total = 0
         cross_total = 0
-        for node in alive:
-            a = node.id
+        for a, node in nodes.items():
             pairs = node.size_n * (node.size_n - 1) // 2
             assert 0 <= node.internal_e <= pairs, f"internal_e bound violated at {a}"
             internal_total += node.internal_e
-            for x, edge in self.adj[a].items():
-                other = self.nodes[x]
-                assert other.alive, f"edge {a}-{x} points at a dead node"
-                assert self.adj[x][a] is edge, f"mirror broken for {a}-{x}"
-                assert {edge.a, edge.b} == {a, x}, f"edge endpoints wrong for {a}-{x}"
+            for x, edge in adj[a].items():
+                other = nodes.get(x)
+                assert other is not None, f"edge {a}-{x} points at a dead node"
+                assert adj[x].get(a) is edge, f"mirror broken for {a}-{x}"
                 assert 1 <= edge.cross_e <= node.size_n * other.size_n, \
                     f"cross_e bound violated for {a}-{x}"
                 if x > a:

@@ -222,6 +222,7 @@ def test_criterion_7_facebook_query_accuracy():
           f"triangle err {report.triangle_relative_err:+.3f} within 0.3)")
 
 
+@pytest.mark.slow
 def test_criterion_8_near_linearithmic_scaling():
     sizes = [2 ** 14, 2 ** 15, 2 ** 16, 2 ** 17]
     times = []
@@ -242,10 +243,10 @@ def test_criterion_8_near_linearithmic_scaling():
         times.append(best)
     total = time.perf_counter() - started
     slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])
-    assert slope <= 1.35
-    assert total < 600.0
     detail = ", ".join(f"2^{int(math.log2(n))}:{t:.1f}s"
                        for n, t in zip(sizes, times))
+    assert slope <= 1.35, f"slope {slope:.3f} > 1.35; {detail}"
+    assert total < 600.0, f"total {total:.0f}s >= 600s; {detail}"
     print(f"\nACCEPTANCE 8 scaling: PASS (slope {slope:.3f} <= 1.35; {detail}; "
           f"total {total:.0f}s)")
 

@@ -1,6 +1,7 @@
 import gc
 import io
 import random
+import warnings
 
 import pytest
 
@@ -202,6 +203,61 @@ class TestMain:
         values = report_values(capsys.readouterr().out)
         assert float(values["re_l1"]) == pytest.approx(8.0 / 3.0)
         assert read_summary(out).alive_count == 1
+
+    def test_edgeless_graph_report(self, tmp_path, capsys):
+        graph = tmp_path / "loops.txt"
+        graph.write_text("5 5\n7 7\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would reach stderr
+            assert main(["--input", str(graph), "--k", "1", "--retain-members"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values = report_values(captured.out)
+        assert values["centrality_err_avg"] == "0.0"
+        assert values["centrality_err_std"] == "0.0"
+
+    @pytest.mark.parametrize("retain, value_keys", [
+        (True, ["re_l1", "re_l1_normalized", "re_l2_squared", "degree_err_avg",
+                "degree_err_std", "centrality_err_avg", "centrality_err_std",
+                "triangle_relative_err", "elapsed_seconds"]),
+        (False, ["re_l1", "re_l1_normalized", "re_l2_squared",
+                 "elapsed_seconds"]),
+    ])
+    def test_report_key_lines(self, tmp_path, capsys, retain, value_keys):
+        graph = self.write_p3(tmp_path)
+        argv = ["--input", str(graph), "--k", "2", "--seed", "7"]
+        if retain:
+            argv.append("--retain-members")
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:10] == [
+            "graph summary report",
+            "=====================",
+            f"input        {graph}",
+            "vertices     3",
+            "edges        2",
+            "supernodes   2",
+            "score mode   exact",
+            "sample rule  logn",
+            "seed         7",
+            "",
+        ]
+        body = lines[10:]
+        keys = [line.partition("=")[0] for line in body]
+        assert keys[:len(value_keys)] == value_keys
+        assert body[len(value_keys):] == [
+            f"manifest_input={graph}",
+            "manifest_k=2",
+            "manifest_sample=logn",
+            "manifest_score=exact",
+            "manifest_width=100",
+            "manifest_depth=2",
+            "manifest_seed=7",
+            f"manifest_retain_members={'true' if retain else 'false'}",
+            "manifest_oracle_limit=1024",
+            "manifest_summary_out=",
+            "manifest_report=",
+        ]
 
     def test_k_too_large(self, tmp_path, capsys):
         graph = self.write_p3(tmp_path)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -19,6 +20,11 @@ def p3_twin_summary():
     g = p3()
     g.merge(1, 3)
     return g
+
+
+def edgeless():
+    """Two vertices that appear only in self-loops, so |E| = 0."""
+    return SummaryGraph.from_edge_list([(5, 5), (7, 7)], retain_members=True)
 
 
 class TestExpectedAdjacency:
@@ -148,6 +154,12 @@ class TestDegreeAndCentrality:
         with pytest.raises(ValueError, match="unknown vertex"):
             degree_estimate(p3_twin_summary(), 42)
 
+    def test_edgeless_graph_centrality_zero(self):
+        summary = edgeless()
+        summary.merge(5, 7)
+        assert centrality_estimate(summary, 5) == 0.0
+        assert centrality_estimate(summary, 7) == 0.0
+
 
 class TestTriangles:
     def test_exact_counter(self):
@@ -232,6 +244,18 @@ class TestBuildReport:
         original = p3()
         with pytest.raises(ValueError, match="unknown vertex 42"):
             build_report(original, p3_twin_summary(), sample_of_vertices=[1, 42])
+
+    def test_edgeless_graph(self):
+        original = edgeless()
+        summary = original.copy()
+        summary.merge(5, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = build_report(original, summary)
+        assert report.re_l1 == 0.0
+        assert report.degree_err_avg == report.degree_err_std == 0.0
+        assert report.centrality_err_avg == report.centrality_err_std == 0.0
+        assert report.triangle_relative_err == 0.0
 
     def test_empty_sample_rejected(self):
         original = p3()

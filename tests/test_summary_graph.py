@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import gnp_edges
-from graphsumm import SummaryGraph
+from graphsumm import SummaryGraph, SuperNode
 
 
 def p3():
@@ -33,9 +33,10 @@ class TestFromEdgeList:
         assert list(g.nodes) == list(g.adj) == [3, 1, 2, 5, 0, 4]
         assert g.original_edge_count == 4
         assert list(g.adj[3]) == [1, 5]
-        for a, entries in g.adj.items():
-            for x, edge in entries.items():
-                assert edge.a < edge.b and {edge.a, edge.b} == {a, x}
+        entries = {(a, x): edge.cross_e for a, adj_a in g.adj.items()
+                   for x, edge in adj_a.items() if g.adj[x][a] is edge}
+        assert entries == {(3, 1): 1, (1, 3): 1, (3, 5): 1, (5, 3): 1,
+                           (1, 5): 1, (5, 1): 1, (0, 4): 1, (4, 0): 1}
         g.validate()
 
     def test_triangle_edge_conservation(self):
@@ -61,7 +62,10 @@ class TestFromEdgeList:
 class TestMerge:
     def test_path_merge_adjacent(self):
         g = p3()
+        held = g.nodes[1]
         z = g.merge(1, 2)
+        assert not held.alive
+        assert list(g.nodes) == list(g.adj) == [3, z]
         assert g.nodes[z].size_n == 2
         assert g.nodes[z].internal_e == 1
         assert dict(g.neighbors(z)) == {3: 1}
@@ -136,11 +140,14 @@ class TestInvariantsUnderRandomMerges:
             while g.alive_count > 1:
                 alive = list(g.alive_ids())
                 a, b = rng.sample(alive, 2)
-                deg_bound = 2 * (g.degree(a) + g.degree(b))
+                touched = 2 * (g.degree(a) + g.degree(b)) - 2 * (b in g.adj[a])
                 before = g.alive_count
-                g.merge(a, b)
+                z = g.merge(a, b)
                 assert g.alive_count == before - 1
-                assert g.last_merge_touched <= deg_bound
+                assert g.last_merge_touched == touched
+                assert a not in g.nodes and b not in g.nodes
+                assert list(g.nodes) == list(g.adj) == [x for x in alive
+                                                        if x not in (a, b)] + [z]
                 g.validate()  # conservation, mirrors, d-values, bounds
             last = next(iter(g.alive_ids()))
             assert g.nodes[last].size_n == g.original_vertex_count
@@ -155,18 +162,21 @@ class TestInvariantsUnderRandomMerges:
         def snapshot(graph):
             nodes = sorted((i, node.size_n, node.internal_e, node.d_value,
                             sorted(node.members))
-                           for i, node in graph.nodes.items() if node.alive)
-            edges = sorted((edge.a, edge.b, edge.cross_e)
-                           for entries in graph.adj.values()
-                           for edge in entries.values())
+                           for i, node in graph.nodes.items())
+            edges = sorted((a, x, edge.cross_e)
+                           for a, entries in graph.adj.items()
+                           for x, edge in entries.items())
             return nodes, edges
 
         before = snapshot(g)
         clone = g.copy()
+        assert 0 not in clone.nodes and 1 not in clone.nodes
+        assert list(clone.nodes) == list(clone.adj) == list(g.nodes)
         for a, entries in g.adj.items():
             assert clone.adj[a] is not entries
             for x, edge in entries.items():
                 assert clone.adj[a][x] is edge
+                assert clone.adj[x][a] is edge
         for i, node in g.nodes.items():
             assert clone.nodes[i] is not node
             assert clone.nodes[i].members is node.members
@@ -176,3 +186,12 @@ class TestInvariantsUnderRandomMerges:
             clone.validate()
         g.validate()
         assert snapshot(g) == before
+
+
+class TestValidate:
+    def test_node_without_adjacency_entry(self):
+        g = p3()
+        g.nodes[9] = SuperNode()
+        g.original_vertex_count += 1
+        with pytest.raises(AssertionError, match="adjacency keys"):
+            g.validate()
