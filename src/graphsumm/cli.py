@@ -9,6 +9,7 @@ that round-trips bit-exactly (see write_summary).
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import sys
 import time
@@ -67,22 +68,21 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None) -> None:
     """
     blocks = list(summary.nodes.items())
     retained = blocks and blocks[0][1].members is not None
-
-    def member_labels(node):
-        labels = node.members if id_map is None else (id_map[m] for m in node.members)
-        return sorted(labels)
-
     if retained:
-        blocks.sort(key=lambda block: member_labels(block[1])[0])
+        # each block's sorted labels give both its sort key and its N line
+        labels = {a: sorted(node.members if id_map is None
+                            else (id_map[m] for m in node.members))
+                  for a, node in blocks}
+        blocks.sort(key=lambda block: labels[block[0]][0])
     else:
         blocks.sort(key=lambda block: block[0])
     file_id = {a: pos for pos, (a, _) in enumerate(blocks)}
     lines = [f"SUMMARY v1 {summary.original_vertex_count} "
              f"{summary.original_edge_count} {len(blocks)}"]
-    for pos, (_, node) in enumerate(blocks):
+    for pos, (a, node) in enumerate(blocks):
         line = f"N {pos} {node.size_n} {node.internal_e}"
         if retained:
-            line += " " + " ".join(str(m) for m in member_labels(node))
+            line += " " + " ".join(map(str, labels[a]))
         lines.append(line)
     superedges = []
     for a, _ in blocks:
@@ -96,6 +96,27 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None) -> None:
         out.write("\n".join(lines) + "\n")
 
 
+def _collector_paused(fn):
+    """Run fn with the cyclic collector paused, restoring its prior state
+    on every exit path.
+
+    The graphs, dicts and sets the package builds hold no reference cycle,
+    so the collector would only rescan them over and over; reference
+    counting frees them all once they are dropped.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def read_summary(path: str) -> SummaryGraph:
     """Parse a SUMMARY v1 file, validating every structural invariant.
 
@@ -256,20 +277,8 @@ def _format_report(args: argparse.Namespace, summary: SummaryGraph,
     return "\n".join(lines) + "\n"
 
 
+@_collector_paused
 def main(argv=None) -> int:
-    # The graphs, dicts and sets a run builds hold no reference cycle, so
-    # the cyclic collector would only rescan them over and over; reference
-    # counting frees them all when the run ends.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(argv)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -33,7 +33,9 @@ class SamplingTree:
         self._padded = padded
         self._sums = [0.0] * (2 * padded)
         self._leaf_vertex: list[int | None] = [None] * padded
-        self._leaf_of: dict[int, int] = {}
+        # vertex -> its leaf's slot; read-only for callers, which may look
+        # slots up for merge_leaves
+        self.slot_of: dict[int, int] = {}
         self._free_slots: list[int] = list(range(capacity))
         # Nodes visited by every draw and update (one root-to-leaf path),
         # for cost assertions.
@@ -51,11 +53,11 @@ class SamplingTree:
         for slot, (vertex, weight) in enumerate(items):
             if weight < 0:
                 raise ValueError(f"negative weight {weight} for vertex {vertex}")
-            if vertex in tree._leaf_of:
+            if vertex in tree.slot_of:
                 raise ValueError(f"duplicate vertex {vertex}")
             sums[padded + slot] = float(weight)
             tree._leaf_vertex[slot] = vertex
-            tree._leaf_of[vertex] = slot
+            tree.slot_of[vertex] = slot
         tree._free_slots = []
         for idx in range(padded - 1, 0, -1):
             sums[idx] = sums[2 * idx] + sums[2 * idx + 1]
@@ -68,16 +70,16 @@ class SamplingTree:
         return self._sums[1]
 
     def __contains__(self, vertex: int) -> bool:
-        return vertex in self._leaf_of
+        return vertex in self.slot_of
 
     def __len__(self) -> int:
-        return len(self._leaf_of)
+        return len(self.slot_of)
 
     def vertices(self):
-        return self._leaf_of.keys()
+        return self.slot_of.keys()
 
     def weight_of(self, vertex: int) -> float:
-        return self._sums[self._padded + self._leaf_of[vertex]]
+        return self._sums[self._padded + self.slot_of[vertex]]
 
     # ------------------------------------------------------------------
 
@@ -109,14 +111,14 @@ class SamplingTree:
         return self._leaf_vertex[idx - padded]
 
     def update_weight(self, vertex: int, new_weight: float) -> None:
-        slot = self._leaf_of.get(vertex)
+        slot = self.slot_of.get(vertex)
         if slot is None:
             raise KeyError(f"vertex {vertex} has no leaf")
         self._set_slot(slot, new_weight)
 
     def delete(self, vertex: int) -> None:
         """Zero the leaf and release its slot for reuse by insert()."""
-        slot = self._leaf_of.pop(vertex, None)
+        slot = self.slot_of.pop(vertex, None)
         if slot is None:
             raise KeyError(f"vertex {vertex} has no leaf")
         self._set_slot(slot, 0.0)
@@ -125,14 +127,66 @@ class SamplingTree:
 
     def insert(self, vertex: int, weight: float) -> None:
         """Bind the lowest-index free slot to a new vertex."""
-        if vertex in self._leaf_of:
+        if vertex in self.slot_of:
             raise ValueError(f"vertex {vertex} already present")
         if not self._free_slots:
             raise ValueError("tree full")
         slot = heapq.heappop(self._free_slots)
         self._leaf_vertex[slot] = vertex
-        self._leaf_of[vertex] = slot
+        self.slot_of[vertex] = slot
         self._set_slot(slot, weight)
+
+    def merge_leaves(self, a: int, b: int, z: int, weight: float,
+                     slots: list[int], weights: list[float]) -> None:
+        """Replace a and b by z and reweigh other leaves, in one batch.
+
+        The result equals delete(a), delete(b), insert(z, weight) followed
+        by setting the leaf at slots[i] to weights[i]: z takes the lowest
+        free slot. The slots must be bound to vertices other than a and b.
+        Every changed leaf is written first, and then each changed ancestor
+        is recomputed once from its two children, instead of once per
+        changed leaf below it.
+        """
+        slot_of = self.slot_of
+        if a == b or a not in slot_of or b not in slot_of:
+            raise KeyError(f"vertices {a} and {b} need distinct leaves")
+        if z in slot_of and z not in (a, b):
+            raise ValueError(f"vertex {z} already present")
+        if weight < 0 or min(weights, default=0.0) < 0:
+            raise ValueError("negative weight")
+        slot_a = slot_of.pop(a)
+        slot_b = slot_of.pop(b)
+        free = self._free_slots
+        heapq.heappush(free, slot_a)
+        slot_z = heapq.heappushpop(free, slot_b)
+        leaf_vertex = self._leaf_vertex
+        leaf_vertex[slot_a] = leaf_vertex[slot_b] = None
+        leaf_vertex[slot_z] = z
+        slot_of[z] = slot_z
+
+        sums = self._sums
+        padded = self._padded
+        sums[padded + slot_a] = sums[padded + slot_b] = 0.0
+        sums[padded + slot_z] = weight
+        for slot, leaf_weight in zip(slots, weights):
+            sums[padded + slot] = leaf_weight
+        # Walked in slot order, a leaf stops below its lowest common
+        # ancestor with the next changed leaf (a repeated slot, z's when it
+        # was a's or b's, walks no level): that leaf's walk passes the
+        # shared ancestors later, with all of their changed leaves written,
+        # so each ancestor is computed once.
+        changed = [slot_a, slot_b, slot_z, *slots]
+        changed.sort()
+        heights = [(slot ^ after).bit_length() - 1
+                   for slot, after in zip(changed, changed[1:])]
+        heights.append(padded.bit_length() - 1)
+        for slot, height in zip(changed, heights):
+            idx = padded + slot
+            total = sums[idx]
+            for _ in range(height):
+                total += sums[idx ^ 1]
+                idx >>= 1
+                sums[idx] = total
 
     def _set_slot(self, slot: int, new_weight: float) -> None:
         if new_weight < 0:

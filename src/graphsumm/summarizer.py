@@ -4,14 +4,21 @@ Each iteration samples a handful of candidate supernode pairs (two weighted
 draws per pair, the partner drawn with the first node's mass excluded when
 the two coincide), scores every candidate by how much the l1 reconstruction
 error would drop if the pair were merged, merges the best one, and patches
-the sampling weights of the merged node and its neighbors. In sketch mode the
-sketches are rows of one array: the pair's coordinates are detached from the
-neighbors' rows before the merge, a's row becomes the merged node's by
-adding b's row into it, and the merged node's coordinate is attached to its
-neighbors' rows after the merge, each a few array writes. The score of a
+the sampling weights of the merged node and its neighbors. The score of a
 pair has a closed form whose only non-constant part is a cross term over
 common neighbors; in sketch mode that term is replaced by a count-min
 inner-product estimate, making every scoring O(width * depth).
+
+After a merge of a and b into z, one walk over z's neighbors gathers
+everything the patches need: each neighbor's new weight, its tree slot
+and, in sketch mode, its sketch row and its counts towards z and towards b
+(read from b's adjacency map, which the merge leaves intact; the count
+towards a is the difference). The tree then takes all leaf changes in one
+batch, and the sketches, rows of one array, take three writes: a's and b's
+coordinates leave the neighbors' rows and z's coordinate joins them, while
+a's row becomes z's by adding b's row into it. Every tree sum and sketch
+cell gets the same float operations, in the same order, as patching one
+node or coordinate at a time would give.
 
 Scoring is read-only: the candidate scorings of one iteration may safely run
 concurrently. Sampling, merging, and weight/sketch updates mutate shared
@@ -78,7 +85,11 @@ def parse_sample_rule(rule: str):
 
 def sample_size(rule: str, n_alive: int) -> int:
     """Candidate pairs to draw this iteration, as a function of n(t)."""
-    kind, fixed = parse_sample_rule(rule)
+    return _parsed_sample_size(parse_sample_rule(rule), n_alive)
+
+
+def _parsed_sample_size(parsed_rule, n_alive: int) -> int:
+    kind, fixed = parsed_rule
     if kind == "fixed":
         return fixed
     log_n = math.log2(n_alive) if n_alive > 1 else 0.0
@@ -273,16 +284,6 @@ def build_sketches(g: SummaryGraph, width: int, depth: int,
     return sketches
 
 
-def _neighbor_rows(sketches: SketchRows, adj_u: dict, skip: int | None):
-    """Rows and cross counts of u's neighbors other than skip."""
-    count = len(adj_u) - (skip in adj_u)
-    rows = np.fromiter((sketches[x].slot for x in adj_u if x != skip),
-                       np.intp, count)
-    cross = np.fromiter((edge.cross_e for x, edge in adj_u.items() if x != skip),
-                        np.float64, count)
-    return rows, cross
-
-
 class Summarizer:
     """Drives the merge loop; exposes the tree and sketches for inspection."""
 
@@ -300,6 +301,7 @@ class Summarizer:
             seeds = make_hash_seeds(cfg.sketch_depth, cfg.seed)
             self.sketches = build_sketches(g, cfg.sketch_width,
                                            cfg.sketch_depth, seeds)
+        self._sample_rule = parse_sample_rule(cfg.sample_rule)
         self.iterations = 0
         self.last_candidates: list[ScoredPair] = []
 
@@ -313,7 +315,7 @@ class Summarizer:
         encountered wins ties), patch weights and sketches. Returns the
         merged node's id."""
         g = self.graph
-        s = sample_size(self.cfg.sample_rule, g.alive_count)
+        s = _parsed_sample_size(self._sample_rule, g.alive_count)
         pairs = sample_pairs(g, self.tree, s, self.rng)
         approx = self.sketches is not None
         best = None
@@ -326,13 +328,12 @@ class Summarizer:
         self.last_candidates = candidates
         a, b = best.a, best.b
 
+        nodes = g.nodes
+        node_a = nodes[a]
+        node_b = nodes[b]
+        adj_b = g.adj[b]
         sketches = self.sketches
         if sketches is not None:
-            # Detach: a and b leave their neighbors' vectors, written into
-            # all of the neighbors' rows at once.
-            for u, v in ((a, b), (b, a)):
-                rows, cross = _neighbor_rows(sketches, g.adj[u], v)
-                sketches.add(rows, u, cross / -math.sqrt(g.nodes[u].size_n))
             # Merge rows: the merged vector is the sum of a's and b's, kept
             # in a's row, with the mutual coordinates dropped (those edges
             # become internal); b's row is left unused.
@@ -340,21 +341,50 @@ class Summarizer:
             sketches.add_row(merged.slot, sketches.pop(b).slot)
             e_ab = g.cross_count(a, b)
             if e_ab:
-                merged.update(b, -e_ab / math.sqrt(g.nodes[b].size_n))
-                merged.update(a, -e_ab / math.sqrt(g.nodes[a].size_n))
+                merged.update(b, -e_ab / math.sqrt(node_b.size_n))
+                merged.update(a, -e_ab / math.sqrt(node_a.size_n))
         z = g.merge(a, b)
-        if sketches is not None:
-            # Attach: every neighbor of the merged node gains its coordinate.
-            sketches[z] = merged
-            rows, cross = _neighbor_rows(sketches, g.adj[z], None)
-            sketches.add(rows, z, cross * (1.0 / math.sqrt(g.nodes[z].size_n)))
 
+        # The one walk over z's neighbors (see the module docstring). The
+        # weight is node_weight's, inlined: -(4d/n) - sq equals -sq - 4d/n
+        # bit for bit.
+        adj_z = g.adj[z]
         tree = self.tree
-        tree.delete(a)
-        tree.delete(b)
-        tree.insert(z, node_weight(g, z))
-        for x in g.adj[z]:
-            tree.update_weight(x, node_weight(g, x))
+        tree_slot = tree.slot_of
+        slots = []
+        weights = []
+        if sketches is not None:
+            rows = []
+            cross_z = []
+            cross_b = []
+        for x, edge in adj_z.items():
+            node = nodes[x]
+            size = node.size_n
+            f = -(4.0 * node.d_value / size)
+            internal = node.internal_e
+            if internal:
+                f -= 4.0 * internal * internal / (size * (size - 1) / 2.0)
+            weights.append(-1.0 / f if f else 0.0)
+            slots.append(tree_slot[x])
+            if sketches is not None:
+                rows.append(sketches[x].slot)
+                cross_z.append(edge.cross_e)
+                edge_b = adj_b.get(x)
+                cross_b.append(edge_b.cross_e if edge_b is not None else 0)
+        tree.merge_leaves(a, b, z, node_weight(g, z), slots, weights)
+
+        if sketches is not None:
+            # Detach a, detach b, attach z: each writes one coordinate into
+            # all of the neighbors' rows at once, in that order per cell.
+            sketches[z] = merged
+            rows = np.array(rows, np.intp)
+            cross_z = np.array(cross_z, np.float64)
+            cross_b = np.array(cross_b, np.float64)
+            # A neighbor of only one of a and b gets -0.0 for the other,
+            # which leaves every float it is added to bit-identical.
+            sketches.add(rows, a, (cross_z - cross_b) / -math.sqrt(node_a.size_n))
+            sketches.add(rows, b, cross_b / -math.sqrt(node_b.size_n))
+            sketches.add(rows, z, cross_z * (1.0 / math.sqrt(nodes[z].size_n)))
         self.iterations += 1
         return z
 

@@ -14,8 +14,8 @@ adjacency keys under which it is stored. It is stored once and shared by
 both endpoints' adjacency maps, so the symmetric view can never drift and
 dropping the edge from one side needs no scan of anybody's list.
 Superedges and member sets are never changed after creation (a merge
-builds new ones), so ``copy`` shares them between the original and the
-copy.
+builds new ones where counts add up and reuses the rest), so ``copy``
+shares them between the original and the copy.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class SuperEdge:
 
     Sharing is what replaces an explicit mirror pointer: ``g.adj[a][b]`` and
     ``g.adj[b][a]`` are the same object, so the symmetric view can never drift.
-    A superedge is never changed after creation: ``merge`` drops the old
-    edges and builds new ones, and ``SummaryGraph.copy`` shares them.
+    A superedge is never changed after creation: ``merge`` builds a new one
+    for a neighbor of both merged nodes and moves the others over as they
+    are, and ``SummaryGraph.copy`` shares them.
     """
 
     __slots__ = ("cross_e",)
@@ -157,7 +158,14 @@ class SummaryGraph:
         Work is proportional to deg(a) + deg(b): both adjacency lists are
         coalesced through one scratch map, neighbor-side entries are removed
         by key (the shared-edge analogue of a mirror pointer), and every
-        affected d_value is patched incrementally.
+        affected d_value is patched incrementally. A superedge that only one
+        of a and b had is carried over to z as it is, since its count does
+        not change; a neighbor of both gets a new one.
+
+        a and b leave ``nodes`` and ``adj``, but their own adjacency maps
+        and ``SuperNode`` objects are left as they were (only ``alive``
+        turns False), so a caller holding them can still read the pair's
+        pre-merge edges and statistics.
         """
         nodes = self.nodes
         node_a = nodes.get(a)
@@ -173,19 +181,20 @@ class SummaryGraph:
         pair_edge = adj_a.get(b)
         e_ab = pair_edge.cross_e if pair_edge is not None else 0
 
-        new_cross: dict[int, int] = {}
+        new_edges: dict[int, SuperEdge] = {}
         for x, edge in adj_a.items():
             if x == b:
                 continue
             e_ax = edge.cross_e
-            new_cross[x] = e_ax
+            new_edges[x] = edge
             nodes[x].d_value -= e_ax * e_ax / size_a
             del adj[x][a]
         for x, edge in adj_b.items():
             if x == a:
                 continue
             e_bx = edge.cross_e
-            new_cross[x] = new_cross.get(x, 0) + e_bx
+            edge_a = new_edges.get(x)
+            new_edges[x] = edge if edge_a is None else SuperEdge(edge_a.cross_e + e_bx)
             nodes[x].d_value -= e_bx * e_bx / size_b
             del adj[x][b]
 
@@ -200,12 +209,13 @@ class SummaryGraph:
         adj_z: dict[int, SuperEdge] = {}
         adj[z] = adj_z
         d_z = 0.0
-        for x, e_zx in new_cross.items():
-            edge = SuperEdge(e_zx)
+        for x, edge in new_edges.items():
+            e_zx = edge.cross_e
             adj_z[x] = edge
             adj[x][z] = edge
-            nodes[x].d_value += e_zx * e_zx / size_z
-            d_z += e_zx * e_zx / nodes[x].size_n
+            node = nodes[x]
+            node.d_value += e_zx * e_zx / size_z
+            d_z += e_zx * e_zx / node.size_n
         node_z.d_value = d_z
 
         node_a.alive = False

@@ -81,6 +81,50 @@ class TestSummaryRoundTrip:
         back = read_summary(path)
         assert re_closed(back) == pytest.approx(re_closed(g))
 
+    def test_read_triggers_no_collection(self, tmp_path):
+        rng = random.Random(8)
+        g = SummaryGraph.from_edge_list(gnp_edges(300, 0.05, rng),
+                                        retain_members=True)
+        for _ in range(100):
+            g.merge(*rng.sample(list(g.alive_ids()), 2))
+        path = tmp_path / "gnp.summary"
+        write_summary(g, path)
+        collections = []
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.collect()  # start from empty generation counts
+        gc.callbacks.append(record)
+        try:
+            back = read_summary(path)
+            assert gc.isenabled()
+        finally:
+            gc.callbacks.remove(record)
+            if not was_enabled:
+                gc.disable()
+        assert collections == []
+        assert re_closed(back) == pytest.approx(re_closed(g), rel=1e-12)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text, error", [("SUMMARY v1 1 0 1\nX what\n", ValueError),
+                                             (None, OSError)])
+    def test_failed_read_restores_collector(self, tmp_path, enabled, text, error):
+        path = tmp_path / "bad.summary"
+        if text is not None:
+            path.write_text(text)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(error):
+                read_summary(path)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
     def test_tampered_cross_count_rejected(self, tmp_path):
         path = tmp_path / "bad.summary"
         path.write_text("SUMMARY v1 3 5 2\n"

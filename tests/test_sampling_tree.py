@@ -200,3 +200,62 @@ class TestProperties:
             tree.update_weight(v, 0.0)
             tree.update_weight(v, weight)
             assert tree._sums == before
+
+
+class TestMergeLeaves:
+    @staticmethod
+    def merge_sequence(size, batch, seed):
+        """Merges of two random vertices into a new one, each reweighing
+        `batch` other vertices (some to zero), as (a, b, z, weight,
+        reweighed vertices, their weights)."""
+        rng = random.Random(seed)
+        alive = list(range(size))
+        next_vertex = size
+        for _ in range(size // 2):
+            a, b = rng.sample(alive, 2)
+            alive.remove(a)
+            alive.remove(b)
+            others = rng.sample(alive, min(batch, len(alive)))
+            weights = [rng.choice([0.0, rng.random()]) for _ in others]
+            yield a, b, next_vertex, rng.random(), others, weights
+            alive.append(next_vertex)
+            next_vertex += 1
+
+    @pytest.mark.parametrize("batch", [0, 1, 6, 48, 140])
+    def test_equals_per_leaf_updates(self, batch):
+        size = 300
+        rng = random.Random(batch)
+        items = [(v, rng.random()) for v in range(size)]
+        tree = SamplingTree.build(items)
+        reference = SamplingTree.build(items)
+        older_slot = 0
+        for a, b, z, weight, others, weights in self.merge_sequence(size, batch, batch):
+            freed = {tree.slot_of[a], tree.slot_of[b]}
+            tree.merge_leaves(a, b, z, weight,
+                              [tree.slot_of[x] for x in others], weights)
+            reference.delete(a)
+            reference.delete(b)
+            reference.insert(z, weight)
+            for x, leaf_weight in zip(others, weights):
+                reference.update_weight(x, leaf_weight)
+            older_slot += tree.slot_of[z] not in freed
+            assert tree._sums == reference._sums
+            assert tree.slot_of == reference.slot_of
+            assert tree._leaf_vertex == reference._leaf_vertex
+        tree.check_consistency()
+        assert older_slot > 0  # z also landed on slots freed by earlier merges
+
+    def test_bad_batches_leave_tree_unchanged(self):
+        tree = small_tree()
+        sums = list(tree._sums)
+        with pytest.raises(KeyError):
+            tree.merge_leaves(1, 9, 4, 1.0, [], [])
+        with pytest.raises(KeyError):
+            tree.merge_leaves(1, 1, 4, 1.0, [], [])
+        with pytest.raises(ValueError, match="already present"):
+            tree.merge_leaves(1, 2, 3, 1.0, [], [])
+        with pytest.raises(ValueError, match="negative"):
+            tree.merge_leaves(1, 2, 4, 1.0, [tree.slot_of[3]], [-1.0])
+        assert tree._sums == sums and len(tree) == 3
+        tree.merge_leaves(1, 2, 2, 0.5, [tree.slot_of[3]], [2.0])
+        assert tree.total_weight == 2.5 and tree.slot_of == {2: 0, 3: 2}

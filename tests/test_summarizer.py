@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import gnp_edges, score_oracle, sketch_of
+from conftest import constant_degree_edges, gnp_edges, score_oracle, sketch_of
 from graphsumm import (CountMinSketch, SamplingTree, Summarizer, SummarizerConfig,
                        SummaryGraph, make_hash_seeds, node_weight, re_brute,
                        re_closed, sample_pairs, score_approx, score_exact,
@@ -351,6 +351,73 @@ class TestSummarize:
                 assert np.array_equal(loop.sketches[x].cells, expected.cells)
                 assert loop.sketches[x].l1_mass == expected.l1_mass
         assert mutual_merges > 0
+
+    @pytest.mark.parametrize("mode", ["exact", "sketch"])
+    def test_tree_matches_per_leaf_patch_sequence(self, mode):
+        # Reference: a tree driven by delete(a), delete(b), insert(z) and
+        # one update_weight per neighbor of z, with node_weight's values.
+        rng = random.Random(41)
+        g = SummaryGraph.from_edge_list(constant_degree_edges(160, 36, rng))
+        loop = Summarizer(g, SummarizerConfig(target_k=20, seed=8, score_mode=mode,
+                                              sketch_width=16))
+        reference = SamplingTree.build([(a, node_weight(g, a)) for a in g.alive_ids()])
+        older_slot = 0
+        while g.alive_count > 20:
+            slots = dict(loop.tree.slot_of)
+            z = loop.step()
+            best = max(loop.last_candidates, key=lambda c: c.score)
+            reference.delete(best.a)
+            reference.delete(best.b)
+            reference.insert(z, node_weight(g, z))
+            for x in g.adj[z]:
+                reference.update_weight(x, node_weight(g, x))
+            assert loop.tree._sums == reference._sums
+            assert loop.tree.slot_of == reference.slot_of
+            for x in g.alive_ids():
+                assert loop.tree.weight_of(x) == node_weight(g, x)
+            older_slot += loop.tree.slot_of[z] not in (slots[best.a], slots[best.b])
+        assert older_slot > 0
+
+    # Merged pairs recorded before the merge loop patched the tree and the
+    # sketches from one walk; the loop must keep merging the same pairs.
+    GOLDEN = [
+        (lambda: gnp_edges(36, 0.2, random.Random(61)), 9, "exact", 71,
+         [(9, 31), (22, 4), (19, 26), (18, 8), (10, 24), (6, 7), (3, 40), (42, 0),
+          (34, 20), (44, 27), (16, 2), (32, 5), (43, 28), (21, 23), (1, 17),
+          (15, 45), (14, 35), (38, 41), (30, 46), (48, 13), (11, 29), (51, 50),
+          (37, 33), (47, 54), (55, 39), (49, 36), (59, 25)]),
+        (lambda: gnp_edges(36, 0.2, random.Random(61)), 9, "sketch", 72,
+         [(10, 17), (21, 12), (4, 6), (25, 36), (18, 16), (30, 37), (13, 20),
+          (5, 33), (22, 35), (40, 44), (28, 0), (32, 41), (8, 1), (9, 47),
+          (24, 34), (23, 49), (2, 38), (31, 52), (7, 53), (3, 43), (15, 45),
+          (19, 14), (27, 11), (54, 50), (51, 42), (58, 26), (46, 55)]),
+        (lambda: constant_degree_edges(48, 8, random.Random(62)), 12, "exact", 73,
+         [(27, 28), (14, 3), (35, 40), (50, 30), (37, 20), (47, 48), (0, 4),
+          (8, 2), (53, 51), (23, 15), (21, 44), (25, 18), (5, 38), (31, 9),
+          (55, 49), (42, 62), (43, 63), (59, 26), (65, 60), (56, 7), (32, 22),
+          (24, 68), (41, 6), (46, 12), (19, 17), (34, 67), (45, 52), (74, 64),
+          (70, 29), (11, 16), (66, 75), (13, 77), (72, 36), (39, 61), (1, 71),
+          (76, 57)]),
+        (lambda: constant_degree_edges(48, 8, random.Random(62)), 12, "sketch", 74,
+         [(42, 41), (25, 36), (35, 48), (34, 28), (17, 0), (23, 22), (47, 8),
+          (9, 20), (6, 43), (10, 18), (52, 14), (21, 57), (12, 13), (45, 56),
+          (7, 49), (4, 51), (55, 19), (30, 58), (26, 64), (37, 54), (29, 60),
+          (5, 24), (27, 39), (1, 59), (69, 66), (11, 61), (71, 46), (70, 73),
+          (63, 68), (2, 50), (76, 75), (16, 3), (44, 33), (67, 79), (72, 80),
+          (81, 78)]),
+    ]
+
+    @pytest.mark.parametrize("make_edges, k, mode, seed, expected", GOLDEN)
+    def test_golden_merge_sequence(self, make_edges, k, mode, seed, expected):
+        g = SummaryGraph.from_edge_list(make_edges())
+        loop = Summarizer(g, SummarizerConfig(target_k=k, score_mode=mode,
+                                              sketch_width=8, seed=seed))
+        merged = []
+        while g.alive_count > k:
+            loop.step()
+            best = max(loop.last_candidates, key=lambda c: c.score)
+            merged.append((best.a, best.b))
+        assert merged == expected
 
     def test_concurrent_scoring_matches_serial(self):
         rng = random.Random(3)

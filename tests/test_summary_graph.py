@@ -95,6 +95,26 @@ class TestMerge:
         z = g.merge(1, 3)
         assert g.nodes[z].members == {1, 3}
 
+    def test_removed_maps_left_intact(self):
+        # a caller holding a's and b's maps and nodes still reads their
+        # pre-merge entries and statistics after the merge
+        rng = random.Random(19)
+        for _ in range(20):
+            g = SummaryGraph.from_edge_list(gnp_edges(12, 0.4, rng))
+            for _ in range(rng.randrange(6)):
+                g.merge(*rng.sample(list(g.alive_ids()), 2))
+            a, b = rng.sample(list(g.alive_ids()), 2)
+            held = {u: (g.adj[u], g.nodes[u]) for u in (a, b)}
+            before = {u: ([(x, edge, edge.cross_e) for x, edge in entries.items()],
+                          (node.size_n, node.internal_e, node.d_value))
+                      for u, (entries, node) in held.items()}
+            g.merge(a, b)
+            for u, (entries, node) in held.items():
+                assert [(x, edge, edge.cross_e)
+                        for x, edge in entries.items()] == before[u][0]
+                assert (node.size_n, node.internal_e, node.d_value) == before[u][1]
+            g.validate()
+
     def test_invalid_pairs(self):
         g = p3()
         with pytest.raises(ValueError, match="invalid merge pair"):
