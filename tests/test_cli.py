@@ -81,6 +81,58 @@ class TestSummaryRoundTrip:
         back = read_summary(path)
         assert re_closed(back) == pytest.approx(re_closed(g))
 
+    def test_round_trip_d_values_exact(self, tmp_path):
+        rng = random.Random(31)
+        g = SummaryGraph.from_edge_list(gnp_edges(80, 0.1, rng),
+                                        retain_members=True)
+        for _ in range(50):
+            g.merge(*rng.sample(list(g.alive_ids()), 2))
+        path = tmp_path / "merged.summary"
+        write_summary(g, path)
+        back = read_summary(path)
+        for a, node in back.nodes.items():
+            assert node.d_value == back.recomputed_d_value(a)
+        assert sorted(node.size_n for node in back.nodes.values()) \
+            == sorted(node.size_n for node in g.nodes.values())
+
+    def test_whitespace_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "spaced.summary"
+        path.write_text("SUMMARY v1 3 2 2\n"
+                        "   \n"
+                        "N 0 2 0 1 3\n"
+                        "\t\n"
+                        "N 1 1 0 2\n"
+                        "\n"
+                        "E 0 1 2\n")
+        back = read_summary(path)
+        assert back.alive_count == 2
+        path.write_text("SUMMARY v1 3 2 2\n"
+                        " \t \n"
+                        "\n"
+                        "N 0 2 x 1 3\n")
+        with pytest.raises(ValueError, match=r"^line 4: .*'x'"):
+            read_summary(path)
+
+    def test_superedge_before_its_supernodes_rejected(self, tmp_path):
+        path = tmp_path / "bad.summary"
+        path.write_text("SUMMARY v1 3 2 2\n"
+                        "N 0 2 0 1 3\n"
+                        "E 0 1 2\n"
+                        "N 1 1 0 2\n")
+        with pytest.raises(ValueError, match="^line 3: superedge 0-1 references "
+                                             "unknown supernode$"):
+            read_summary(path)
+
+    def test_no_trailing_newline(self, tmp_path):
+        path = tmp_path / "unterminated.summary"
+        path.write_text("SUMMARY v1 3 2 2\n"
+                        "N 0 2 0 1 3\n"
+                        "N 1 1 0 2\n"
+                        "E 0 1 2")
+        back = read_summary(path)
+        assert back.adj[0][1].cross_e == 2
+        assert back.nodes[1].d_value == 4.0 / 2
+
     def test_read_triggers_no_collection(self, tmp_path):
         rng = random.Random(8)
         g = SummaryGraph.from_edge_list(gnp_edges(300, 0.05, rng),

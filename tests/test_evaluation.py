@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -20,6 +21,17 @@ def p3_twin_summary():
     g = p3()
     g.merge(1, 3)
     return g
+
+
+def random_merged_summary(rng, n, p):
+    """G(n, p) with retained members, and a copy reduced by a random
+    merge sequence to a random number of supernodes."""
+    original = SummaryGraph.from_edge_list(gnp_edges(n, p, rng),
+                                           retain_members=True)
+    summary = original.copy()
+    for _ in range(rng.randrange(original.alive_count)):
+        summary.merge(*rng.sample(list(summary.alive_ids()), 2))
+    return original, summary
 
 
 def edgeless():
@@ -168,6 +180,36 @@ class TestTriangles:
         k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
         assert triangle_count_exact(SummaryGraph.from_edge_list(k4)) == 4
         assert triangle_count_exact(p3()) == 0
+
+    def test_exact_counter_matches_triple_oracle(self):
+        rng = random.Random(2024)
+        graphs = [SummaryGraph.from_edge_list(
+                      gnp_edges(rng.randint(3, 30), rng.uniform(0.05, 0.6), rng))
+                  for _ in range(24)]
+        graphs.append(SummaryGraph.from_edge_list(
+            [(a, b) for a in range(9) for b in range(a + 1, 9)]))
+        for g in graphs:
+            expected = sum(1 for u, v, w in itertools.combinations(sorted(g.adj), 3)
+                           if v in g.adj[u] and w in g.adj[u] and w in g.adj[v])
+            assert triangle_count_exact(g) == expected
+        assert triangle_count_exact(graphs[-1]) == math.comb(9, 3)
+        assert triangle_count_exact(edgeless()) == 0
+
+    def test_estimate_matches_triple_oracle(self):
+        # the estimate is the expected-adjacency product summed over all
+        # vertex triples, whatever mix of one, two and three blocks they span
+        rng = random.Random(77)
+        for _ in range(40):
+            original, summary = random_merged_summary(
+                rng, rng.randint(3, 24), rng.uniform(0.1, 0.7))
+            index = membership_index(summary)
+            expected = math.fsum(
+                expected_adjacency(summary, u, v, index)
+                * expected_adjacency(summary, v, w, index)
+                * expected_adjacency(summary, u, w, index)
+                for u, v, w in itertools.combinations(sorted(original.nodes), 3))
+            assert math.isclose(triangle_estimate(summary), expected,
+                                rel_tol=1e-12)
 
     def test_complete_blocks_exact(self):
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (1, 3)])
