@@ -120,92 +120,111 @@ def _collector_paused(fn):
 def read_summary(path: str) -> SummaryGraph:
     """Parse a SUMMARY v1 file, validating every structural invariant.
 
-    An error found on one line names that line's 1-based number in the file.
+    An error found on one line names that line's 1-based number in the file;
+    whitespace-only lines are skipped but counted. One pass over the file:
+    each supernode's d_value is accumulated as its superedges are read,
+    which is the order of its adjacency map.
     """
     with open(path) as stream:
-        lines = [(lineno, line.rstrip("\n"))
-                 for lineno, line in enumerate(stream, 1) if line.strip()]
-    if not lines or not lines[0][1].startswith("SUMMARY v1 "):
-        raise ValueError("not a SUMMARY v1 file")
-    lineno, line = lines[0]
-    try:
-        header = line.split()
-        if len(header) != 5:
-            raise ValueError("malformed header")
-        n, m, k = (int(tok) for tok in header[2:])
-        if k < 1 or n < k or m < 0:
-            raise ValueError(f"inconsistent header counts n={n} m={m} k={k}")
+        numbered = enumerate(stream, 1)
+        for lineno, line in numbered:
+            if not line.isspace():
+                break
+        else:
+            line = ""
+        if not line.startswith("SUMMARY v1 "):
+            raise ValueError("not a SUMMARY v1 file")
+        try:
+            header = line.split()
+            if len(header) != 5:
+                raise ValueError("malformed header")
+            n, m, k = (int(tok) for tok in header[2:])
+            if k < 1 or n < k or m < 0:
+                raise ValueError(f"inconsistent header counts n={n} m={m} k={k}")
 
-        g = SummaryGraph()
-        g.original_vertex_count = n
-        g.original_edge_count = m
-        g._next_id = k
-        members_seen: set[int] = set()
-        internal_total = 0
-        cross_total = 0
-        for lineno, line in lines[1:]:
-            fields = line.split()
-            if fields[0] == "N":
-                if len(fields) < 4:
-                    raise ValueError(f"malformed supernode line: {line!r}")
-                node_id, size_n, internal_e = (int(fields[1]), int(fields[2]),
-                                               int(fields[3]))
-                if node_id in g.nodes:
-                    raise ValueError(f"duplicate supernode id {node_id}")
-                if not 0 <= node_id < k:
-                    raise ValueError(f"supernode id {node_id} out of range")
-                if size_n < 1:
-                    raise ValueError(f"supernode {node_id} has size {size_n}")
-                pairs = size_n * (size_n - 1) // 2
-                if not 0 <= internal_e <= pairs:
-                    raise ValueError(f"supernode {node_id}: internal edge count "
-                                     f"{internal_e} exceeds {pairs}")
-                members = None
-                if len(fields) > 4:
-                    members = set(int(tok) for tok in fields[4:])
-                    if len(members) != size_n:
-                        raise ValueError(f"supernode {node_id}: {len(members)} members "
-                                         f"listed but size is {size_n}")
-                    overlap = members & members_seen
-                    if overlap:
-                        raise ValueError(f"vertex {min(overlap)} in two supernodes")
-                    members_seen |= members
-                g.nodes[node_id] = SuperNode(size_n, internal_e, 0.0, members)
-                g.adj[node_id] = {}
-                internal_total += internal_e
-            elif fields[0] == "E":
-                if len(fields) != 4:
-                    raise ValueError(f"malformed superedge line: {line!r}")
-                i, j, cross_e = int(fields[1]), int(fields[2]), int(fields[3])
-                if i == j:
-                    raise ValueError(f"self superedge at {i}")
-                if i not in g.nodes or j not in g.nodes:
-                    raise ValueError(f"superedge {i}-{j} references unknown supernode")
-                if j in g.adj[i]:
-                    raise ValueError(f"duplicate superedge {i}-{j}")
-                limit = g.nodes[i].size_n * g.nodes[j].size_n
-                if not 1 <= cross_e <= limit:
-                    raise ValueError(f"superedge {i}-{j}: count {cross_e} "
-                                     f"outside [1, {limit}]")
-                edge = SuperEdge(cross_e)
-                g.adj[i][j] = edge
-                g.adj[j][i] = edge
-                cross_total += cross_e
-            else:
-                raise ValueError(f"unrecognized line: {line!r}")
-    except ValueError as err:
-        raise ValueError(f"line {lineno}: {err}") from None
-    if len(g.nodes) != k:
-        raise ValueError(f"header says {k} supernodes, file has {len(g.nodes)}")
-    if sum(node.size_n for node in g.nodes.values()) != n:
+            g = SummaryGraph()
+            g.original_vertex_count = n
+            g.original_edge_count = m
+            g._next_id = k
+            nodes = g.nodes
+            adj = g.adj
+            members_seen: set[int] = set()
+            internal_total = 0
+            cross_total = 0
+            for lineno, line in numbered:
+                fields = line.split()
+                if not fields:
+                    continue
+                tag = fields[0]
+                if tag == "E":
+                    if len(fields) != 4:
+                        raise ValueError("malformed superedge line: "
+                                         + repr(line.rstrip("\n")))
+                    i, j, cross_e = int(fields[1]), int(fields[2]), int(fields[3])
+                    if i == j:
+                        raise ValueError(f"self superedge at {i}")
+                    node_i = nodes.get(i)
+                    node_j = nodes.get(j)
+                    if node_i is None or node_j is None:
+                        raise ValueError(f"superedge {i}-{j} references unknown supernode")
+                    adj_i = adj[i]
+                    if j in adj_i:
+                        raise ValueError(f"duplicate superedge {i}-{j}")
+                    size_i = node_i.size_n
+                    size_j = node_j.size_n
+                    limit = size_i * size_j
+                    if not 1 <= cross_e <= limit:
+                        raise ValueError(f"superedge {i}-{j}: count {cross_e} "
+                                         f"outside [1, {limit}]")
+                    edge = SuperEdge(cross_e)
+                    adj_i[j] = edge
+                    adj[j][i] = edge
+                    cross_total += cross_e
+                    square = cross_e ** 2
+                    node_i.d_value += square / size_j
+                    node_j.d_value += square / size_i
+                elif tag == "N":
+                    if len(fields) < 4:
+                        raise ValueError("malformed supernode line: "
+                                         + repr(line.rstrip("\n")))
+                    node_id, size_n, internal_e = (int(fields[1]), int(fields[2]),
+                                                   int(fields[3]))
+                    if node_id in nodes:
+                        raise ValueError(f"duplicate supernode id {node_id}")
+                    if not 0 <= node_id < k:
+                        raise ValueError(f"supernode id {node_id} out of range")
+                    if size_n < 1:
+                        raise ValueError(f"supernode {node_id} has size {size_n}")
+                    pairs = size_n * (size_n - 1) // 2
+                    if not 0 <= internal_e <= pairs:
+                        raise ValueError(f"supernode {node_id}: internal edge count "
+                                         f"{internal_e} exceeds {pairs}")
+                    members = None
+                    if len(fields) > 4:
+                        members = set(map(int, fields[4:]))
+                        if len(members) != size_n:
+                            raise ValueError(f"supernode {node_id}: {len(members)} "
+                                             f"members listed but size is {size_n}")
+                        overlap = members & members_seen
+                        if overlap:
+                            raise ValueError(f"vertex {min(overlap)} in two supernodes")
+                        members_seen |= members
+                    nodes[node_id] = SuperNode(size_n, internal_e, 0.0, members)
+                    adj[node_id] = {}
+                    internal_total += internal_e
+                else:
+                    raise ValueError("unrecognized line: " + repr(line.rstrip("\n")))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
+    if len(nodes) != k:
+        raise ValueError(f"header says {k} supernodes, file has {len(nodes)}")
+    if sum(node.size_n for node in nodes.values()) != n:
         raise ValueError("supernode sizes do not sum to the vertex count")
     if members_seen and len(members_seen) != n:
         raise ValueError("member lists do not cover the vertex set")
     if internal_total + cross_total != m:
         raise ValueError(f"edge conservation violated: {internal_total} internal "
                          f"+ {cross_total} cross != {m}")
-    for node_id in g.nodes:
-        g.nodes[node_id].d_value = g.recomputed_d_value(node_id)
     return g
 
 

@@ -46,7 +46,6 @@ class ScoredPair:
     a: int
     b: int
     score: float
-    approx: bool
 
 
 @dataclass
@@ -317,11 +316,10 @@ class Summarizer:
         g = self.graph
         s = _parsed_sample_size(self._sample_rule, g.alive_count)
         pairs = sample_pairs(g, self.tree, s, self.rng)
-        approx = self.sketches is not None
         best = None
         candidates = []
         for a, b in pairs:
-            candidate = ScoredPair(a, b, self.score(a, b), approx)
+            candidate = ScoredPair(a, b, self.score(a, b))
             candidates.append(candidate)
             if best is None or candidate.score > best.score:
                 best = candidate

@@ -245,9 +245,16 @@ class SummaryGraph:
         return g
 
     def recomputed_d_value(self, a: int) -> float:
-        """From-scratch d_value; validation only, never used by the loop."""
-        return sum(edge.cross_e ** 2 / self.nodes[x].size_n
-                   for x, edge in self.adj[a].items())
+        """From-scratch d_value; validation only, never used by the loop.
+
+        Added left to right in adjacency order, the order in which
+        ``read_summary`` accumulates it (``sum`` compensates float sums
+        from Python 3.12 on, which would not match bit for bit).
+        """
+        total = 0.0
+        for x, edge in self.adj[a].items():
+            total += edge.cross_e ** 2 / self.nodes[x].size_n
+        return total
 
     def validate(self, rel_tol: float = 1e-9) -> None:
         """Check every structural invariant; raises AssertionError on failure."""

@@ -1,11 +1,16 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from conftest import gnp_edges, merge_partition, random_partition
+from graphsumm import evaluation
 from graphsumm import (SummaryGraph, build_report, centrality_estimate,
                        degree_estimate, expected_adjacency, membership_index,
                        re_brute, re_closed, triangle_count_exact,
@@ -298,6 +303,31 @@ class TestBuildReport:
         assert report.degree_err_avg == report.degree_err_std == 0.0
         assert report.centrality_err_avg == report.centrality_err_std == 0.0
         assert report.triangle_relative_err == 0.0
+
+    def test_brute_force_disagreement_raises(self, monkeypatch):
+        rng = random.Random(6)
+        original, summary = random_merged_summary(rng, 12, 0.4)
+        monkeypatch.setattr(evaluation, "re_brute",
+                            lambda *args: re_closed(summary) + 1.0)
+        with pytest.raises(AssertionError, match="disagrees with brute force"):
+            build_report(original, summary)
+
+    def test_brute_force_disagreement_raises_under_optimize(self):
+        # python -O strips assert statements; the cross-check must survive it
+        script = (
+            "from graphsumm import SummaryGraph, evaluation\n"
+            "g = SummaryGraph.from_edge_list([(1, 2), (2, 3)], retain_members=True)\n"
+            "evaluation.re_brute = lambda *args: 5.0\n"
+            "try:\n"
+            "    evaluation.build_report(g, g)\n"
+            "except AssertionError as err:\n"
+            "    print(err)\n")
+        run = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": str(
+                                 Path(evaluation.__file__).resolve().parents[1])})
+        assert run.returncode == 0, run.stderr
+        assert "disagrees with brute force 5.0" in run.stdout
 
     def test_empty_sample_rejected(self):
         original = p3()
