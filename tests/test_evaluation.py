@@ -10,11 +10,10 @@ from pathlib import Path
 import pytest
 
 from conftest import gnp_edges, merge_partition, random_partition
-from graphsumm import evaluation
 from graphsumm import (SummaryGraph, build_report, centrality_estimate,
-                       degree_estimate, expected_adjacency, membership_index,
-                       re_brute, re_closed, triangle_count_exact,
-                       triangle_estimate)
+                       degree_estimate, evaluation, expected_adjacency,
+                       membership_index, re_brute, re_closed,
+                       triangle_count_exact, triangle_estimate)
 
 
 def p3(retain=True):
