@@ -59,41 +59,57 @@ def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
 # ----------------------------------------------------------------------
 # summary serialization
 
+# E lines buffered between writes; bounds the writer's transient memory
+_CHUNK_LINES = 8192
+
+
 def write_summary(summary: SummaryGraph, path: str, id_map=None) -> None:
     """Serialize alive supernodes and superedges as "SUMMARY v1" text.
 
     Supernodes are renumbered 0..k-1, ordered by their smallest member
     label when membership is retained (mapped through id_map if given) and
     by internal id otherwise, so identical summaries serialize identically.
+    Superedges follow as "E i j" lines with i < j, in (i, j) order. Every
+    label lookup happens before the file is opened, so a bad id_map leaves
+    no file behind; the lines are then streamed, so the memory beyond the
+    labels does not grow with the number of superedges.
     """
-    blocks = list(summary.nodes.items())
-    retained = blocks and blocks[0][1].members is not None
+    nodes = summary.nodes
+    adj = summary.adj
+    order = list(nodes)
+    retained = bool(order) and nodes[order[0]].members is not None
     if retained:
         # each block's sorted labels give both its sort key and its N line
         labels = {a: sorted(node.members if id_map is None
                             else (id_map[m] for m in node.members))
-                  for a, node in blocks}
-        blocks.sort(key=lambda block: labels[block[0]][0])
+                  for a, node in nodes.items()}
+        order.sort(key=lambda a: labels[a][0])
     else:
-        blocks.sort(key=lambda block: block[0])
-    file_id = {a: pos for pos, (a, _) in enumerate(blocks)}
-    lines = [f"SUMMARY v1 {summary.original_vertex_count} "
-             f"{summary.original_edge_count} {len(blocks)}"]
-    for pos, (a, node) in enumerate(blocks):
-        line = f"N {pos} {node.size_n} {node.internal_e}"
-        if retained:
-            line += " " + " ".join(map(str, labels[a]))
-        lines.append(line)
-    superedges = []
-    for a, _ in blocks:
-        for x, edge in summary.adj[a].items():
-            i, j = file_id[a], file_id[x]
-            if i < j:
-                superedges.append((i, j, edge.cross_e))
-    superedges.sort()
-    lines.extend(f"E {i} {j} {e}" for i, j, e in superedges)
+        order.sort()
+    file_id = {a: pos for pos, a in enumerate(order)}
     with open(path, "w") as out:
-        out.write("\n".join(lines) + "\n")
+        out.write(f"SUMMARY v1 {summary.original_vertex_count} "
+                  f"{summary.original_edge_count} {len(order)}\n")
+        if retained:
+            out.writelines(f"N {pos} {nodes[a].size_n} {nodes[a].internal_e} "
+                           f"{' '.join(map(str, labels[a]))}\n"
+                           for pos, a in enumerate(order))
+        else:
+            out.writelines(f"N {pos} {nodes[a].size_n} {nodes[a].internal_e}\n"
+                           for pos, a in enumerate(order))
+        chunk = []
+        for i, a in enumerate(order):
+            later = []
+            for x, edge in adj[a].items():
+                j = file_id[x]
+                if j > i:
+                    later.append((j, edge.cross_e))
+            later.sort()
+            chunk += [f"E {i} {j} {e}\n" for j, e in later]
+            if len(chunk) >= _CHUNK_LINES:
+                out.write("".join(chunk))
+                chunk.clear()
+        out.write("".join(chunk))
 
 
 def _collector_paused(fn):
@@ -308,6 +324,7 @@ def main(argv=None) -> int:
             edges, original_ids = parse_edge_list(stream)
         graph = SummaryGraph.from_edge_list(edges,
                                             retain_members=args.retain_members)
+        del edges  # nothing reads the parsed list once the graph is built
         if args.k > graph.alive_count:
             raise ValueError(f"k={args.k} exceeds vertex count {graph.alive_count}")
         cfg = SummarizerConfig(

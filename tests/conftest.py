@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import random
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -14,10 +13,8 @@ from graphsumm import CountMinSketch, SummaryGraph, re_closed
 DATA_DIR = Path(__file__).parent / "data"
 
 DATASETS = {
-    "facebook": ("facebook_combined.txt",
-                 "https://snap.stanford.edu/data/facebook_combined.txt.gz"),
-    "enron": ("email-Enron.txt",
-              "https://snap.stanford.edu/data/email-Enron.txt.gz"),
+    "facebook": "facebook_combined.txt",
+    "enron": "email-Enron.txt",
 }
 
 
@@ -108,8 +105,9 @@ def sketch_of(vec: dict[int, float], width: int, depth: int, seeds) -> CountMinS
 # SNAP datasets (for the benchmark-scale acceptance criteria)
 
 def dataset_path(name: str) -> Path | None:
-    """Locate (or try once to download) a SNAP dataset; None if unavailable."""
-    filename, url = DATASETS[name]
+    """Locate a SNAP dataset in the local candidate directories; None if
+    absent. Never downloads, so the suite runs the same offline."""
+    filename = DATASETS[name]
     candidates = [DATA_DIR / filename, Path("/root/pkg/data") / filename]
     env_dir = os.environ.get("GRAPHSUMM_DATA_DIR")
     if env_dir:
@@ -117,21 +115,12 @@ def dataset_path(name: str) -> Path | None:
     for path in candidates:
         if path.is_file():
             return path
-    target = DATA_DIR / filename
-    try:
-        DATA_DIR.mkdir(parents=True, exist_ok=True)
-        import gzip
-        with urllib.request.urlopen(url, timeout=20) as response:
-            payload = gzip.decompress(response.read())
-        target.write_bytes(payload)
-        return target
-    except OSError:
-        return None
+    return None
 
 
 def require_dataset(name: str) -> Path:
     path = dataset_path(name)
     if path is None:
-        pytest.skip(f"{DATASETS[name][0]} not available (no network to SNAP; "
+        pytest.skip(f"{DATASETS[name]} not available (no network to SNAP; "
                     f"place it under tests/data/ or set GRAPHSUMM_DATA_DIR)")
     return path

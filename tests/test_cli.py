@@ -1,13 +1,15 @@
 import gc
 import io
 import random
+import tracemalloc
 import warnings
 
 import pytest
 
-from conftest import gnp_edges
+from conftest import constant_degree_edges, gnp_edges, merge_partition
 from graphsumm import SummaryGraph, re_closed
-from graphsumm.cli import main, parse_edge_list, read_summary, write_summary
+from graphsumm.cli import (_CHUNK_LINES, main, parse_edge_list, read_summary,
+                           write_summary)
 
 P3_TEXT = "1 2\n2 3\n"
 
@@ -230,6 +232,122 @@ class TestSummaryRoundTrip:
                         "N 0 1 0 1\n")
         with pytest.raises(ValueError, match=r"^line 1: .*'one'"):
             read_summary(path)
+
+
+def reference_write_summary(summary, path, id_map=None):
+    """The list-and-join writer that the streaming write_summary replaced:
+    every line is built in memory, then written in one call."""
+    blocks = list(summary.nodes.items())
+    retained = blocks and blocks[0][1].members is not None
+    if retained:
+        labels = {a: sorted(node.members if id_map is None
+                            else (id_map[m] for m in node.members))
+                  for a, node in blocks}
+        blocks.sort(key=lambda block: labels[block[0]][0])
+    else:
+        blocks.sort(key=lambda block: block[0])
+    file_id = {a: pos for pos, (a, _) in enumerate(blocks)}
+    lines = [f"SUMMARY v1 {summary.original_vertex_count} "
+             f"{summary.original_edge_count} {len(blocks)}"]
+    for pos, (a, node) in enumerate(blocks):
+        line = f"N {pos} {node.size_n} {node.internal_e}"
+        if retained:
+            line += " " + " ".join(map(str, labels[a]))
+        lines.append(line)
+    superedges = []
+    for a, _ in blocks:
+        for x, edge in summary.adj[a].items():
+            i, j = file_id[a], file_id[x]
+            if i < j:
+                superedges.append((i, j, edge.cross_e))
+    superedges.sort()
+    lines.extend(f"E {i} {j} {e}" for i, j, e in superedges)
+    with open(path, "w") as out:
+        out.write("\n".join(lines) + "\n")
+
+
+def random_merges(g, rng, merges):
+    for _ in range(merges):
+        g.merge(*rng.sample(list(g.alive_ids()), 2))
+
+
+def superedge_count(g):
+    return sum(len(neighbors) for neighbors in g.adj.values()) // 2
+
+
+class TestStreamingWrite:
+    def assert_same_bytes(self, tmp_path, g, id_map=None):
+        streamed = tmp_path / "streamed.summary"
+        reference = tmp_path / "reference.summary"
+        write_summary(g, streamed, id_map=id_map)
+        reference_write_summary(g, reference, id_map=id_map)
+        assert streamed.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("members", ["id_map", "dense", "none"])
+    def test_random_merges_match_reference(self, tmp_path, seed, members):
+        rng = random.Random(seed)
+        n = 120
+        g = SummaryGraph.from_edge_list(gnp_edges(n, 0.08, rng),
+                                        retain_members=members != "none")
+        random_merges(g, rng, rng.randrange(n // 2))
+        id_map = rng.sample(range(10 ** 6), n) if members == "id_map" else None
+        self.assert_same_bytes(tmp_path, g, id_map)
+
+    @pytest.mark.parametrize("retain", [True, False])
+    def test_no_superedges_matches_reference(self, tmp_path, retain):
+        # two components, each merged down to one block in random order
+        rng = random.Random(5)
+        left = gnp_edges(30, 0.2, rng)
+        right = [(u + 30, v + 30) for u, v in gnp_edges(30, 0.2, rng)]
+        g = SummaryGraph.from_edge_list(left + right, retain_members=retain)
+        partition = [[v for v in side if g.is_alive(v)]
+                     for side in (range(30), range(30, 60))]
+        for block in partition:
+            rng.shuffle(block)
+        merge_partition(g, partition)
+        assert g.alive_count == 2
+        assert superedge_count(g) == 0
+        self.assert_same_bytes(tmp_path, g)
+
+    @pytest.mark.parametrize("retain", [True, False])
+    def test_single_block_matches_reference(self, tmp_path, retain):
+        rng = random.Random(6)
+        g = SummaryGraph.from_edge_list(gnp_edges(40, 0.15, rng),
+                                        retain_members=retain)
+        random_merges(g, rng, g.alive_count - 1)
+        assert g.alive_count == 1
+        self.assert_same_bytes(tmp_path, g)
+
+    def test_several_chunks_match_reference(self, tmp_path):
+        rng = random.Random(7)
+        n = 4000
+        g = SummaryGraph.from_edge_list(constant_degree_edges(n, 10, rng),
+                                        retain_members=True)
+        random_merges(g, rng, 500)
+        assert superedge_count(g) > 2 * _CHUNK_LINES
+        self.assert_same_bytes(tmp_path, g, rng.sample(range(10 ** 7), n))
+
+    def test_transient_memory_flat_in_superedge_count(self, tmp_path):
+        peaks = {}
+        for degree in (10, 40):
+            g = SummaryGraph.from_edge_list(
+                constant_degree_edges(2000, degree, random.Random(degree)),
+                retain_members=True)
+            tracemalloc.start()
+            try:
+                write_summary(g, tmp_path / f"d{degree}.summary")
+                peaks[degree] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40] < 1.5 * peaks[10]
+
+    def test_bad_id_map_leaves_no_file(self, tmp_path):
+        g = SummaryGraph.from_edge_list([(0, 1), (1, 2)], retain_members=True)
+        path = tmp_path / "bad.summary"
+        with pytest.raises(IndexError):
+            write_summary(g, path, id_map=[])
+        assert not path.exists()
 
 
 class TestMain:
