@@ -325,8 +325,6 @@ def main(argv=None) -> int:
         graph = SummaryGraph.from_edge_list(edges,
                                             retain_members=args.retain_members)
         del edges  # nothing reads the parsed list once the graph is built
-        if args.k > graph.alive_count:
-            raise ValueError(f"k={args.k} exceeds vertex count {graph.alive_count}")
         cfg = SummarizerConfig(
             target_k=args.k, sample_rule=args.sample, score_mode=args.score,
             sketch_width=args.width, sketch_depth=args.depth, seed=args.seed)

@@ -13,13 +13,14 @@ drives the failure probability down exponentially in d.
 All sketches of one run must share the same hash seeds: that is what makes
 cell-wise addition of two sketches equal the sketch of the summed vectors.
 ``SketchRows`` keeps such a family as the rows of one (slots, depth, width)
-array, so one coordinate is patched in many sketches by a single array write
-and merging two sketches is adding one row into another.
+array, placed by the caller's slot map, so one coordinate is patched in many
+sketches by a single array write and merging two sketches is adding two rows.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -48,11 +49,11 @@ def _check_dimensions(width: int, depth: int, seeds) -> None:
 
 
 class CountMinSketch:
-    """One sketch: ``cells`` is (depth, width) and ``l1_mass`` the running
-    sum of all updates. A standalone sketch owns its arrays; one held by a
-    ``SketchRows`` views row ``slot`` of that family's shared arrays."""
+    """One sketch with (depth, width) ``cells``. A standalone sketch owns its
+    array; one held by a ``SketchRows`` views a row of that family's shared
+    array."""
 
-    __slots__ = ("width", "depth", "seeds", "cells", "_mass", "slot")
+    __slots__ = ("width", "depth", "seeds", "cells")
 
     def __init__(self, width: int, depth: int, seeds: tuple[tuple[int, int], ...]):
         _check_dimensions(width, depth, seeds)
@@ -60,16 +61,11 @@ class CountMinSketch:
         self.depth = depth
         self.seeds = seeds
         self.cells = np.zeros((depth, width))
-        self._mass = np.zeros(1)
-        self.slot = None
 
     @property
     def l1_mass(self) -> float:
-        return float(self._mass[0])
-
-    @l1_mass.setter
-    def l1_mass(self, value: float) -> None:
-        self._mass[0] = value
+        """The vector's l1 mass: each coordinate has one cell in row 0."""
+        return float(self.cells[0].sum())
 
     def bucket(self, row: int, coordinate: int) -> int:
         return _bucket(self.seeds[row], coordinate, self.width)
@@ -81,10 +77,6 @@ class CountMinSketch:
         width = self.width
         for row, seed in enumerate(self.seeds):
             cells[row, _bucket(seed, coordinate, width)] += delta
-        self._mass[0] += delta
-
-    def row_sums(self) -> np.ndarray:
-        return self.cells.sum(axis=1)
 
     def _check_compatible(self, other: "CountMinSketch") -> None:
         if (self.width != other.width or self.depth != other.depth
@@ -134,41 +126,47 @@ class CountMinSketch:
         first._check_compatible(second)
         merged = cls(first.width, first.depth, first.seeds)
         merged.cells = first.cells + second.cells
-        merged.l1_mass = first.l1_mass + second.l1_mass
         return merged
 
 
-class SketchRows(dict):
+class SketchRows(Mapping):
     """Sketches sharing one width, depth and seed family, keyed by id.
 
-    The sketch of the i-th id given is a ``CountMinSketch`` whose ``cells``
-    and ``l1_mass`` view row ``slot`` = i of one (slots, depth, width) array
-    and one (slots,) array. ``add`` patches a coordinate in many rows with
-    one fancy-index write per hash row, and ``add_row`` merges one sketch
-    into another in place. Both apply the same float operations, in the same order, as
-    per-sketch ``update`` and ``combined`` calls, so the cells come out
-    bit-identical.
+    Id a's sketch is a ``CountMinSketch`` viewing row ``slot_of[a]`` of one
+    (slots, depth, width) array; ``slot_of`` is the caller's dict, read on
+    every lookup, so this read-only mapping keeps no ids of its own. ``add``
+    patches a coordinate in many rows with one fancy-index write per hash
+    row, and ``merge_rows`` writes the sum of two rows into a row. Both apply
+    the same float operations, in the same order, as per-sketch ``update``
+    and ``combined`` calls, so the cells come out bit-identical.
     """
 
-    def __init__(self, ids: list[int], width: int, depth: int,
-                 seeds: tuple[tuple[int, int], ...]):
-        super().__init__()
+    def __init__(self, slot_of: dict[int, int], slots: int, width: int,
+                 depth: int, seeds: tuple[tuple[int, int], ...]):
         _check_dimensions(width, depth, seeds)
         self.width = width
         self.depth = depth
         self.seeds = seeds
-        self.cells = np.zeros((len(ids), depth, width))
-        self.l1_mass = np.zeros(len(ids))
+        self.slot_of = slot_of
+        self.cells = np.zeros((slots, depth, width))
         self._flat = self.cells.reshape(-1)
-        for slot, a in enumerate(ids):
+        self._views = []
+        for cells in self.cells:
             view = CountMinSketch.__new__(CountMinSketch)
             view.width = width
             view.depth = depth
             view.seeds = seeds
-            view.cells = self.cells[slot]
-            view._mass = self.l1_mass[slot:slot + 1]
-            view.slot = slot
-            self[a] = view
+            view.cells = cells
+            self._views.append(view)
+
+    def __getitem__(self, a: int) -> CountMinSketch:
+        return self._views[self.slot_of[a]]
+
+    def __iter__(self):
+        return iter(self.slot_of)
+
+    def __len__(self) -> int:
+        return len(self.slot_of)
 
     def bucket_table(self, coordinates: list[int]) -> np.ndarray:
         """(depth, len(coordinates)) buckets: each coordinate hashed once
@@ -190,9 +188,8 @@ class SketchRows(dict):
         for row, seed in enumerate(self.seeds):
             column = row * width + _bucket(seed, coordinate, width)
             self._flat[starts + column] += values
-        self.l1_mass[slots] += values
 
-    def add_row(self, target: int, source: int) -> None:
-        """Add the sketch in row ``source`` into row ``target``."""
-        self.cells[target] += self.cells[source]
-        self.l1_mass[target] += self.l1_mass[source]
+    def merge_rows(self, target: int, first: int, second: int) -> None:
+        """Write rows ``first`` + ``second`` into row ``target``, which may be
+        one of them or a third row, whose old cells are overwritten."""
+        np.add(self.cells[first], self.cells[second], out=self.cells[target])

@@ -34,7 +34,7 @@ class SamplingTree:
         self._sums = [0.0] * (2 * padded)
         self._leaf_vertex: list[int | None] = [None] * padded
         # vertex -> its leaf's slot; read-only for callers, which may look
-        # slots up for merge_leaves
+        # slots up for merge_leaves or keep per-vertex rows at them
         self.slot_of: dict[int, int] = {}
         self._free_slots: list[int] = list(range(capacity))
         # Nodes visited by every draw and update (one root-to-leaf path),

@@ -11,12 +11,12 @@ inner-product estimate, making every scoring O(width * depth).
 
 After a merge of a and b into z, one walk over z's neighbors gathers
 everything the patches need: each neighbor's new weight, its tree slot
-and, in sketch mode, its sketch row and its counts towards z and towards b
-(read from b's adjacency map, which the merge leaves intact; the count
-towards a is the difference). The tree then takes all leaf changes in one
-batch, and the sketches, rows of one array, take three writes: a's and b's
-coordinates leave the neighbors' rows and z's coordinate joins them, while
-a's row becomes z's by adding b's row into it. Every tree sum and sketch
+and, in sketch mode, its counts towards z and towards b (read from b's
+adjacency map, which the merge leaves intact; the count towards a is the
+difference). The tree then takes all leaf changes in one batch. Each
+sketch is the row of one array at its node's tree slot: z's row becomes
+the sum of a's and b's, and three writes move a's and b's coordinates out
+of the neighbors' rows and z's coordinate in. Every tree sum and sketch
 cell gets the same float operations, in the same order, as patching one
 node or coordinate at a time would give.
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +173,7 @@ def score_exact(g: SummaryGraph, a: int, b: int) -> float:
 
 
 def score_approx(g: SummaryGraph, a: int, b: int,
-                 sketches: dict[int, CountMinSketch]) -> float:
+                 sketches: Mapping[int, CountMinSketch]) -> float:
     """Like score_exact but with the cross term estimated from the two
     nodes' sketches in O(width * depth).
 
@@ -255,22 +256,23 @@ def _draw_other(g: SummaryGraph, tree: SamplingTree, first: int,
 # ----------------------------------------------------------------------
 # main loop
 
-def build_sketches(g: SummaryGraph, width: int, depth: int,
-                   seeds) -> SketchRows:
+def build_sketches(g: SummaryGraph, width: int, depth: int, seeds,
+                   slot_of: dict[int, int]) -> SketchRows:
     """One neighbor-vector sketch per alive supernode, all sharing seeds,
-    stored as the rows of one array (row i for the i-th alive id).
+    stored as the rows of one array: a's sketch in row slot_of[a], where
+    slot_of maps the alive ids one-to-one onto range(alive count).
 
     Every alive id is hashed once per row into a bucket table; ``np.add.at``
     then adds the adjacency entries in adjacency order, which is the order
     per-coordinate updates would take, so every cell gets the same bits.
     """
-    ids = list(g.alive_ids())
-    sketches = SketchRows(ids, width, depth, seeds)
+    ids = sorted(g.alive_ids(), key=slot_of.__getitem__)
+    sketches = SketchRows(slot_of, len(ids), width, depth, seeds)
     adj = g.adj
     degrees = [len(adj[a]) for a in ids]
     count = sum(degrees)
     owner = np.repeat(np.arange(len(ids)), degrees)
-    neighbor = np.fromiter((sketches[x].slot for a in ids for x in adj[a]),
+    neighbor = np.fromiter((slot_of[x] for a in ids for x in adj[a]),
                            np.intp, count)
     values = np.fromiter((edge.cross_e for a in ids for edge in adj[a].values()),
                          np.float64, count)
@@ -279,7 +281,6 @@ def build_sketches(g: SummaryGraph, width: int, depth: int,
     buckets = sketches.bucket_table(ids)
     for row in range(depth):
         np.add.at(sketches.cells[:, row], (owner, buckets[row, neighbor]), values)
-    np.add.at(sketches.l1_mass, owner, values)
     return sketches
 
 
@@ -298,8 +299,8 @@ class Summarizer:
         self.sketches = None
         if cfg.score_mode == "sketch":
             seeds = make_hash_seeds(cfg.sketch_depth, cfg.seed)
-            self.sketches = build_sketches(g, cfg.sketch_width,
-                                           cfg.sketch_depth, seeds)
+            self.sketches = build_sketches(g, cfg.sketch_width, cfg.sketch_depth,
+                                           seeds, self.tree.slot_of)
         self._sample_rule = parse_sample_rule(cfg.sample_rule)
         self.iterations = 0
         self.last_candidates: list[ScoredPair] = []
@@ -330,29 +331,22 @@ class Summarizer:
         node_a = nodes[a]
         node_b = nodes[b]
         adj_b = g.adj[b]
+        tree = self.tree
+        tree_slot = tree.slot_of
         sketches = self.sketches
         if sketches is not None:
-            # Merge rows: the merged vector is the sum of a's and b's, kept
-            # in a's row, with the mutual coordinates dropped (those edges
-            # become internal); b's row is left unused.
-            merged = sketches.pop(a)
-            sketches.add_row(merged.slot, sketches.pop(b).slot)
             e_ab = g.cross_count(a, b)
-            if e_ab:
-                merged.update(b, -e_ab / math.sqrt(node_b.size_n))
-                merged.update(a, -e_ab / math.sqrt(node_a.size_n))
+            slot_a = tree_slot[a]
+            slot_b = tree_slot[b]
         z = g.merge(a, b)
 
         # The one walk over z's neighbors (see the module docstring). The
         # weight is node_weight's, inlined: -(4d/n) - sq equals -sq - 4d/n
         # bit for bit.
         adj_z = g.adj[z]
-        tree = self.tree
-        tree_slot = tree.slot_of
         slots = []
         weights = []
         if sketches is not None:
-            rows = []
             cross_z = []
             cross_b = []
         for x, edge in adj_z.items():
@@ -365,17 +359,23 @@ class Summarizer:
             weights.append(-1.0 / f if f else 0.0)
             slots.append(tree_slot[x])
             if sketches is not None:
-                rows.append(sketches[x].slot)
                 cross_z.append(edge.cross_e)
                 edge_b = adj_b.get(x)
                 cross_b.append(edge_b.cross_e if edge_b is not None else 0)
         tree.merge_leaves(a, b, z, node_weight(g, z), slots, weights)
 
         if sketches is not None:
+            # z's vector is the sum of a's and b's without the mutual
+            # coordinates (those edges become internal). Its slot may be
+            # a's, b's or an older freed one, whose stale cells are replaced.
+            sketches.merge_rows(tree_slot[z], slot_a, slot_b)
+            if e_ab:
+                merged = sketches[z]
+                merged.update(b, -e_ab / math.sqrt(node_b.size_n))
+                merged.update(a, -e_ab / math.sqrt(node_a.size_n))
             # Detach a, detach b, attach z: each writes one coordinate into
             # all of the neighbors' rows at once, in that order per cell.
-            sketches[z] = merged
-            rows = np.array(rows, np.intp)
+            rows = np.array(slots, np.intp)
             cross_z = np.array(cross_z, np.float64)
             cross_b = np.array(cross_b, np.float64)
             # A neighbor of only one of a and b gets -0.0 for the other,

@@ -67,8 +67,8 @@ class SummaryGraph:
     """The evolving supergraph.
 
     Thread contract: ``merge`` is the only mutator and requires exclusive
-    access; read-only operations (``neighbors``, score inputs) may run
-    concurrently in between merges.
+    access; read-only operations (``adj`` and ``nodes`` lookups, score
+    inputs) may run concurrently in between merges.
     """
 
     def __init__(self):
@@ -142,12 +142,6 @@ class SummaryGraph:
         """Superedge multiplicity between a and b, 0 when absent."""
         edge = self.adj[a].get(b)
         return edge.cross_e if edge is not None else 0
-
-    def neighbors(self, a: int) -> Iterator[tuple[int, int]]:
-        """Yield (neighbor id, cross edge count) for an alive node."""
-        if a not in self.nodes:
-            raise ValueError(f"node {a} is dead or unknown")
-        return ((x, edge.cross_e) for x, edge in self.adj[a].items())
 
     # ------------------------------------------------------------------
     # mutation

@@ -94,6 +94,11 @@ def exact_dot(va: dict[int, float], vb: dict[int, float]) -> float:
     return sum(value * vb[c] for c, value in va.items() if c in vb)
 
 
+def alive_slots(g: SummaryGraph) -> dict[int, int]:
+    """A slot map for build_sketches: the i-th alive id in row i."""
+    return {a: i for i, a in enumerate(g.alive_ids())}
+
+
 def sketch_of(vec: dict[int, float], width: int, depth: int, seeds) -> CountMinSketch:
     sk = CountMinSketch(width, depth, seeds)
     for c, value in vec.items():

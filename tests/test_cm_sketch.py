@@ -4,8 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import exact_dot, sketch_of, sparse_int_vector
+from conftest import alive_slots, exact_dot, sketch_of, sparse_int_vector
 from graphsumm import CountMinSketch, SummaryGraph, make_hash_seeds
+from graphsumm.cm_sketch import SketchRows
 from graphsumm.summarizer import build_sketches
 
 SEEDS2 = make_hash_seeds(2, 99)
@@ -49,7 +50,7 @@ class TestUpdate:
 
     def test_row_sums_track_total_mass(self):
         sk = sketch_of({1: 2.0, 5: 3.5, 11: 1.0}, 8, 2, SEEDS2)
-        np.testing.assert_allclose(sk.row_sums(), 6.5, rtol=1e-9)
+        np.testing.assert_allclose(sk.cells.sum(axis=1), 6.5, rtol=1e-9)
         assert sk.l1_mass == pytest.approx(6.5)
 
     def test_merge_driven_update_pattern(self):
@@ -59,12 +60,12 @@ class TestUpdate:
         sk.update(10, -3.0 / math.sqrt(2))
         sk.update(11, -1.0 / math.sqrt(3))
         sk.update(12, 4.0 / math.sqrt(5))
-        np.testing.assert_allclose(sk.row_sums(), 4.0 / math.sqrt(5), rtol=1e-9)
+        np.testing.assert_allclose(sk.cells.sum(axis=1), 4.0 / math.sqrt(5), rtol=1e-9)
 
     def test_path_center_sketch(self):
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
-        sketches = build_sketches(g, 16, 2, SEEDS2)
-        np.testing.assert_allclose(sketches[2].row_sums(), 2.0, rtol=1e-12)
+        sketches = build_sketches(g, 16, 2, SEEDS2, alive_slots(g))
+        np.testing.assert_allclose(sketches[2].cells.sum(axis=1), 2.0, rtol=1e-12)
 
     def test_build_matches_per_coordinate_updates(self):
         # huge sparse ids (no dense bucket table) and merged blocks, whose
@@ -79,7 +80,7 @@ class TestUpdate:
         z = g.merge(z, alive[2])
         g.merge(alive[3], alive[4])
         g.merge(z, alive[5])
-        sketches = build_sketches(g, 8, 2, SEEDS2)
+        sketches = build_sketches(g, 8, 2, SEEDS2, alive_slots(g))
         assert set(sketches) == set(g.alive_ids())
         for a in g.alive_ids():
             vec = {x: edge.cross_e / math.sqrt(g.nodes[x].size_n)
@@ -177,12 +178,22 @@ class TestCombined:
         summed = dict(va)
         for c, v in vb.items():
             summed[c] = summed.get(c, 0.0) + v
-        merged = CountMinSketch.combined(sketch_of(va, 32, 2, seeds),
-                                         sketch_of(vb, 32, 2, seeds))
+        sa = sketch_of(va, 32, 2, seeds)
+        sb = sketch_of(vb, 32, 2, seeds)
+        merged = CountMinSketch.combined(sa, sb)
         np.testing.assert_allclose(merged.cells,
                                    sketch_of(summed, 32, 2, seeds).cells,
                                    rtol=1e-12)
         assert merged.l1_mass == pytest.approx(sum(summed.values()))
+        # merge_rows into either input row or a third, stale one
+        for target in (0, 1, 2):
+            rows = SketchRows({10: 0, 11: 1, 12: 2}, 3, 32, 2, seeds)
+            rows.cells[0] = sa.cells / math.sqrt(3)
+            rows.cells[1] = sb.cells / math.sqrt(7)
+            rows.cells[2] = 5.0
+            expected = CountMinSketch.combined(rows[10], rows[11]).cells
+            rows.merge_rows(target, 0, 1)
+            assert np.array_equal(rows.cells[target], expected)
 
     def test_combined_requires_compatibility(self):
         with pytest.raises(ValueError, match="incompatible"):

@@ -5,7 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import constant_degree_edges, gnp_edges, score_oracle, sketch_of
+from conftest import (alive_slots, constant_degree_edges, gnp_edges, score_oracle,
+                      sketch_of)
 from graphsumm import (CountMinSketch, SamplingTree, Summarizer, SummarizerConfig,
                        SummaryGraph, make_hash_seeds, node_weight, re_brute,
                        re_closed, sample_pairs, score_approx, score_exact,
@@ -114,13 +115,13 @@ class TestScoreApprox:
     def test_equals_exact_without_collisions(self):
         # disjoint neighborhoods and width far above support: nothing collides
         g = SummaryGraph.from_edge_list([(0, 1), (2, 3)])
-        sketches = build_sketches(g, 256, 2, make_hash_seeds(2, 1))
+        sketches = build_sketches(g, 256, 2, make_hash_seeds(2, 1), alive_slots(g))
         assert score_approx(g, 0, 2, sketches) == pytest.approx(
             score_exact(g, 0, 2), abs=1e-12)
 
     def test_path_twins_within_bound(self):
         g = p3()
-        sketches = build_sketches(g, 8, 2, make_hash_seeds(2, 2))
+        sketches = build_sketches(g, 8, 2, make_hash_seeds(2, 2), alive_slots(g))
         epsilon = 1.0 / 8
         mass_bound = epsilon * sketches[1].l1_mass * sketches[3].l1_mass
         approx = score_approx(g, 1, 3, sketches)
@@ -131,7 +132,8 @@ class TestScoreApprox:
         edges = gnp_edges(20, 0.3, rng)
         g = SummaryGraph.from_edge_list(edges)
         width, depth = 16, 2
-        sketches = build_sketches(g, width, depth, make_hash_seeds(depth, 9))
+        sketches = build_sketches(g, width, depth, make_hash_seeds(depth, 9),
+                                  alive_slots(g))
         alive = list(g.alive_ids())
         over_bound = 0
         pair_count = 0
@@ -150,8 +152,9 @@ class TestScoreApprox:
 
     def test_incompatible_sketches(self):
         g = p3()
-        sketches = build_sketches(g, 8, 2, make_hash_seeds(2, 2))
-        sketches[3] = build_sketches(g, 8, 2, make_hash_seeds(2, 3))[3]
+        slots = alive_slots(g)
+        sketches = dict(build_sketches(g, 8, 2, make_hash_seeds(2, 2), slots))
+        sketches[3] = build_sketches(g, 8, 2, make_hash_seeds(2, 3), slots)[3]
         with pytest.raises(ValueError, match="incompatible"):
             score_approx(g, 1, 3, sketches)
 
@@ -303,7 +306,7 @@ class TestSummarize:
         loop = Summarizer(g, cfg)
         loop.run()
         seeds = next(iter(loop.sketches.values())).seeds
-        fresh = build_sketches(g, 32, 2, seeds)
+        fresh = build_sketches(g, 32, 2, seeds, alive_slots(g))
         for a in g.alive_ids():
             diff = abs(loop.sketches[a].cells - fresh[a].cells).max()
             assert diff < 1e-9
@@ -312,7 +315,8 @@ class TestSummarize:
     def test_sketch_patch_replays_per_coordinate_updates(self):
         # Oracle: standalone sketches patched one coordinate at a time, in
         # the order detach a, detach b, combine minus the mutual
-        # coordinates, attach z. Width 4 makes buckets collide.
+        # coordinates, attach z. Width 4 makes buckets collide. Each sketch
+        # is the row at its tree slot, and z's row may be a stale one.
         rng = random.Random(31)
         g = SummaryGraph.from_edge_list(gnp_edges(30, 0.3, rng))
         cfg = SummarizerConfig(target_k=4, seed=5, score_mode="sketch",
@@ -326,8 +330,10 @@ class TestSummarize:
 
         oracle = {a: sketch_of(scaled(g, a), 4, 2, seeds) for a in g.alive_ids()}
         mutual_merges = 0
+        stale_row = 0
         while g.alive_count > cfg.target_k:
             before = g.copy()
+            slots = dict(loop.tree.slot_of)
             z = loop.step()
             best = max(loop.last_candidates, key=lambda c: c.score)
             a, b = best.a, best.b
@@ -347,10 +353,16 @@ class TestSummarize:
             for x, edge in g.adj[z].items():
                 oracle[x].update(z, edge.cross_e * inv_sqrt_z)
             assert set(loop.sketches) == set(oracle) == set(g.alive_ids())
+            assert set(loop.sketches) == set(loop.tree.vertices())
+            stale_row += loop.tree.slot_of[z] not in (slots[a], slots[b])
             for x, expected in oracle.items():
+                assert np.shares_memory(
+                    loop.sketches[x].cells,
+                    loop.sketches.cells[loop.tree.slot_of[x]])
                 assert np.array_equal(loop.sketches[x].cells, expected.cells)
                 assert loop.sketches[x].l1_mass == expected.l1_mass
         assert mutual_merges > 0
+        assert stale_row > 0
 
     @pytest.mark.parametrize("mode", ["exact", "sketch"])
     def test_tree_matches_per_leaf_patch_sequence(self, mode):
