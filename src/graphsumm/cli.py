@@ -15,8 +15,8 @@ import sys
 import time
 from dataclasses import asdict
 
-from .evaluation import build_report, re_closed
-from .summary_graph import SuperEdge, SuperNode, SummaryGraph
+from .evaluation import InputGraph, build_report, re_closed
+from .summary_graph import UNIT_EDGE, SuperEdge, SuperNode, SummaryGraph
 from .summarizer import SummarizerConfig, summarize
 
 
@@ -139,7 +139,8 @@ def read_summary(path: str) -> SummaryGraph:
     An error found on one line names that line's 1-based number in the file;
     whitespace-only lines are skipped but counted. One pass over the file:
     each supernode's d_value is accumulated as its superedges are read,
-    which is the order of its adjacency map.
+    which is the order of its adjacency map. Count-1 superedges are all the
+    shared ``UNIT_EDGE``, as in the identity graph.
     """
     with open(path) as stream:
         numbered = enumerate(stream, 1)
@@ -192,7 +193,7 @@ def read_summary(path: str) -> SummaryGraph:
                     if not 1 <= cross_e <= limit:
                         raise ValueError(f"superedge {i}-{j}: count {cross_e} "
                                          f"outside [1, {limit}]")
-                    edge = SuperEdge(cross_e)
+                    edge = UNIT_EDGE if cross_e == 1 else SuperEdge(cross_e)
                     adj_i[j] = edge
                     adj[j][i] = edge
                     cross_total += cross_e
@@ -328,7 +329,7 @@ def main(argv=None) -> int:
         cfg = SummarizerConfig(
             target_k=args.k, sample_rule=args.sample, score_mode=args.score,
             sketch_width=args.width, sketch_depth=args.depth, seed=args.seed)
-        original = graph.copy() if args.retain_members else None
+        original = InputGraph(graph) if args.retain_members else None
         started = time.perf_counter()
         summary = summarize(graph, cfg)
         elapsed = time.perf_counter() - started

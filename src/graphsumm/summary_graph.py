@@ -15,11 +15,13 @@ both endpoints' adjacency maps, so the symmetric view can never drift and
 dropping the edge from one side needs no scan of anybody's list.
 Superedges and member sets are never changed after creation (a merge
 builds new ones where counts add up and reuses the rest), so ``copy``
-shares them between the original and the copy.
+shares them between the original and the copy, and every count-1
+superedge of the graph is the one shared ``UNIT_EDGE``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
 
 
@@ -51,7 +53,10 @@ class SuperEdge:
     ``g.adj[b][a]`` are the same object, so the symmetric view can never drift.
     A superedge is never changed after creation: ``merge`` builds a new one
     for a neighbor of both merged nodes and moves the others over as they
-    are, and ``SummaryGraph.copy`` shares them.
+    are, and ``SummaryGraph.copy`` shares them. Since a merge never builds a
+    count-1 superedge (a new one adds two counts of at least 1), every
+    count-1 superedge is the single ``UNIT_EDGE``, shared by all edges of
+    the identity graph and of a read-back summary.
     """
 
     __slots__ = ("cross_e",)
@@ -61,6 +66,9 @@ class SuperEdge:
 
     def __repr__(self):
         return f"SuperEdge(cross_e={self.cross_e})"
+
+
+UNIT_EDGE = SuperEdge(1)
 
 
 class SummaryGraph:
@@ -101,29 +109,25 @@ class SummaryGraph:
         edges = list(edges)
         if not edges:
             raise ValueError("empty graph")
+        ids = dict.fromkeys(chain.from_iterable(edges))  # first-appearance order
+        if min(ids) < 0:
+            u, v = next((u, v) for u, v in edges if u < 0 or v < 0)
+            raise ValueError(f"negative vertex id in edge ({u}, {v})")
         g = cls()
-        nodes = g.nodes
-        adj = g.adj
-        edge_count = 0
+        adj = g.adj = {w: {} for w in ids}
         for u, v in edges:
-            if u < 0 or v < 0:
-                raise ValueError(f"negative vertex id in edge ({u}, {v})")
-            for w in (u, v):
-                if w not in nodes:
-                    nodes[w] = SuperNode(members={w} if retain_members else None)
-                    adj[w] = {}
-            adj_u = adj[u]
-            if u == v or v in adj_u:
-                continue
-            edge = SuperEdge(1)
-            adj_u[v] = edge
-            adj[v][u] = edge
-            edge_count += 1
-        for w, node in nodes.items():
-            node.d_value = float(len(adj[w]))  # singleton terms are 1^2/1 each
-        g.original_vertex_count = len(nodes)
-        g.original_edge_count = edge_count
-        g._next_id = max(nodes) + 1
+            # a repeated edge re-stores the same object under keys it
+            # already has, which keeps their positions
+            if u != v:
+                adj[u][v] = UNIT_EDGE
+                adj[v][u] = UNIT_EDGE
+        # singleton d_value terms are 1^2/1 each
+        g.nodes = {w: SuperNode(1, 0, float(len(entries)),
+                                {w} if retain_members else None)
+                   for w, entries in adj.items()}
+        g.original_vertex_count = len(ids)
+        g.original_edge_count = sum(map(len, adj.values())) // 2
+        g._next_id = max(ids) + 1
         return g
 
     # ------------------------------------------------------------------
@@ -227,7 +231,10 @@ class SummaryGraph:
     def copy(self) -> "SummaryGraph":
         """Independent copy of the live supernodes, preserving ids: new
         supernodes and adjacency maps that share the never-changed
-        superedges and member sets."""
+        superedges and member sets. For a caller that goes on merging one
+        of the two; a report on the input graph needs only
+        ``evaluation.InputGraph``, which takes about a quarter of the
+        memory."""
         g = SummaryGraph()
         g.original_vertex_count = self.original_vertex_count
         g.original_edge_count = self.original_edge_count

@@ -7,9 +7,10 @@ import warnings
 import pytest
 
 from conftest import constant_degree_edges, gnp_edges, merge_partition
-from graphsumm import SummaryGraph, re_closed
-from graphsumm.cli import (_CHUNK_LINES, main, parse_edge_list, read_summary,
-                           write_summary)
+from graphsumm import (SummarizerConfig, SummaryGraph, build_report,
+                       re_closed, summarize)
+from graphsumm.cli import (_CHUNK_LINES, _build_parser, _format_report, main,
+                           parse_edge_list, read_summary, write_summary)
 
 P3_TEXT = "1 2\n2 3\n"
 
@@ -94,6 +95,25 @@ class TestSummaryRoundTrip:
         back = read_summary(path)
         for a, node in back.nodes.items():
             assert node.d_value == back.recomputed_d_value(a)
+
+    def test_read_back_shares_one_unit_edge(self, tmp_path):
+        rng = random.Random(12)
+        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.1, rng),
+                                        retain_members=True)
+        path = tmp_path / "identity.summary"
+        write_summary(g, path)
+        back = read_summary(path)
+        edges = [e for row in back.adj.values() for e in row.values()]
+        assert len({id(e) for e in edges}) == 1
+        assert edges[0].cross_e == 1
+        for _ in range(40):
+            g.merge(*rng.sample(list(g.alive_ids()), 2))
+        write_summary(g, path)
+        back = read_summary(path)
+        unit = {id(e) for row in back.adj.values() for e in row.values()
+                if e.cross_e == 1}
+        assert len(unit) == 1
+        back.validate()
 
     def test_whitespace_lines_skipped_but_counted(self, tmp_path):
         path = tmp_path / "spaced.summary"
@@ -470,6 +490,34 @@ class TestMain:
             "manifest_summary_out=",
             "manifest_report=",
         ]
+
+    @pytest.mark.parametrize("score", ["exact", "sketch"])
+    def test_report_matches_report_from_a_copy(self, tmp_path, score):
+        rng = random.Random(9)
+        labels = rng.sample(range(10 ** 6), 80)
+        graph = tmp_path / "gnp.txt"
+        graph.write_text("".join(f"{labels[u]} {labels[v]}\n"
+                                 for u, v in gnp_edges(80, 0.08, rng)))
+        report = tmp_path / "out.report"
+        argv = ["--input", str(graph), "--k", "30", "--score", score,
+                "--seed", "5", "--retain-members", "--report", str(report)]
+        assert main(argv) == 0
+
+        with open(graph) as stream:
+            edges, _ = parse_edge_list(stream)
+        g = SummaryGraph.from_edge_list(edges, retain_members=True)
+        original = g.copy()
+        summary = summarize(g, SummarizerConfig(
+            target_k=30, score_mode=score, sketch_width=100, sketch_depth=2,
+            seed=5))
+        expected = _format_report(_build_parser().parse_args(argv), summary,
+                                  build_report(original, summary), 0.0)
+
+        def body(text):
+            return [line for line in text.splitlines()
+                    if not line.startswith("elapsed_seconds=")]
+
+        assert body(report.read_text()) == body(expected)
 
     def test_k_too_large(self, tmp_path, capsys):
         graph = self.write_p3(tmp_path)

@@ -1,15 +1,18 @@
+import functools
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import pytest
 
-from conftest import gnp_edges, merge_partition, random_partition
+from conftest import (constant_degree_edges, gnp_edges, merge_partition,
+                      random_partition)
 from graphsumm import (SummaryGraph, build_report, centrality_estimate,
                        degree_estimate, evaluation, expected_adjacency,
                        membership_index, re_brute, re_closed,
@@ -332,3 +335,73 @@ class TestBuildReport:
         original = p3()
         with pytest.raises(ValueError, match="empty vertex sample"):
             build_report(original, p3_twin_summary(), sample_of_vertices=[])
+
+
+def self_loop_vertex_summary(rng):
+    """G(15, 0.3) plus vertex 99, which appears only in a self-loop, and a
+    random merge of it."""
+    original = SummaryGraph.from_edge_list(gnp_edges(15, 0.3, rng) + [(99, 99)],
+                                           retain_members=True)
+    summary = original.copy()
+    for _ in range(rng.randrange(1, original.alive_count)):
+        summary.merge(*rng.sample(list(summary.alive_ids()), 2))
+    return original, summary
+
+
+def edgeless_summary(rng):
+    original = edgeless()
+    summary = original.copy()
+    summary.merge(5, 7)
+    return original, summary
+
+
+class TestInputGraph:
+    """The report reads the original graph only through adj and its
+    counts, so the tuple form gives exactly what the graph itself gives;
+    the copy form is what the CLI used to hand the report."""
+
+    CASES = ([functools.partial(random_merged_summary, n=n, p=p)
+              for n, p in ((8, 0.5), (20, 0.2), (30, 0.4), (60, 0.1))]
+             + [self_loop_vertex_summary, edgeless_summary])
+    VIEWS = {"copy": SummaryGraph.copy,
+             "tuples": lambda g: evaluation.InputGraph(g)}
+
+    @pytest.mark.parametrize("view", VIEWS)
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_same_values_as_the_graph(self, case, seed, view):
+        original, summary = self.CASES[case](random.Random(seed))
+        other = self.VIEWS[view](original)
+        assert list(other.adj) == list(original.nodes)
+        assert re_brute(other, summary) == re_brute(original, summary)
+        assert triangle_count_exact(other) == triangle_count_exact(original)
+        # the default limit takes the brute-force cross-check, 0 skips it
+        for limit in (1024, 0):
+            assert build_report(other, summary, oracle_limit=limit) \
+                == build_report(original, summary, oracle_limit=limit)
+        sample = list(original.nodes)[::2]
+        assert build_report(other, summary, sample_of_vertices=sample) \
+            == build_report(original, summary, sample_of_vertices=sample)
+
+    def test_rows_are_neighbour_tuples(self):
+        g = SummaryGraph.from_edge_list([(3, 1), (1, 2), (2, 3), (9, 9)])
+        tuples = evaluation.InputGraph(g)
+        assert tuples.adj == {3: (1, 2), 1: (3, 2), 2: (1, 3), 9: ()}
+        assert (tuples.original_vertex_count, tuples.original_edge_count) \
+            == (4, 3)
+
+    def test_under_half_the_memory_of_a_copy(self):
+        g = SummaryGraph.from_edge_list(
+            constant_degree_edges(2000, 10, random.Random(3)),
+            retain_members=True)
+        allocated = {}
+        for name, build in (("copy", g.copy),
+                            ("tuples", lambda: evaluation.InputGraph(g))):
+            tracemalloc.start()
+            try:
+                kept = build()
+                allocated[name] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del kept
+        assert allocated["tuples"] < allocated["copy"] / 2

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import gnp_edges
-from graphsumm import SummaryGraph, SuperNode
+from graphsumm import SummaryGraph, SuperEdge, SuperNode
 
 
 def p3():
@@ -52,6 +52,49 @@ class TestFromEdgeList:
     def test_negative_id_rejected(self):
         with pytest.raises(ValueError):
             SummaryGraph.from_edge_list([(0, -1)])
+        with pytest.raises(ValueError, match=r"edge \(3, -2\)"):
+            SummaryGraph.from_edge_list([(0, 1), (3, -2), (-5, 4)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_edge_reference_build(self, seed):
+        # duplicates in both orientations and self-loops, some on vertices
+        # with no other edge
+        rng = random.Random(seed)
+        edges = []
+        for u, v in gnp_edges(30, 0.2, rng):
+            edges.append((u, v))
+            if rng.random() < 0.3:
+                edges.append((v, u) if rng.random() < 0.5 else (u, v))
+            if rng.random() < 0.1:
+                edges.append((u, u))
+        edges.append((40, 40))
+        rng.shuffle(edges)
+        order, rows, edge_count = [], {}, 0
+        for u, v in edges:
+            for w in (u, v):
+                if w not in rows:
+                    order.append(w)
+                    rows[w] = []
+            if u != v and v not in rows[u]:
+                rows[u].append(v)
+                rows[v].append(u)
+                edge_count += 1
+        g = SummaryGraph.from_edge_list(edges, retain_members=True)
+        assert list(g.nodes) == list(g.adj) == order
+        assert {a: list(entries) for a, entries in g.adj.items()} == rows
+        assert g.original_vertex_count == len(order)
+        assert g.original_edge_count == edge_count
+        assert g._next_id == max(order) + 1
+        for a, node in g.nodes.items():
+            assert (node.size_n, node.internal_e, node.members) == (1, 0, {a})
+            assert node.d_value == float(len(rows[a]))
+        g.validate()
+
+    def test_count_one_superedges_are_one_object(self):
+        g = SummaryGraph.from_edge_list(gnp_edges(40, 0.2, random.Random(8)))
+        edges = [e for row in g.adj.values() for e in row.values()]
+        assert len({id(e) for e in edges}) == 1
+        assert edges[0].cross_e == 1
 
     def test_members_retained_on_demand(self):
         g = SummaryGraph.from_edge_list([(1, 2)], retain_members=True)
@@ -205,6 +248,13 @@ class TestInvariantsUnderRandomMerges:
 
 
 class TestValidate:
+    def test_fresh_unit_edge_breaks_mirror(self):
+        g = p3()
+        assert g.adj[1][2] is g.adj[2][3]
+        g.adj[1][2] = SuperEdge(1)
+        with pytest.raises(AssertionError, match="mirror broken for 1-2"):
+            g.validate()
+
     def test_node_without_adjacency_entry(self):
         g = p3()
         g.nodes[9] = SuperNode()
