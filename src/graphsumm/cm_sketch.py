@@ -12,15 +12,16 @@ drives the failure probability down exponentially in d.
 
 All sketches of one run must share the same hash seeds: that is what makes
 cell-wise addition of two sketches equal the sketch of the summed vectors.
-``SketchRows`` keeps such a family as the rows of one (slots, depth, width)
+``SketchRows`` keeps such a family as rows of one (slots, depth, width)
 array, placed by the caller's slot map, so one coordinate is patched in many
-sketches by a single array write and merging two sketches is adding two rows.
+sketches by a single array write. It holds rows only for the ids the caller
+builds them for: the merge loop keeps them for nodes whose degree exceeds
+width * depth, the only ones whose pairs are scored with a sketch.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -129,20 +130,24 @@ class CountMinSketch:
         return merged
 
 
-class SketchRows(Mapping):
-    """Sketches sharing one width, depth and seed family, keyed by id.
+class SketchRows(dict):
+    """Sketches sharing one width, depth and seed family: a dict from id to
+    a ``CountMinSketch`` that views row ``slot_of[a]`` of one
+    (slots, depth, width) array, where ``slot_of`` is the caller's dict.
 
-    Id a's sketch is a ``CountMinSketch`` viewing row ``slot_of[a]`` of one
-    (slots, depth, width) array; ``slot_of`` is the caller's dict, read on
-    every lookup, so this read-only mapping keeps no ids of its own. ``add``
-    patches a coordinate in many rows with one fancy-index write per hash
-    row, and ``merge_rows`` writes the sum of two rows into a row. Both apply
-    the same float operations, in the same order, as per-sketch ``update``
-    and ``combined`` calls, so the cells come out bit-identical.
+    Only the ids given a row by ``build`` are keys; the other slots' cells
+    are left as they are and never read. ``buckets`` holds, per hash row,
+    the bucket of the id bound to each slot, so ``build`` finds the columns
+    of a whole neighbor vector with one gather per hash row; the caller
+    rewrites a slot's buckets with ``place`` when it binds a new id there.
+    ``add`` patches one coordinate in many rows with one fancy-index write
+    per hash row, applying the same float operations as one ``update`` per
+    sketch would.
     """
 
     def __init__(self, slot_of: dict[int, int], slots: int, width: int,
                  depth: int, seeds: tuple[tuple[int, int], ...]):
+        super().__init__()
         _check_dimensions(width, depth, seeds)
         self.width = width
         self.depth = depth
@@ -150,34 +155,38 @@ class SketchRows(Mapping):
         self.slot_of = slot_of
         self.cells = np.zeros((slots, depth, width))
         self._flat = self.cells.reshape(-1)
-        self._views = []
-        for cells in self.cells:
-            view = CountMinSketch.__new__(CountMinSketch)
-            view.width = width
-            view.depth = depth
-            view.seeds = seeds
-            view.cells = cells
-            self._views.append(view)
+        self.buckets = np.zeros((depth, slots), np.intp)
+        bound = np.fromiter(slot_of.values(), np.intp, len(slot_of))
+        for row, seed in enumerate(seeds):
+            self.buckets[row, bound] = np.fromiter(
+                (_bucket(seed, a, width) for a in slot_of), np.intp, len(slot_of))
 
-    def __getitem__(self, a: int) -> CountMinSketch:
-        return self._views[self.slot_of[a]]
-
-    def __iter__(self):
-        return iter(self.slot_of)
-
-    def __len__(self) -> int:
-        return len(self.slot_of)
-
-    def bucket_table(self, coordinates: list[int]) -> np.ndarray:
-        """(depth, len(coordinates)) buckets: each coordinate hashed once
-        per row."""
-        width = self.width
-        count = len(coordinates)
-        table = np.empty((self.depth, count), np.intp)
+    def place(self, a: int) -> None:
+        """Hash id a into the bucket table at its slot."""
+        slot = self.slot_of[a]
         for row, seed in enumerate(self.seeds):
-            table[row] = np.fromiter((_bucket(seed, c, width) for c in coordinates),
-                                     np.intp, count)
-        return table
+            self.buckets[row, slot] = _bucket(seed, a, self.width)
+
+    def build(self, a: int, slots: list[int], counts: list[int],
+              sizes: list[int]) -> None:
+        """Give a the sketch of the vector with counts[i] / sqrt(sizes[i])
+        at the id bound to slots[i], replacing whatever its slot's cells
+        held. Each cell adds its values in the given order from 0.0, as one
+        ``update`` per coordinate on a fresh sketch would."""
+        count = len(slots)
+        values = np.fromiter(counts, np.float64, count)
+        values /= np.sqrt(np.fromiter(sizes, np.float64, count))
+        columns = self.buckets[:, np.fromiter(slots, np.intp, count)]
+        cells = self.cells[self.slot_of[a]]
+        for row in range(self.depth):
+            cells[row] = np.bincount(columns[row], weights=values,
+                                     minlength=self.width)
+        view = CountMinSketch.__new__(CountMinSketch)
+        view.width = self.width
+        view.depth = self.depth
+        view.seeds = self.seeds
+        view.cells = cells
+        self[a] = view
 
     def add(self, slots: np.ndarray, coordinate: int, values: np.ndarray) -> None:
         """Add values[i] to ``coordinate`` in the sketch of row slots[i].
@@ -188,8 +197,3 @@ class SketchRows(Mapping):
         for row, seed in enumerate(self.seeds):
             column = row * width + _bucket(seed, coordinate, width)
             self._flat[starts + column] += values
-
-    def merge_rows(self, target: int, first: int, second: int) -> None:
-        """Write rows ``first`` + ``second`` into row ``target``, which may be
-        one of them or a third row, whose old cells are overwritten."""
-        np.add(self.cells[first], self.cells[second], out=self.cells[target])

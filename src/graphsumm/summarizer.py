@@ -6,19 +6,30 @@ the two coincide), scores every candidate by how much the l1 reconstruction
 error would drop if the pair were merged, merges the best one, and patches
 the sampling weights of the merged node and its neighbors. The score of a
 pair has a closed form whose only non-constant part is a cross term over
-common neighbors; in sketch mode that term is replaced by a count-min
-inner-product estimate, making every scoring O(width * depth).
+common neighbors, which the exact score computes in O(min(deg a, deg b)).
+In sketch mode a count-min inner-product estimate replaces that term in
+O(width * depth), but only for a pair whose two degrees both exceed
+width * depth; every other pair is scored exactly, so every scoring costs
+O(min(deg a, deg b, width * depth)).
 
-After a merge of a and b into z, one walk over z's neighbors gathers
-everything the patches need: each neighbor's new weight, its tree slot
-and, in sketch mode, its counts towards z and towards b (read from b's
+Sketch mode therefore keeps a sketch only for the heavy nodes, those of
+degree above width * depth. A merge of a and b into z raises no other
+node's degree: a neighbor of one of them trades that key for z, and a
+neighbor of both trades two keys for one. So only z can become heavy, and
+a node that falls to width * depth or below can never need its sketch
+again.
+
+After a merge, one walk over z's neighbors gathers everything the patches
+need: each neighbor's new weight, its tree slot and, for a heavy neighbor
+that stays heavy, its counts towards z and towards b (read from b's
 adjacency map, which the merge leaves intact; the count towards a is the
-difference). The tree then takes all leaf changes in one batch. Each
-sketch is the row of one array at its node's tree slot: z's row becomes
-the sum of a's and b's, and three writes move a's and b's coordinates out
-of the neighbors' rows and z's coordinate in. Every tree sum and sketch
-cell gets the same float operations, in the same order, as patching one
-node or coordinate at a time would give.
+difference). A heavy neighbor that fell to width * depth loses its sketch.
+The tree then takes all leaf changes in one batch. Each sketch is the row
+of one array at its node's tree slot: z's row is built from its adjacency
+when z is heavy, and three writes move a's and b's coordinates out of the
+heavy neighbors' rows and z's coordinate in. Every tree sum and sketch cell
+gets the same float operations, in the same order, as patching one node or
+coordinate at a time would give.
 
 Scoring is read-only: the candidate scorings of one iteration may safely run
 concurrently. Sampling, merging, and weight/sketch updates mutate shared
@@ -258,29 +269,18 @@ def _draw_other(g: SummaryGraph, tree: SamplingTree, first: int,
 
 def build_sketches(g: SummaryGraph, width: int, depth: int, seeds,
                    slot_of: dict[int, int]) -> SketchRows:
-    """One neighbor-vector sketch per alive supernode, all sharing seeds,
-    stored as the rows of one array: a's sketch in row slot_of[a], where
-    slot_of maps the alive ids one-to-one onto range(alive count).
-
-    Every alive id is hashed once per row into a bucket table; ``np.add.at``
-    then adds the adjacency entries in adjacency order, which is the order
-    per-coordinate updates would take, so every cell gets the same bits.
-    """
-    ids = sorted(g.alive_ids(), key=slot_of.__getitem__)
-    sketches = SketchRows(slot_of, len(ids), width, depth, seeds)
-    adj = g.adj
-    degrees = [len(adj[a]) for a in ids]
-    count = sum(degrees)
-    owner = np.repeat(np.arange(len(ids)), degrees)
-    neighbor = np.fromiter((slot_of[x] for a in ids for x in adj[a]),
-                           np.intp, count)
-    values = np.fromiter((edge.cross_e for a in ids for edge in adj[a].values()),
-                         np.float64, count)
-    sizes = np.fromiter((g.nodes[a].size_n for a in ids), np.float64, len(ids))
-    values /= np.sqrt(sizes)[neighbor]
-    buckets = sketches.bucket_table(ids)
-    for row in range(depth):
-        np.add.at(sketches.cells[:, row], (owner, buckets[row, neighbor]), values)
+    """The sketches a run starts with, all sharing seeds: a row, at slot
+    slot_of[a], for each alive node a whose degree exceeds width * depth,
+    where slot_of maps the alive ids one-to-one onto range(alive count).
+    Every alive id is hashed once per hash row into the bucket table."""
+    sketches = SketchRows(slot_of, len(slot_of), width, depth, seeds)
+    heavy = width * depth
+    nodes = g.nodes
+    for a, entries in g.adj.items():
+        if len(entries) > heavy:
+            sketches.build(a, [slot_of[x] for x in entries],
+                           [edge.cross_e for edge in entries.values()],
+                           [nodes[x].size_n for x in entries])
     return sketches
 
 
@@ -298,6 +298,8 @@ class Summarizer:
             [(a, node_weight(g, a)) for a in g.alive_ids()])
         self.sketches = None
         if cfg.score_mode == "sketch":
+            # a node of higher degree has a sketch (see the module docstring)
+            self.heavy_degree = cfg.sketch_width * cfg.sketch_depth
             seeds = make_hash_seeds(cfg.sketch_depth, cfg.seed)
             self.sketches = build_sketches(g, cfg.sketch_width, cfg.sketch_depth,
                                            seeds, self.tree.slot_of)
@@ -306,9 +308,11 @@ class Summarizer:
         self.last_candidates: list[ScoredPair] = []
 
     def score(self, a: int, b: int) -> float:
-        if self.sketches is None:
-            return score_exact(self.graph, a, b)
-        return score_approx(self.graph, a, b, self.sketches)
+        """Exact unless both a and b have sketches, i.e. both are heavy."""
+        sketches = self.sketches
+        if sketches is not None and a in sketches and b in sketches:
+            return score_approx(self.graph, a, b, sketches)
+        return score_exact(self.graph, a, b)
 
     def step(self) -> int:
         """One iteration: sample, score, merge the argmax pair (first
@@ -328,27 +332,32 @@ class Summarizer:
         a, b = best.a, best.b
 
         nodes = g.nodes
-        node_a = nodes[a]
-        node_b = nodes[b]
-        adj_b = g.adj[b]
+        adj = g.adj
         tree = self.tree
         tree_slot = tree.slot_of
         sketches = self.sketches
         if sketches is not None:
-            e_ab = g.cross_count(a, b)
-            slot_a = tree_slot[a]
-            slot_b = tree_slot[b]
+            size_a = nodes[a].size_n
+            size_b = nodes[b].size_n
+            adj_b = adj[b]
+            heavy = self.heavy_degree
+            sketches.pop(a, None)
+            sketches.pop(b, None)
+            patched = []
+            cross_z = []
+            cross_b = []
         z = g.merge(a, b)
 
         # The one walk over z's neighbors (see the module docstring). The
         # weight is node_weight's, inlined: -(4d/n) - sq equals -sq - 4d/n
         # bit for bit.
-        adj_z = g.adj[z]
+        adj_z = adj[z]
         slots = []
         weights = []
         if sketches is not None:
-            cross_z = []
-            cross_b = []
+            build = len(adj_z) > heavy
+            counts = []
+            sizes = []
         for x, edge in adj_z.items():
             node = nodes[x]
             size = node.size_n
@@ -357,32 +366,39 @@ class Summarizer:
             if internal:
                 f -= 4.0 * internal * internal / (size * (size - 1) / 2.0)
             weights.append(-1.0 / f if f else 0.0)
-            slots.append(tree_slot[x])
+            slot = tree_slot[x]
+            slots.append(slot)
             if sketches is not None:
-                cross_z.append(edge.cross_e)
-                edge_b = adj_b.get(x)
-                cross_b.append(edge_b.cross_e if edge_b is not None else 0)
+                if build:
+                    counts.append(edge.cross_e)
+                    sizes.append(size)
+                if x in sketches:
+                    if len(adj[x]) > heavy:
+                        patched.append(slot)
+                        cross_z.append(edge.cross_e)
+                        edge_b = adj_b.get(x)
+                        cross_b.append(edge_b.cross_e if edge_b is not None else 0)
+                    else:
+                        del sketches[x]
         tree.merge_leaves(a, b, z, node_weight(g, z), slots, weights)
 
         if sketches is not None:
-            # z's vector is the sum of a's and b's without the mutual
-            # coordinates (those edges become internal). Its slot may be
-            # a's, b's or an older freed one, whose stale cells are replaced.
-            sketches.merge_rows(tree_slot[z], slot_a, slot_b)
-            if e_ab:
-                merged = sketches[z]
-                merged.update(b, -e_ab / math.sqrt(node_b.size_n))
-                merged.update(a, -e_ab / math.sqrt(node_a.size_n))
-            # Detach a, detach b, attach z: each writes one coordinate into
-            # all of the neighbors' rows at once, in that order per cell.
-            rows = np.array(slots, np.intp)
-            cross_z = np.array(cross_z, np.float64)
-            cross_b = np.array(cross_b, np.float64)
-            # A neighbor of only one of a and b gets -0.0 for the other,
-            # which leaves every float it is added to bit-identical.
-            sketches.add(rows, a, (cross_z - cross_b) / -math.sqrt(node_a.size_n))
-            sketches.add(rows, b, cross_b / -math.sqrt(node_b.size_n))
-            sketches.add(rows, z, cross_z * (1.0 / math.sqrt(nodes[z].size_n)))
+            sketches.place(z)
+            if build:
+                sketches.build(z, slots, counts, sizes)
+            if patched:
+                # Detach a, detach b, attach z: each writes one coordinate
+                # into all of the heavy neighbors' rows at once, in that
+                # order per cell.
+                rows = np.array(patched, np.intp)
+                cross_z = np.array(cross_z, np.float64)
+                cross_b = np.array(cross_b, np.float64)
+                # A neighbor of only one of a and b gets -0.0 for the
+                # other, which leaves every float it is added to
+                # bit-identical.
+                sketches.add(rows, a, (cross_z - cross_b) / -math.sqrt(size_a))
+                sketches.add(rows, b, cross_b / -math.sqrt(size_b))
+                sketches.add(rows, z, cross_z * (1.0 / math.sqrt(nodes[z].size_n)))
         self.iterations += 1
         return z
 

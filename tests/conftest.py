@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from pathlib import Path
@@ -104,6 +105,19 @@ def sketch_of(vec: dict[int, float], width: int, depth: int, seeds) -> CountMinS
     for c, value in vec.items():
         sk.update(c, value)
     return sk
+
+
+def scaled_vector(g: SummaryGraph, a: int) -> dict[int, float]:
+    """a's sketched vector: cross_e(a,x)/sqrt(size_n(x)) per neighbor x, in
+    adjacency order."""
+    return {x: edge.cross_e / math.sqrt(g.nodes[x].size_n)
+            for x, edge in g.adj[a].items()}
+
+
+def sketches_of(g: SummaryGraph, width: int, depth: int, seeds) -> dict:
+    """Reference sketches of every alive node, one update per coordinate."""
+    return {a: sketch_of(scaled_vector(g, a), width, depth, seeds)
+            for a in g.alive_ids()}
 
 
 # ----------------------------------------------------------------------

@@ -232,14 +232,19 @@ def test_criterion_8_near_linearithmic_scaling():
         edges = constant_degree_edges(n, 6, rng)
         cfg = SummarizerConfig(target_k=n // 2, score_mode="sketch",
                                sketch_width=50, sketch_depth=2, seed=1)
-        # wall-clock contention only ever inflates a sample, so take the
-        # best of two runs per size
+        # Each run is timed in process CPU time, which other tenants of a
+        # shared machine disturb far less than wall-clock time; what they
+        # still add only ever inflates a sample, so take the best of two
+        # runs per size. At width 50 and depth 2 a pair is sketch-scored
+        # only when both degrees pass 100, which on this degree-6 graph
+        # only merged hubs reach (9 of 114,240 candidates at 2^14), so this
+        # times almost only exact scoring.
         best = math.inf
         for _ in range(2):
             g = SummaryGraph.from_edge_list(edges)
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             summarize(g, cfg)
-            best = min(best, time.perf_counter() - t0)
+            best = min(best, time.process_time() - t0)
         times.append(best)
     total = time.perf_counter() - started
     slope = float(np.polyfit(np.log(sizes), np.log(times), 1)[0])

@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from conftest import alive_slots, exact_dot, sketch_of, sparse_int_vector
+from conftest import (alive_slots, exact_dot, scaled_vector, sketch_of,
+                      sparse_int_vector)
 from graphsumm import CountMinSketch, SummaryGraph, make_hash_seeds
-from graphsumm.cm_sketch import SketchRows
 from graphsumm.summarizer import build_sketches
 
 SEEDS2 = make_hash_seeds(2, 99)
@@ -63,29 +63,34 @@ class TestUpdate:
         np.testing.assert_allclose(sk.cells.sum(axis=1), 4.0 / math.sqrt(5), rtol=1e-9)
 
     def test_path_center_sketch(self):
+        # width * depth = 1: only the center, of degree 2, gets a row
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
-        sketches = build_sketches(g, 16, 2, SEEDS2, alive_slots(g))
+        sketches = build_sketches(g, 1, 1, make_hash_seeds(1, 99), alive_slots(g))
+        assert set(sketches) == {2}
         np.testing.assert_allclose(sketches[2].cells.sum(axis=1), 2.0, rtol=1e-12)
 
     def test_build_matches_per_coordinate_updates(self):
         # huge sparse ids (no dense bucket table) and merged blocks, whose
-        # scaled coordinates cross_e / sqrt(size) are not integers
+        # scaled coordinates cross_e / sqrt(size) are not integers; only
+        # nodes of degree above width * depth = 16 get rows
         base = 1 << 40
         rng = random.Random(21)
-        edges = [(base + 7 * u, base + 7 * v) for u in range(30)
-                 for v in range(u + 1, 30) if rng.random() < 0.3]
+        edges = [(base + 7 * u, base + 7 * v) for u in range(40)
+                 for v in range(u + 1, 40) if rng.random() < 0.45]
         g = SummaryGraph.from_edge_list(edges)
         alive = sorted(g.alive_ids())
         z = g.merge(alive[0], alive[1])
         z = g.merge(z, alive[2])
         g.merge(alive[3], alive[4])
         g.merge(z, alive[5])
-        sketches = build_sketches(g, 8, 2, SEEDS2, alive_slots(g))
-        assert set(sketches) == set(g.alive_ids())
-        for a in g.alive_ids():
-            vec = {x: edge.cross_e / math.sqrt(g.nodes[x].size_n)
-                   for x, edge in g.adj[a].items()}
-            reference = sketch_of(vec, 8, 2, SEEDS2)
+        slots = alive_slots(g)
+        sketches = build_sketches(g, 8, 2, SEEDS2, slots)
+        heavy = {a for a in g.alive_ids() if g.degree(a) > 16}
+        assert set(sketches) == heavy
+        assert 0 < len(heavy) < g.alive_count
+        for a in heavy:
+            reference = sketch_of(scaled_vector(g, a), 8, 2, SEEDS2)
+            assert np.shares_memory(sketches[a].cells, sketches.cells[slots[a]])
             assert np.array_equal(sketches[a].cells, reference.cells)
             assert sketches[a].l1_mass == reference.l1_mass
 
@@ -185,15 +190,6 @@ class TestCombined:
                                    sketch_of(summed, 32, 2, seeds).cells,
                                    rtol=1e-12)
         assert merged.l1_mass == pytest.approx(sum(summed.values()))
-        # merge_rows into either input row or a third, stale one
-        for target in (0, 1, 2):
-            rows = SketchRows({10: 0, 11: 1, 12: 2}, 3, 32, 2, seeds)
-            rows.cells[0] = sa.cells / math.sqrt(3)
-            rows.cells[1] = sb.cells / math.sqrt(7)
-            rows.cells[2] = 5.0
-            expected = CountMinSketch.combined(rows[10], rows[11]).cells
-            rows.merge_rows(target, 0, 1)
-            assert np.array_equal(rows.cells[target], expected)
 
     def test_combined_requires_compatibility(self):
         with pytest.raises(ValueError, match="incompatible"):

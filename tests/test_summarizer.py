@@ -5,13 +5,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import (alive_slots, constant_degree_edges, gnp_edges, score_oracle,
-                      sketch_of)
-from graphsumm import (CountMinSketch, SamplingTree, Summarizer, SummarizerConfig,
+from conftest import (constant_degree_edges, gnp_edges, scaled_vector, score_oracle,
+                      sketch_of, sketches_of)
+from graphsumm import (SamplingTree, Summarizer, SummarizerConfig,
                        SummaryGraph, make_hash_seeds, node_weight, re_brute,
                        re_closed, sample_pairs, score_approx, score_exact,
                        summarize)
-from graphsumm.summarizer import build_sketches, parse_sample_rule, sample_size
+from graphsumm.cli import main
+from graphsumm.summarizer import parse_sample_rule, sample_size
 
 
 def p3(retain=False):
@@ -115,13 +116,13 @@ class TestScoreApprox:
     def test_equals_exact_without_collisions(self):
         # disjoint neighborhoods and width far above support: nothing collides
         g = SummaryGraph.from_edge_list([(0, 1), (2, 3)])
-        sketches = build_sketches(g, 256, 2, make_hash_seeds(2, 1), alive_slots(g))
+        sketches = sketches_of(g, 256, 2, make_hash_seeds(2, 1))
         assert score_approx(g, 0, 2, sketches) == pytest.approx(
             score_exact(g, 0, 2), abs=1e-12)
 
     def test_path_twins_within_bound(self):
         g = p3()
-        sketches = build_sketches(g, 8, 2, make_hash_seeds(2, 2), alive_slots(g))
+        sketches = sketches_of(g, 8, 2, make_hash_seeds(2, 2))
         epsilon = 1.0 / 8
         mass_bound = epsilon * sketches[1].l1_mass * sketches[3].l1_mass
         approx = score_approx(g, 1, 3, sketches)
@@ -132,8 +133,7 @@ class TestScoreApprox:
         edges = gnp_edges(20, 0.3, rng)
         g = SummaryGraph.from_edge_list(edges)
         width, depth = 16, 2
-        sketches = build_sketches(g, width, depth, make_hash_seeds(depth, 9),
-                                  alive_slots(g))
+        sketches = sketches_of(g, width, depth, make_hash_seeds(depth, 9))
         alive = list(g.alive_ids())
         over_bound = 0
         pair_count = 0
@@ -152,9 +152,8 @@ class TestScoreApprox:
 
     def test_incompatible_sketches(self):
         g = p3()
-        slots = alive_slots(g)
-        sketches = dict(build_sketches(g, 8, 2, make_hash_seeds(2, 2), slots))
-        sketches[3] = build_sketches(g, 8, 2, make_hash_seeds(2, 3), slots)[3]
+        sketches = sketches_of(g, 8, 2, make_hash_seeds(2, 2))
+        sketches[3] = sketches_of(g, 8, 2, make_hash_seeds(2, 3))[3]
         with pytest.raises(ValueError, match="incompatible"):
             score_approx(g, 1, 3, sketches)
 
@@ -299,70 +298,132 @@ class TestSummarize:
         assert g.is_alive(merged)
 
     def test_sketch_mode_keeps_sketches_in_sync(self):
+        # After every step the rows are exactly those of the nodes above
+        # width * depth = 16, each a sketch of the node's current vector.
         rng = random.Random(13)
-        g = SummaryGraph.from_edge_list(gnp_edges(24, 0.25, rng))
+        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, rng))
         cfg = SummarizerConfig(target_k=6, seed=2, score_mode="sketch",
-                               sketch_width=32)
+                               sketch_width=8)
         loop = Summarizer(g, cfg)
-        loop.run()
-        seeds = next(iter(loop.sketches.values())).seeds
-        fresh = build_sketches(g, 32, 2, seeds, alive_slots(g))
-        for a in g.alive_ids():
-            diff = abs(loop.sketches[a].cells - fresh[a].cells).max()
-            assert diff < 1e-9
-            assert abs(loop.sketches[a].l1_mass - fresh[a].l1_mass) < 1e-9
+        seeds = make_hash_seeds(2, cfg.seed)
+        heavy_counts = []
+        while True:
+            heavy = {a for a in g.alive_ids() if g.degree(a) > 16}
+            assert set(loop.sketches) == heavy
+            for a in heavy:
+                fresh = sketch_of(scaled_vector(g, a), 8, 2, seeds)
+                assert abs(loop.sketches[a].cells - fresh.cells).max() < 1e-9
+                assert abs(loop.sketches[a].l1_mass - fresh.l1_mass) < 1e-9
+            heavy_counts.append(len(heavy))
+            if g.alive_count == cfg.target_k:
+                break
+            loop.step()
+        assert max(heavy_counts) > 0 and heavy_counts[-1] == 0
 
     def test_sketch_patch_replays_per_coordinate_updates(self):
-        # Oracle: standalone sketches patched one coordinate at a time, in
-        # the order detach a, detach b, combine minus the mutual
-        # coordinates, attach z. Width 4 makes buckets collide. Each sketch
-        # is the row at its tree slot, and z's row may be a stale one.
+        # Oracle: standalone sketches of the heavy nodes (degree above
+        # width * depth = 8), patched one coordinate at a time in the order
+        # detach a, detach b, attach z; z's is a fresh sketch of its vector
+        # when z is heavy, and a neighbor that falls to 8 loses its own.
+        # Width 4 makes buckets collide. Each sketch is the row at its tree
+        # slot, and z's row may hold stale cells.
         rng = random.Random(31)
-        g = SummaryGraph.from_edge_list(gnp_edges(30, 0.3, rng))
+        g = SummaryGraph.from_edge_list(gnp_edges(40, 0.3, rng))
         cfg = SummarizerConfig(target_k=4, seed=5, score_mode="sketch",
                                sketch_width=4)
         loop = Summarizer(g, cfg)
         seeds = make_hash_seeds(2, cfg.seed)
-
-        def scaled(graph, a):
-            return {x: edge.cross_e / math.sqrt(graph.nodes[x].size_n)
-                    for x, edge in graph.adj[a].items()}
-
-        oracle = {a: sketch_of(scaled(g, a), 4, 2, seeds) for a in g.alive_ids()}
-        mutual_merges = 0
-        stale_row = 0
+        oracle = {a: sketch_of(scaled_vector(g, a), 4, 2, seeds)
+                  for a in g.alive_ids() if g.degree(a) > 8}
+        built = patched = dropped = stale = 0
         while g.alive_count > cfg.target_k:
             before = g.copy()
-            slots = dict(loop.tree.slot_of)
+            cells = loop.sketches.cells.copy()
             z = loop.step()
             best = max(loop.last_candidates, key=lambda c: c.score)
             a, b = best.a, best.b
-            for u, v in ((a, b), (b, a)):
-                sqrt_u = math.sqrt(before.nodes[u].size_n)
-                for x, edge in before.adj[u].items():
-                    if x != v:
-                        oracle[x].update(u, -edge.cross_e / sqrt_u)
-            merged = CountMinSketch.combined(oracle.pop(a), oracle.pop(b))
-            e_ab = before.cross_count(a, b)
-            if e_ab:
-                mutual_merges += 1
-                merged.update(b, -e_ab / math.sqrt(before.nodes[b].size_n))
-                merged.update(a, -e_ab / math.sqrt(before.nodes[a].size_n))
-            oracle[z] = merged
+            oracle.pop(a, None)
+            oracle.pop(b, None)
             inv_sqrt_z = 1.0 / math.sqrt(g.nodes[z].size_n)
             for x, edge in g.adj[z].items():
+                if x not in oracle:
+                    continue
+                assert g.degree(x) <= before.degree(x)
+                if g.degree(x) <= 8:
+                    del oracle[x]
+                    dropped += 1
+                    continue
+                for u in (a, b):
+                    other = before.adj[u].get(x)
+                    if other is not None:
+                        sqrt_u = math.sqrt(before.nodes[u].size_n)
+                        oracle[x].update(u, -other.cross_e / sqrt_u)
                 oracle[x].update(z, edge.cross_e * inv_sqrt_z)
-            assert set(loop.sketches) == set(oracle) == set(g.alive_ids())
-            assert set(loop.sketches) == set(loop.tree.vertices())
-            stale_row += loop.tree.slot_of[z] not in (slots[a], slots[b])
+                patched += 1
+            if g.degree(z) > 8:
+                oracle[z] = sketch_of(scaled_vector(g, z), 4, 2, seeds)
+                built += 1
+                stale += bool(cells[loop.tree.slot_of[z]].any())
+            assert set(loop.sketches) == set(oracle)
             for x, expected in oracle.items():
                 assert np.shares_memory(
                     loop.sketches[x].cells,
                     loop.sketches.cells[loop.tree.slot_of[x]])
                 assert np.array_equal(loop.sketches[x].cells, expected.cells)
                 assert loop.sketches[x].l1_mass == expected.l1_mass
-        assert mutual_merges > 0
-        assert stale_row > 0
+        assert built > 0 and patched > 0 and dropped > 0 and stale > 0
+
+    def test_sketch_scores_only_heavy_pairs(self):
+        # A pair is scored with the sketch only when both degrees exceed
+        # width * depth = 16; every other candidate gets score_exact's
+        # value, and a sketched one never less (up to float dust).
+        rng = random.Random(19)
+        g = SummaryGraph.from_edge_list(gnp_edges(70, 0.25, rng))
+        loop = Summarizer(g, SummarizerConfig(target_k=8, seed=3,
+                                              score_mode="sketch",
+                                              sketch_width=8))
+        sketched = exact = 0
+        while g.alive_count > 8:
+            before = g.copy()
+            loop.step()
+            for c in loop.last_candidates:
+                value = score_exact(before, c.a, c.b)
+                if min(before.degree(c.a), before.degree(c.b)) <= 16:
+                    assert c.score == value
+                    exact += 1
+                else:
+                    assert c.score >= value - 1e-9
+                    sketched += 1
+        assert sketched > 0 and exact > 0
+
+    def test_sketch_mode_without_heavy_nodes_is_exact_mode(self, tmp_path):
+        # width * depth = 128 exceeds every degree of a 60-node graph, so
+        # sketch mode keeps no sketch and scores every pair exactly.
+        rng = random.Random(23)
+        edges = gnp_edges(60, 0.2, rng)
+        merged = {}
+        for mode in ("exact", "sketch"):
+            g = SummaryGraph.from_edge_list(edges)
+            loop = Summarizer(g, SummarizerConfig(target_k=10, seed=6,
+                                                  score_mode=mode,
+                                                  sketch_width=64))
+            merged[mode] = []
+            while g.alive_count > 10:
+                loop.step()
+                assert not loop.sketches
+                best = max(loop.last_candidates, key=lambda c: c.score)
+                merged[mode].append((best.a, best.b))
+        assert merged["sketch"] == merged["exact"]
+        graph_file = tmp_path / "graph.txt"
+        graph_file.write_text("".join(f"{u} {v}\n" for u, v in edges))
+        payloads = []
+        for mode in ("exact", "sketch"):
+            out = tmp_path / f"{mode}.summary"
+            assert main(["--input", str(graph_file), "--k", "10", "--seed", "6",
+                         "--score", mode, "--width", "64", "--retain-members",
+                         "--summary-out", str(out)]) == 0
+            payloads.append(out.read_bytes())
+        assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("mode", ["exact", "sketch"])
     def test_tree_matches_per_leaf_patch_sequence(self, mode):
@@ -390,8 +451,12 @@ class TestSummarize:
             older_slot += loop.tree.slot_of[z] not in (slots[best.a], slots[best.b])
         assert older_slot > 0
 
-    # Merged pairs recorded before the merge loop patched the tree and the
-    # sketches from one walk; the loop must keep merging the same pairs.
+    # Merged pairs recorded before the merge loop patched the tree from one
+    # walk (exact mode) and after sketch mode began scoring only pairs of
+    # two nodes above width * depth with the sketch (sketch mode); the loop
+    # must keep merging the same pairs. Width 2 puts that threshold at 4,
+    # so about a third of the sketch-mode candidates are sketch-scored;
+    # exact mode ignores the width.
     GOLDEN = [
         (lambda: gnp_edges(36, 0.2, random.Random(61)), 9, "exact", 71,
          [(9, 31), (22, 4), (19, 26), (18, 8), (10, 24), (6, 7), (3, 40), (42, 0),
@@ -399,10 +464,10 @@ class TestSummarize:
           (15, 45), (14, 35), (38, 41), (30, 46), (48, 13), (11, 29), (51, 50),
           (37, 33), (47, 54), (55, 39), (49, 36), (59, 25)]),
         (lambda: gnp_edges(36, 0.2, random.Random(61)), 9, "sketch", 72,
-         [(10, 17), (21, 12), (4, 6), (25, 36), (18, 16), (30, 37), (13, 20),
-          (5, 33), (22, 35), (40, 44), (28, 0), (32, 41), (8, 1), (9, 47),
-          (24, 34), (23, 49), (2, 38), (31, 52), (7, 53), (3, 43), (15, 45),
-          (19, 14), (27, 11), (54, 50), (51, 42), (58, 26), (46, 55)]),
+         [(10, 17), (21, 12), (4, 6), (38, 18), (39, 2), (30, 35), (1, 24),
+          (5, 3), (33, 14), (40, 41), (0, 15), (16, 36), (23, 7), (42, 29),
+          (34, 22), (48, 28), (51, 32), (9, 31), (13, 37), (47, 45), (25, 49),
+          (19, 26), (50, 8), (11, 20), (59, 56), (27, 58), (55, 54)]),
         (lambda: constant_degree_edges(48, 8, random.Random(62)), 12, "exact", 73,
          [(27, 28), (14, 3), (35, 40), (50, 30), (37, 20), (47, 48), (0, 4),
           (8, 2), (53, 51), (23, 15), (21, 44), (25, 18), (5, 38), (31, 9),
@@ -411,19 +476,19 @@ class TestSummarize:
           (70, 29), (11, 16), (66, 75), (13, 77), (72, 36), (39, 61), (1, 71),
           (76, 57)]),
         (lambda: constant_degree_edges(48, 8, random.Random(62)), 12, "sketch", 74,
-         [(42, 41), (25, 36), (35, 48), (34, 28), (17, 0), (23, 22), (47, 8),
-          (9, 20), (6, 43), (10, 18), (52, 14), (21, 57), (12, 13), (45, 56),
-          (7, 49), (4, 51), (55, 19), (30, 58), (26, 64), (37, 54), (29, 60),
-          (5, 24), (27, 39), (1, 59), (69, 66), (11, 61), (71, 46), (70, 73),
-          (63, 68), (2, 50), (76, 75), (16, 3), (44, 33), (67, 79), (72, 80),
-          (81, 78)]),
+         [(42, 41), (25, 36), (35, 48), (43, 15), (45, 50), (28, 22), (10, 31),
+          (9, 39), (27, 52), (12, 29), (26, 33), (47, 34), (24, 23), (59, 60),
+          (58, 49), (4, 44), (16, 8), (37, 61), (54, 13), (63, 51), (3, 0),
+          (11, 65), (30, 6), (56, 69), (18, 68), (19, 38), (73, 66), (71, 17),
+          (57, 32), (76, 21), (2, 14), (78, 70), (40, 72), (1, 46), (64, 80),
+          (75, 53)]),
     ]
 
     @pytest.mark.parametrize("make_edges, k, mode, seed, expected", GOLDEN)
     def test_golden_merge_sequence(self, make_edges, k, mode, seed, expected):
         g = SummaryGraph.from_edge_list(make_edges())
         loop = Summarizer(g, SummarizerConfig(target_k=k, score_mode=mode,
-                                              sketch_width=8, seed=seed))
+                                              sketch_width=2, seed=seed))
         merged = []
         while g.alive_count > k:
             loop.step()

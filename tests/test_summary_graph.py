@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import gnp_edges
 from graphsumm import SummaryGraph, SuperEdge, SuperNode
@@ -211,6 +213,31 @@ class TestInvariantsUnderRandomMerges:
             last = next(iter(g.alive_ids()))
             assert g.nodes[last].size_n == g.original_vertex_count
             assert g.nodes[last].internal_e == edge_count
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_merge_raises_no_other_degree(self, data):
+        # Sketch mode keeps sketches for nodes above a degree threshold and
+        # rebuilds none but z's, which holds only because of this.
+        n = data.draw(st.integers(2, 14), label="n")
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                                   max_size=3 * n), label="edges")
+        g = SummaryGraph.from_edge_list(edges)
+        while g.alive_count > 1 and data.draw(st.booleans(), label="go on"):
+            alive = list(g.alive_ids())
+            a = data.draw(st.sampled_from(alive), label="a")
+            b = data.draw(st.sampled_from([x for x in alive if x != a]), label="b")
+            before = {x: set(g.adj[x]) for x in alive}
+            z = g.merge(a, b)
+            for x in g.alive_ids():
+                if x == z:
+                    assert g.degree(z) == len((before[a] | before[b]) - {a, b})
+                    continue
+                # a neighbor of a or b trades one or two keys for z
+                lost = len(before[x] & {a, b})
+                assert g.degree(x) == len(before[x]) - lost + (lost > 0)
+                assert g.degree(x) <= len(before[x])
 
     def test_copy_is_independent(self):
         rng = random.Random(3)
