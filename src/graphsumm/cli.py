@@ -13,7 +13,9 @@ import functools
 import gc
 import sys
 import time
+from array import array
 from dataclasses import asdict
+from itertools import repeat
 
 from .evaluation import InputGraph, build_report, re_closed
 from .summary_graph import UNIT_EDGE, SuperEdge, SuperNode, SummaryGraph
@@ -69,20 +71,26 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None) -> None:
     Supernodes are renumbered 0..k-1, ordered by their smallest member
     label when membership is retained (mapped through id_map if given) and
     by internal id otherwise, so identical summaries serialize identically.
-    Superedges follow as "E i j" lines with i < j, in (i, j) order. Every
-    label lookup happens before the file is opened, so a bad id_map leaves
-    no file behind; the lines are then streamed, so the memory beyond the
-    labels does not grow with the number of superedges.
+    Superedges follow as "E i j" lines with i < j, in (i, j) order. The
+    membership replay and every label lookup happen before the file is
+    opened, so a bad id_map leaves no file behind; the lines are then
+    streamed, so the memory beyond the labels does not grow with the
+    number of superedges.
     """
     nodes = summary.nodes
     adj = summary.adj
     order = list(nodes)
-    retained = bool(order) and nodes[order[0]].members is not None
+    retained = summary.merge_log is not None
     if retained:
         # each block's sorted labels give both its sort key and its N line
-        labels = {a: sorted(node.members if id_map is None
-                            else (id_map[m] for m in node.members))
-                  for a, node in nodes.items()}
+        labels = {a: [] for a in order}
+        vertices, blocks = summary.membership()
+        if id_map is not None:
+            vertices = map(id_map.__getitem__, vertices)
+        for v, block in zip(vertices, blocks):
+            labels[block].append(v)
+        for block_labels in labels.values():
+            block_labels.sort()
         order.sort(key=lambda a: labels[a][0])
     else:
         order.sort()
@@ -140,7 +148,10 @@ def read_summary(path: str) -> SummaryGraph:
     whitespace-only lines are skipped but counted. One pass over the file:
     each supernode's d_value is accumulated as its superedges are read,
     which is the order of its adjacency map. Count-1 superedges are all the
-    shared ``UNIT_EDGE``, as in the identity graph.
+    shared ``UNIT_EDGE``, as in the identity graph. Member lists, when the
+    file has them, become the graph's retained membership: the labels in
+    file order, each with its supernode's id as its start block, and an
+    empty merge log.
     """
     with open(path) as stream:
         numbered = enumerate(stream, 1)
@@ -165,6 +176,8 @@ def read_summary(path: str) -> SummaryGraph:
             g._next_id = k
             nodes = g.nodes
             adj = g.adj
+            member_ids = array("q")
+            member_start = array("q")
             members_seen: set[int] = set()
             internal_total = 0
             cross_total = 0
@@ -216,17 +229,23 @@ def read_summary(path: str) -> SummaryGraph:
                     if not 0 <= internal_e <= pairs:
                         raise ValueError(f"supernode {node_id}: internal edge count "
                                          f"{internal_e} exceeds {pairs}")
-                    members = None
                     if len(fields) > 4:
-                        members = set(map(int, fields[4:]))
+                        # a label repeated within the line counts once
+                        members = dict.fromkeys(map(int, fields[4:]))
                         if len(members) != size_n:
                             raise ValueError(f"supernode {node_id}: {len(members)} "
                                              f"members listed but size is {size_n}")
-                        overlap = members & members_seen
-                        if overlap:
+                        if not members_seen.isdisjoint(members):
+                            overlap = members_seen.intersection(members)
                             raise ValueError(f"vertex {min(overlap)} in two supernodes")
-                        members_seen |= members
-                    nodes[node_id] = SuperNode(size_n, internal_e, 0.0, members)
+                        members_seen.update(members)
+                        try:
+                            member_ids.extend(members)
+                        except OverflowError:
+                            raise ValueError("member label outside the 64-bit "
+                                             "integer range") from None
+                        member_start.extend(repeat(node_id, size_n))
+                    nodes[node_id] = SuperNode(size_n, internal_e)
                     adj[node_id] = {}
                     internal_total += internal_e
                 else:
@@ -237,8 +256,12 @@ def read_summary(path: str) -> SummaryGraph:
         raise ValueError(f"header says {k} supernodes, file has {len(nodes)}")
     if sum(node.size_n for node in nodes.values()) != n:
         raise ValueError("supernode sizes do not sum to the vertex count")
-    if members_seen and len(members_seen) != n:
-        raise ValueError("member lists do not cover the vertex set")
+    if members_seen:
+        if len(members_seen) != n:
+            raise ValueError("member lists do not cover the vertex set")
+        g.member_ids = member_ids
+        g.member_start = member_start
+        g.merge_log = array("q")
     if internal_total + cross_total != m:
         raise ValueError(f"edge conservation violated: {internal_total} internal "
                          f"+ {cross_total} cross != {m}")
@@ -335,6 +358,7 @@ def main(argv=None) -> int:
         elapsed = time.perf_counter() - started
         if args.summary_out:
             write_summary(summary, args.summary_out, id_map=original_ids)
+        del original_ids  # nothing reads the labels after the write
         report = None
         if args.retain_members:
             report = build_report(original, summary, elapsed_seconds=elapsed,

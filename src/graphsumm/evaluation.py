@@ -55,14 +55,10 @@ class QueryErrorReport:
 
 
 def membership_index(summary: SummaryGraph) -> dict[int, int]:
-    """Map each original vertex to its supernode; needs retained members."""
-    index: dict[int, int] = {}
-    for a, node in summary.nodes.items():
-        if node.members is None:
-            raise ValueError("membership not retained on this summary")
-        for v in node.members:
-            index[v] = a
-    return index
+    """Map each original vertex to its supernode, a dict view of
+    ``summary.membership()`` for per-vertex queries; needs retained
+    membership."""
+    return dict(zip(*summary.membership()))
 
 
 def _internal_density(node) -> float:
@@ -248,32 +244,39 @@ def build_report(original: SummaryGraph | InputGraph, summary: SummaryGraph,
     When the graph is small enough the brute-force oracle cross-checks the
     closed form. Degree and centrality errors are absolute, averaged over
     all original vertices (or the given sample); the triangle error is
-    relative. Ground-truth centrality uses the same degree-proportional
-    surrogate on the original graph, so the error isolates summarization;
-    on a graph without edges both surrogates are 0. An empty sample or a
-    vertex unknown to either graph raises ValueError. ``original`` is read
-    only through ``adj`` and its counts: an ``InputGraph`` of the input
-    gives the same report as a ``SummaryGraph`` copy of it.
+    relative. Without a sample the vertices come in the order of
+    ``summary.membership()``, so no per-vertex index is built. Ground-truth
+    centrality uses the same degree-proportional surrogate on the original
+    graph, so the error isolates summarization; on a graph without edges
+    both surrogates are 0. An empty sample, a vertex unknown to either
+    graph or a vertex count that differs between them raises ValueError.
+    ``original`` is read only through ``adj`` and its counts: an
+    ``InputGraph`` of the input gives the same report as a
+    ``SummaryGraph`` copy of it.
     """
-    if sample_of_vertices is None:
-        vertices = list(original.adj)
-    else:
-        vertices = list(sample_of_vertices)
-    if not vertices:
-        raise ValueError("empty vertex sample")
     re1 = re_closed(summary)
     if original.original_vertex_count <= oracle_limit:
         brute = re_brute(original, summary, oracle_limit)
         if abs(re1 - brute) > 1e-9 * max(1.0, abs(brute)):
             raise AssertionError(
                 f"closed-form RE {re1} disagrees with brute force {brute}")
-    index = membership_index(summary)
+    if sample_of_vertices is None:
+        vertices, blocks = summary.membership()
+        if len(vertices) != len(original.adj):
+            raise ValueError(f"summary holds {len(vertices)} vertices, the "
+                             f"original graph {len(original.adj)}")
+    else:
+        vertices = list(sample_of_vertices)
+        if not vertices:
+            raise ValueError("empty vertex sample")
+        index = membership_index(summary)
+        blocks = [index.get(v) for v in vertices]
     block_degree = {a: _block_degree(summary, a) for a in summary.adj}
     two_m = 2.0 * original.original_edge_count
     degree_errors = np.empty(len(vertices))
-    for pos, v in enumerate(vertices):
+    for pos, (v, block) in enumerate(zip(vertices, blocks)):
         try:
-            degree_errors[pos] = abs(block_degree[index[v]] - len(original.adj[v]))
+            degree_errors[pos] = abs(block_degree[block] - len(original.adj[v]))
         except KeyError:
             raise ValueError(f"unknown vertex {v}") from None
     if two_m:

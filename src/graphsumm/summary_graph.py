@@ -13,14 +13,22 @@ A superedge is just its crossing edge count; its endpoints are the two
 adjacency keys under which it is stored. It is stored once and shared by
 both endpoints' adjacency maps, so the symmetric view can never drift and
 dropping the edge from one side needs no scan of anybody's list.
-Superedges and member sets are never changed after creation (a merge
-builds new ones where counts add up and reuses the rest), so ``copy``
-shares them between the original and the copy, and every count-1
-superedge of the graph is the one shared ``UNIT_EDGE``.
+Superedges are never changed after creation (a merge builds new ones
+where counts add up and reuses the rest), so ``copy`` shares them between
+the original and the copy, and every count-1 superedge of the graph is the
+one shared ``UNIT_EDGE``.
+
+Vertex membership, when retained, is not stored per supernode. The graph
+keeps each original vertex with its block at the start (``member_ids``,
+``member_start``) and a flat log of its merges (``merge_log``, one
+(a, b, z) triple per merge); ``membership`` replays the log to give every
+vertex its current block.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -30,14 +38,13 @@ class SuperNode:
     ``SummaryGraph.nodes``. ``alive`` turns False when a merge removes the
     node from the graph, for callers still holding the object."""
 
-    __slots__ = ("size_n", "internal_e", "d_value", "members", "alive")
+    __slots__ = ("size_n", "internal_e", "d_value", "alive")
 
     def __init__(self, size_n: int = 1, internal_e: int = 0,
-                 d_value: float = 0.0, members: set | None = None):
+                 d_value: float = 0.0):
         self.size_n = size_n
         self.internal_e = internal_e
         self.d_value = d_value
-        self.members = members
         self.alive = True
 
     def __repr__(self):
@@ -85,6 +92,12 @@ class SummaryGraph:
         self.original_vertex_count = 0
         self.original_edge_count = 0
         self._next_id = 0
+        # Retained membership (all three None when not retained): the
+        # original vertex ids, each one's block when the log starts, and
+        # the merges since, as flat (a, b, z) triples.
+        self.member_ids: array | None = None
+        self.member_start: array | None = None
+        self.merge_log: array | None = None
         # Adjacency entries read or removed by the most recent merge; the
         # count excludes creation of the merged node's new entries so that
         # 2*(deg(a)+deg(b)) is the right yardstick for the merge cost.
@@ -103,8 +116,9 @@ class SummaryGraph:
         """Build the identity summary: one singleton supernode per vertex.
 
         Duplicate edges (in either orientation) and self-loops are dropped.
-        ``retain_members`` keeps per-supernode vertex sets, which the
-        evaluation queries need; the summarization loop itself does not.
+        ``retain_members`` keeps the vertex ids and logs every merge, so
+        that ``membership`` can say which supernode holds each vertex; the
+        evaluation queries need that, the summarization loop does not.
         """
         edges = list(edges)
         if not edges:
@@ -122,12 +136,18 @@ class SummaryGraph:
                 adj[u][v] = UNIT_EDGE
                 adj[v][u] = UNIT_EDGE
         # singleton d_value terms are 1^2/1 each
-        g.nodes = {w: SuperNode(1, 0, float(len(entries)),
-                                {w} if retain_members else None)
+        g.nodes = {w: SuperNode(1, 0, float(len(entries)))
                    for w, entries in adj.items()}
         g.original_vertex_count = len(ids)
         g.original_edge_count = sum(map(len, adj.values())) // 2
         g._next_id = max(ids) + 1
+        if retain_members:
+            # merged ids run up to _next_id + n - 2; the arrays hold int64
+            if g._next_id + len(ids) - 2 >= 2 ** 63:
+                raise ValueError("vertex ids too large to retain membership")
+            # each vertex starts as its own block, so one array serves both
+            g.member_ids = g.member_start = array("q", ids)
+            g.merge_log = array("q")
         return g
 
     # ------------------------------------------------------------------
@@ -146,6 +166,35 @@ class SummaryGraph:
         """Superedge multiplicity between a and b, 0 when absent."""
         edge = self.adj[a].get(b)
         return edge.cross_e if edge is not None else 0
+
+    def membership(self) -> tuple[array, array]:
+        """Aligned arrays (vertices, blocks): blocks[i] is the live
+        supernode holding original vertex vertices[i]. ``vertices`` is the
+        graph's own ``member_ids``; ``blocks`` is new on every call.
+
+        Replays the merge log with union-find in O(n α(n)): each merge
+        links a and b under z, path compression then points every merged
+        id at its root, and a start block that no merge touched is its own
+        root. Raises ValueError when the graph was built without retained
+        membership.
+        """
+        log = self.merge_log
+        if log is None:
+            raise ValueError("membership not retained on this summary")
+        parent: dict[int, int] = {}
+        triples = iter(log)
+        for a, b, z in zip(triples, triples, triples):
+            parent[a] = z
+            parent[b] = z
+        for merged in parent:  # only values change, never keys
+            root = parent[merged]
+            while root in parent:
+                root = parent[root]
+            x = merged
+            while x != root:
+                parent[x], x = root, parent[x]
+        start = self.member_start
+        return self.member_ids, array("q", map(parent.get, start, start))
 
     # ------------------------------------------------------------------
     # mutation
@@ -198,11 +247,9 @@ class SummaryGraph:
 
         z = self._next_id
         self._next_id += 1
-        members = None
-        if node_a.members is not None:
-            members = node_a.members | node_b.members
-        node_z = SuperNode(size_z, node_a.internal_e + node_b.internal_e + e_ab,
-                           0.0, members)
+        if self.merge_log is not None:
+            self.merge_log.extend((a, b, z))
+        node_z = SuperNode(size_z, node_a.internal_e + node_b.internal_e + e_ab)
         nodes[z] = node_z
         adj_z: dict[int, SuperEdge] = {}
         adj[z] = adj_z
@@ -231,7 +278,8 @@ class SummaryGraph:
     def copy(self) -> "SummaryGraph":
         """Independent copy of the live supernodes, preserving ids: new
         supernodes and adjacency maps that share the never-changed
-        superedges and member sets. For a caller that goes on merging one
+        superedges, and a copy of the merge log that shares the
+        never-changed vertex arrays. For a caller that goes on merging one
         of the two; a report on the input graph needs only
         ``evaluation.InputGraph``, which takes about a quarter of the
         memory."""
@@ -239,8 +287,11 @@ class SummaryGraph:
         g.original_vertex_count = self.original_vertex_count
         g.original_edge_count = self.original_edge_count
         g._next_id = self._next_id
-        g.nodes = {i: SuperNode(node.size_n, node.internal_e, node.d_value,
-                                node.members)
+        g.member_ids = self.member_ids
+        g.member_start = self.member_start
+        if self.merge_log is not None:
+            g.merge_log = array("q", self.merge_log)
+        g.nodes = {i: SuperNode(node.size_n, node.internal_e, node.d_value)
                    for i, node in self.nodes.items()}
         g.adj = {a: entries.copy() for a, entries in self.adj.items()}
         return g
@@ -284,3 +335,7 @@ class SummaryGraph:
                 f"d_value drift at {a}: stored {node.d_value}, recomputed {expect}"
         assert internal_total + cross_total == self.original_edge_count, \
             "edge conservation violated"
+        if self.merge_log is not None:
+            assert Counter(self.membership()[1]) \
+                == {a: node.size_n for a, node in nodes.items()}, \
+                "replayed membership disagrees with supernode sizes"

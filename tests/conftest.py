@@ -61,6 +61,15 @@ def merge_partition(g: SummaryGraph, partition) -> SummaryGraph:
     return g
 
 
+def member_sets(g: SummaryGraph) -> dict[int, set[int]]:
+    """Each live supernode's vertex set, grouped from the replayed
+    membership."""
+    sets: dict[int, set[int]] = {a: set() for a in g.nodes}
+    for v, block in zip(*g.membership()):
+        sets[block].add(v)
+    return sets
+
+
 # ----------------------------------------------------------------------
 # independent oracles
 

@@ -5,8 +5,11 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import constant_degree_edges, gnp_edges, merge_partition
+from conftest import (constant_degree_edges, gnp_edges, member_sets,
+                      merge_partition)
 from graphsumm import (SummarizerConfig, SummaryGraph, build_report,
                        re_closed, summarize)
 from graphsumm.cli import (_CHUNK_LINES, _build_parser, _format_report, main,
@@ -246,6 +249,81 @@ class TestSummaryRoundTrip:
         with pytest.raises(ValueError, match="^line 3: duplicate supernode id 0$"):
             read_summary(path)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40), st.randoms(use_true_random=False))
+    def test_merges_after_a_round_trip(self, tmp_path_factory, n, rng):
+        # the file's member lists become the start blocks of a fresh log,
+        # which later merges extend like any other
+        g = SummaryGraph.from_edge_list(gnp_edges(n, 0.3, rng),
+                                        retain_members=True)
+        random_merges(g, rng, rng.randrange(g.alive_count))
+        id_map = rng.sample(range(-10 ** 6, 10 ** 6), n)
+        path = tmp_path_factory.mktemp("round") / "g.summary"
+        write_summary(g, path, id_map=id_map)
+        back = read_summary(path)
+        back.validate()
+        sets = member_sets(back)
+        assert sorted(map(sorted, sets.values())) == sorted(
+            sorted(id_map[v] for v in members)
+            for members in member_sets(g).values())
+        for _ in range(rng.randrange(back.alive_count)):
+            a, b = rng.sample(list(back.alive_ids()), 2)
+            z = back.merge(a, b)
+            sets[z] = sets.pop(a) | sets.pop(b)
+        assert member_sets(back) == sets
+        back.validate()
+
+    def test_read_back_membership_memory(self, tmp_path):
+        # the same summary read back with and without its member lists
+        n = 2 ** 13
+        g = SummaryGraph.from_edge_list(
+            constant_degree_edges(n, 6, random.Random(13)), retain_members=True)
+        for v in range(0, n // 4, 2):
+            if g.is_alive(v) and g.is_alive(v + 1):
+                g.merge(v, v + 1)
+        with_members = tmp_path / "members.summary"
+        without = tmp_path / "plain.summary"
+        write_summary(g, with_members)
+        without.write_text("".join(
+            " ".join(line.split()[:4]) + "\n" if line.startswith("N ") else line
+            for line in with_members.read_text().splitlines(True)))
+        traced = {}
+        for path in (with_members, without):
+            tracemalloc.start()
+            try:
+                back = read_summary(path)
+                traced[path] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert (back.merge_log is not None) == (path == with_members)
+            del back
+        assert traced[with_members] <= 1.1 * traced[without]
+
+    @pytest.mark.parametrize("lines, error", [
+        ("N 0 2 0 1 3\nN 1 1 0 3\n", "^line 3: vertex 3 in two supernodes$"),
+        ("N 0 2 0 1 3 4\nN 1 1 0 2\n",
+         "^line 2: supernode 0: 3 members listed but size is 2$"),
+        ("N 0 2 0 1 3\nN 1 1 0\n", "^member lists do not cover the vertex set$"),
+        ("N 0 2 0 1 3\nN 1 1 0 9223372036854775808\n",
+         "^line 3: member label outside the 64-bit integer range$"),
+    ])
+    def test_member_list_errors(self, tmp_path, lines, error):
+        path = tmp_path / "bad.summary"
+        path.write_text("SUMMARY v1 3 2 2\n" + lines + "E 0 1 2\n")
+        with pytest.raises(ValueError, match=error):
+            read_summary(path)
+
+    def test_label_repeated_within_a_line_counts_once(self, tmp_path):
+        path = tmp_path / "repeat.summary"
+        path.write_text("SUMMARY v1 3 2 2\n"
+                        "N 0 2 0 3 -1 3\n"
+                        "N 1 1 0 9223372036854775807\n"
+                        "E 0 1 2\n")
+        back = read_summary(path)
+        assert member_sets(back) == {0: {-1, 3}, 1: {2 ** 63 - 1}}
+        assert list(back.member_start) == [0, 0, 1]
+        back.validate()
+
     def test_non_integer_header_count_names_its_line(self, tmp_path):
         path = tmp_path / "bad.summary"
         path.write_text("SUMMARY v1 2 one 2\n"
@@ -258,11 +336,11 @@ def reference_write_summary(summary, path, id_map=None):
     """The list-and-join writer that the streaming write_summary replaced:
     every line is built in memory, then written in one call."""
     blocks = list(summary.nodes.items())
-    retained = blocks and blocks[0][1].members is not None
+    retained = summary.merge_log is not None
     if retained:
-        labels = {a: sorted(node.members if id_map is None
-                            else (id_map[m] for m in node.members))
-                  for a, node in blocks}
+        labels = {a: sorted(members if id_map is None
+                            else (id_map[m] for m in members))
+                  for a, members in member_sets(summary).items()}
         blocks.sort(key=lambda block: labels[block[0]][0])
     else:
         blocks.sort(key=lambda block: block[0])

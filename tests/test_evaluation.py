@@ -289,6 +289,27 @@ class TestBuildReport:
         assert sampled.re_l1 == full.re_l1
         assert math.isfinite(sampled.degree_err_avg)
 
+    def test_blocks_from_the_replay_match_the_index(self):
+        # without a sample the report reads blocks from the replayed
+        # arrays; a sample of every vertex goes through membership_index
+        rng = random.Random(14)
+        for _ in range(20):
+            original, summary = random_merged_summary(
+                rng, rng.randint(2, 30), rng.uniform(0.1, 0.6))
+            sets = {a: {a} for a in original.nodes}
+            for a, b, z in zip(*[iter(summary.merge_log)] * 3):
+                sets[z] = sets.pop(a) | sets.pop(b)
+            assert membership_index(summary) == {
+                v: block for block, members in sets.items() for v in members}
+            assert build_report(original, summary) == build_report(
+                original, summary, sample_of_vertices=list(original.nodes))
+
+    def test_vertex_count_mismatch(self):
+        original = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match="summary holds 3 vertices, the "
+                                             "original graph 4"):
+            build_report(original, p3_twin_summary(), oracle_limit=0)
+
     def test_unknown_sample_vertex(self):
         original = p3()
         with pytest.raises(ValueError, match="unknown vertex 42"):

@@ -5,8 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import (constant_degree_edges, gnp_edges, scaled_vector, score_oracle,
-                      sketch_of, sketches_of)
+from conftest import (constant_degree_edges, gnp_edges, member_sets,
+                      scaled_vector, score_oracle, sketch_of, sketches_of)
 from graphsumm import (SamplingTree, Summarizer, SummarizerConfig,
                        SummaryGraph, make_hash_seeds, node_weight, re_brute,
                        re_closed, sample_pairs, score_approx, score_exact,
@@ -267,8 +267,7 @@ class TestSummarize:
             out = summarize(g, SummarizerConfig(target_k=10, seed=1234,
                                                 score_mode="sketch",
                                                 sketch_width=32))
-            return sorted(frozenset(node.members)
-                          for node in out.nodes.values() if node.alive)
+            return sorted(map(frozenset, member_sets(out).values()))
 
         assert run() == run()
 

@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gnp_edges
+from conftest import constant_degree_edges, gnp_edges, member_sets
 from graphsumm import SummaryGraph, SuperEdge, SuperNode
 
 
@@ -87,8 +88,11 @@ class TestFromEdgeList:
         assert g.original_vertex_count == len(order)
         assert g.original_edge_count == edge_count
         assert g._next_id == max(order) + 1
+        vertices, blocks = g.membership()
+        assert list(vertices) == list(blocks) == order
+        assert len(g.merge_log) == 0
         for a, node in g.nodes.items():
-            assert (node.size_n, node.internal_e, node.members) == (1, 0, {a})
+            assert (node.size_n, node.internal_e) == (1, 0)
             assert node.d_value == float(len(rows[a]))
         g.validate()
 
@@ -100,8 +104,24 @@ class TestFromEdgeList:
 
     def test_members_retained_on_demand(self):
         g = SummaryGraph.from_edge_list([(1, 2)], retain_members=True)
-        assert g.nodes[1].members == {1}
-        assert p3().nodes[1].members is None
+        assert member_sets(g) == {1: {1}, 2: {2}}
+        g = p3()
+        assert (g.member_ids, g.member_start, g.merge_log) == (None, None, None)
+        g.merge(1, 2)
+        assert g.merge_log is None
+        with pytest.raises(ValueError, match="membership not retained"):
+            g.membership()
+
+    def test_retained_ids_must_fit_int64(self):
+        edges = [(0, 2 ** 63 - 3), (1, 2)]
+        assert SummaryGraph.from_edge_list(edges).alive_count == 4
+        with pytest.raises(ValueError, match="too large to retain"):
+            SummaryGraph.from_edge_list(edges, retain_members=True)
+        g = SummaryGraph.from_edge_list([(0, 2 ** 63 - 4), (1, 2)],
+                                        retain_members=True)
+        while g.alive_count > 1:
+            g.merge(*list(g.alive_ids())[:2])
+        g.validate()
 
 
 class TestMerge:
@@ -139,7 +159,8 @@ class TestMerge:
     def test_merge_members_union(self):
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3)], retain_members=True)
         z = g.merge(1, 3)
-        assert g.nodes[z].members == {1, 3}
+        assert member_sets(g) == {2: {2}, z: {1, 3}}
+        assert list(g.merge_log) == [1, 3, z]
 
     def test_removed_maps_left_intact(self):
         # a caller holding a's and b's maps and nodes still reads their
@@ -246,8 +267,9 @@ class TestInvariantsUnderRandomMerges:
         g.merge(0, 1)
 
         def snapshot(graph):
+            members = member_sets(graph)
             nodes = sorted((i, node.size_n, node.internal_e, node.d_value,
-                            sorted(node.members))
+                            sorted(members[i]))
                            for i, node in graph.nodes.items())
             edges = sorted((a, x, edge.cross_e)
                            for a, entries in graph.adj.items()
@@ -265,13 +287,110 @@ class TestInvariantsUnderRandomMerges:
                 assert clone.adj[x][a] is edge
         for i, node in g.nodes.items():
             assert clone.nodes[i] is not node
-            assert clone.nodes[i].members is node.members
+        # the vertex arrays never change and are shared; the log is copied
+        assert clone.member_ids is g.member_ids
+        assert clone.member_start is g.member_start
+        assert clone.merge_log == g.merge_log
+        assert clone.merge_log is not g.merge_log
         while clone.alive_count > 1:
             a, b = sorted(clone.alive_ids())[:2]
             clone.merge(a, b)
             clone.validate()
         g.validate()
         assert snapshot(g) == before
+
+
+def merge_sequences(max_n=14):
+    """Hypothesis strategy: an edge list and a merge sequence drawn as
+    index pairs into the current alive list."""
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(2, max_n), label="n")
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1,
+                              max_size=3 * n), label="edges")
+        picks = draw(st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                        st.integers(0, 10 ** 6)),
+                              max_size=n), label="picks")
+        return edges, picks
+    return build()
+
+
+def apply_picks(g, picks, sets=None):
+    """Merge g along picks (each an index pair into the alive list), keeping
+    the reference member sets, if given, in step by set union."""
+    for i, j in picks:
+        alive = list(g.alive_ids())
+        if len(alive) < 2:
+            break
+        a = alive[i % len(alive)]
+        b = [x for x in alive if x != a][j % (len(alive) - 1)]
+        z = g.merge(a, b)
+        if sets is not None:
+            sets[z] = sets.pop(a) | sets.pop(b)
+
+
+class TestMembershipLog:
+    @settings(max_examples=200, deadline=None)
+    @given(merge_sequences())
+    def test_replay_matches_set_union(self, case):
+        edges, picks = case
+        g = SummaryGraph.from_edge_list(edges, retain_members=True)
+        sets = {a: {a} for a in g.nodes}
+        apply_picks(g, picks, sets)
+        assert member_sets(g) == sets
+        assert len(g.merge_log) == 3 * (g.original_vertex_count - g.alive_count)
+        g.validate()
+
+    @settings(max_examples=100, deadline=None)
+    @given(merge_sequences(), st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                                 st.integers(0, 10 ** 6)),
+                                       min_size=1, max_size=6),
+           st.booleans())
+    def test_copy_and_original_merge_independently(self, case, more, in_copy):
+        edges, picks = case
+        g = SummaryGraph.from_edge_list(edges, retain_members=True)
+        apply_picks(g, picks)
+        clone = g.copy()
+        moved, kept = (clone, g) if in_copy else (g, clone)
+        before = member_sets(kept)
+        sets = member_sets(moved)
+        apply_picks(moved, more, sets)
+        assert member_sets(kept) == before
+        assert member_sets(moved) == sets
+        kept.validate()
+        moved.validate()
+
+    @pytest.mark.parametrize("tamper", ["relink", "drop", "extra"])
+    def test_validate_rejects_a_log_that_disagrees_with_sizes(self, tamper):
+        g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)],
+                                        retain_members=True)
+        z = g.merge(1, 3)
+        g.merge(z, 4)
+        g.validate()
+        if tamper == "relink":
+            g.merge_log[1] = 2  # the first merge now takes 2 in place of 3
+        elif tamper == "drop":
+            del g.merge_log[3:]  # the second merge is forgotten
+        else:
+            g.merge_log.extend((2, g._next_id - 1, g._next_id))
+        with pytest.raises(AssertionError, match="replayed membership"):
+            g.validate()
+
+    def test_retained_identity_memory(self):
+        # the log and vertex arrays cost a few bytes per vertex, next to the
+        # supernodes and adjacency maps the graph needs anyway
+        edges = constant_degree_edges(2 ** 13, 6, random.Random(13))
+        traced = {}
+        for retain in (False, True):
+            tracemalloc.start()
+            try:
+                g = SummaryGraph.from_edge_list(edges, retain_members=retain)
+                traced[retain] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            del g
+        assert traced[True] <= 1.1 * traced[False]
 
 
 class TestValidate:
