@@ -15,8 +15,9 @@ cell-wise addition of two sketches equal the sketch of the summed vectors.
 ``SketchRows`` keeps such a family as rows of one (slots, depth, width)
 array, placed by the caller's slot map, so one coordinate is patched in many
 sketches by a single array write. It holds rows only for the ids the caller
-builds them for: the merge loop keeps them for nodes whose degree exceeds
-width * depth, the only ones whose pairs are scored with a sketch.
+builds them for: the merge loop builds one for a node of degree above
+width * depth when the node is first drawn into a pair of two such nodes,
+the only pairs scored with a sketch.
 """
 
 from __future__ import annotations
@@ -136,13 +137,9 @@ class SketchRows(dict):
     (slots, depth, width) array, where ``slot_of`` is the caller's dict.
 
     Only the ids given a row by ``build`` are keys; the other slots' cells
-    are left as they are and never read. ``buckets`` holds, per hash row,
-    the bucket of the id bound to each slot, so ``build`` finds the columns
-    of a whole neighbor vector with one gather per hash row; the caller
-    rewrites a slot's buckets with ``place`` when it binds a new id there.
-    ``add`` patches one coordinate in many rows with one fancy-index write
-    per hash row, applying the same float operations as one ``update`` per
-    sketch would.
+    are left as they are and never read. ``add`` patches one coordinate in
+    many rows with one fancy-index write per hash row, applying the same
+    float operations as one ``update`` per sketch would.
     """
 
     def __init__(self, slot_of: dict[int, int], slots: int, width: int,
@@ -155,34 +152,25 @@ class SketchRows(dict):
         self.slot_of = slot_of
         self.cells = np.zeros((slots, depth, width))
         self._flat = self.cells.reshape(-1)
-        self.buckets = np.zeros((depth, slots), np.intp)
-        bound = np.fromiter(slot_of.values(), np.intp, len(slot_of))
-        for row, seed in enumerate(seeds):
-            self.buckets[row, bound] = np.fromiter(
-                (_bucket(seed, a, width) for a in slot_of), np.intp, len(slot_of))
 
-    def place(self, a: int) -> None:
-        """Hash id a into the bucket table at its slot."""
-        slot = self.slot_of[a]
-        for row, seed in enumerate(self.seeds):
-            self.buckets[row, slot] = _bucket(seed, a, self.width)
-
-    def build(self, a: int, slots: list[int], counts: list[int],
-              sizes: list[int]) -> None:
+    def build(self, a: int, ids, counts: list[int], sizes: list[int]) -> None:
         """Give a the sketch of the vector with counts[i] / sqrt(sizes[i])
-        at the id bound to slots[i], replacing whatever its slot's cells
-        held. Each cell adds its values in the given order from 0.0, as one
+        at coordinate ids[i], replacing whatever its slot's cells held.
+        Each cell adds its values in the given order from 0.0, as one
         ``update`` per coordinate on a fresh sketch would."""
-        count = len(slots)
+        count = len(counts)
         values = np.fromiter(counts, np.float64, count)
         values /= np.sqrt(np.fromiter(sizes, np.float64, count))
-        columns = self.buckets[:, np.fromiter(slots, np.intp, count)]
         cells = self.cells[self.slot_of[a]]
-        for row in range(self.depth):
-            cells[row] = np.bincount(columns[row], weights=values,
-                                     minlength=self.width)
+        width = self.width
+        # _bucket on an object array does Python int arithmetic per element,
+        # so every id hashes exactly as in ``update``, whatever its size
+        coordinates = np.fromiter(ids, object, count)
+        for row, seed in enumerate(self.seeds):
+            columns = _bucket(seed, coordinates, width).astype(np.intp)
+            cells[row] = np.bincount(columns, weights=values, minlength=width)
         view = CountMinSketch.__new__(CountMinSketch)
-        view.width = self.width
+        view.width = width
         view.depth = self.depth
         view.seeds = self.seeds
         view.cells = cells

@@ -90,25 +90,28 @@ def expected_adjacency(summary: SummaryGraph, u: int, v: int,
 def re_brute(original: SummaryGraph | InputGraph, summary: SummaryGraph,
              oracle_limit: int = 4096) -> float:
     """l1 reconstruction error by direct double loop over ordered vertex
-    pairs. The independent oracle for re_closed; quadratic, keep it small."""
+    pairs. The independent oracle for re_closed; quadratic, keep it small.
+    An original vertex the summary lacks raises ValueError."""
     n = original.original_vertex_count
     if n > oracle_limit:
         raise ValueError(f"{n} vertices exceeds the brute-force oracle "
                          f"limit {oracle_limit}")
     index = membership_index(summary)
     vertices = list(original.adj)
+    try:
+        blocks = [index[u] for u in vertices]
+    except KeyError as missing:
+        raise ValueError(f"unknown vertex {missing.args[0]}") from None
     nodes = summary.nodes
     adj = summary.adj
     density = {i: _internal_density(nodes[i]) for i in adj}
     total = 0.0
-    for u in vertices:
+    for u, block_u in zip(vertices, blocks):
         row = set(original.adj[u])  # a tuple row would make each test linear
-        block_u = index[u]
         size_u = nodes[block_u].size_n
-        for v in vertices:
+        for v, block_v in zip(vertices, blocks):
             if u == v:
                 continue
-            block_v = index[v]
             if block_u == block_v:
                 abar = density[block_u]
             else:
@@ -255,11 +258,6 @@ def build_report(original: SummaryGraph | InputGraph, summary: SummaryGraph,
     ``SummaryGraph`` copy of it.
     """
     re1 = re_closed(summary)
-    if original.original_vertex_count <= oracle_limit:
-        brute = re_brute(original, summary, oracle_limit)
-        if abs(re1 - brute) > 1e-9 * max(1.0, abs(brute)):
-            raise AssertionError(
-                f"closed-form RE {re1} disagrees with brute force {brute}")
     if sample_of_vertices is None:
         vertices, blocks = summary.membership()
         if len(vertices) != len(original.adj):
@@ -271,6 +269,11 @@ def build_report(original: SummaryGraph | InputGraph, summary: SummaryGraph,
             raise ValueError("empty vertex sample")
         index = membership_index(summary)
         blocks = [index.get(v) for v in vertices]
+    if original.original_vertex_count <= oracle_limit:
+        brute = re_brute(original, summary, oracle_limit)
+        if abs(re1 - brute) > 1e-9 * max(1.0, abs(brute)):
+            raise AssertionError(
+                f"closed-form RE {re1} disagrees with brute force {brute}")
     block_degree = {a: _block_degree(summary, a) for a in summary.adj}
     two_m = 2.0 * original.original_edge_count
     degree_errors = np.empty(len(vertices))

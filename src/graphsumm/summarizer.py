@@ -12,28 +12,31 @@ O(width * depth), but only for a pair whose two degrees both exceed
 width * depth; every other pair is scored exactly, so every scoring costs
 O(min(deg a, deg b, width * depth)).
 
-Sketch mode therefore keeps a sketch only for the heavy nodes, those of
-degree above width * depth. A merge of a and b into z raises no other
-node's degree: a neighbor of one of them trades that key for z, and a
-neighbor of both trades two keys for one. So only z can become heavy, and
-a node that falls to width * depth or below can never need its sketch
-again.
+Sketch mode therefore keeps sketches only for heavy nodes, those of degree
+above width * depth, and builds one only when it is needed: before an
+iteration scores its candidates, each end of a pair of two heavy nodes that
+has no sketch yet gets one, built from its adjacency. A merge of a and b
+into z raises no other node's degree: a neighbor of one of them trades that
+key for z, and a neighbor of both trades two keys for one. So a node that
+falls to width * depth or below can never need its sketch again, and only
+z can become heavy; z gets its sketch when it is first drawn into a heavy
+pair, like any other node.
 
 After a merge, one walk over z's neighbors gathers everything the patches
-need: each neighbor's new weight, its tree slot and, for a heavy neighbor
-that stays heavy, its counts towards z and towards b (read from b's
+need: each neighbor's new weight, its tree slot and, for a neighbor with a
+sketch that stays heavy, its counts towards z and towards b (read from b's
 adjacency map, which the merge leaves intact; the count towards a is the
-difference). A heavy neighbor that fell to width * depth loses its sketch.
+difference). A neighbor with a sketch that fell to width * depth loses it.
 The tree then takes all leaf changes in one batch. Each sketch is the row
-of one array at its node's tree slot: z's row is built from its adjacency
-when z is heavy, and three writes move a's and b's coordinates out of the
-heavy neighbors' rows and z's coordinate in. Every tree sum and sketch cell
-gets the same float operations, in the same order, as patching one node or
-coordinate at a time would give.
+of one array at its node's tree slot, and three writes move a's and b's
+coordinates out of the patched rows and z's coordinate in. Every tree sum
+and sketch cell gets the same float operations, in the same order, as
+patching one node or coordinate at a time would give.
 
-Scoring is read-only: the candidate scorings of one iteration may safely run
-concurrently. Sampling, merging, and weight/sketch updates mutate shared
-state and are sequential.
+Scoring is read-only, as every sketch it reads is built beforehand: the
+candidate scorings of one iteration may safely run concurrently. Sampling,
+sketch building, merging, and weight/sketch updates mutate shared state and
+are sequential.
 """
 
 from __future__ import annotations
@@ -267,21 +270,14 @@ def _draw_other(g: SummaryGraph, tree: SamplingTree, first: int,
 # ----------------------------------------------------------------------
 # main loop
 
-def build_sketches(g: SummaryGraph, width: int, depth: int, seeds,
-                   slot_of: dict[int, int]) -> SketchRows:
-    """The sketches a run starts with, all sharing seeds: a row, at slot
-    slot_of[a], for each alive node a whose degree exceeds width * depth,
-    where slot_of maps the alive ids one-to-one onto range(alive count).
-    Every alive id is hashed once per hash row into the bucket table."""
-    sketches = SketchRows(slot_of, len(slot_of), width, depth, seeds)
-    heavy = width * depth
+def build_sketches(g: SummaryGraph, sketches: SketchRows, ids) -> None:
+    """Give each alive node in ids a row of sketches: the sketch of its
+    current neighbor vector, cross_e(a,x)/sqrt(size_n(x)) at coordinate x."""
     nodes = g.nodes
-    for a, entries in g.adj.items():
-        if len(entries) > heavy:
-            sketches.build(a, [slot_of[x] for x in entries],
-                           [edge.cross_e for edge in entries.values()],
-                           [nodes[x].size_n for x in entries])
-    return sketches
+    for a in ids:
+        entries = g.adj[a]
+        sketches.build(a, entries, [edge.cross_e for edge in entries.values()],
+                       [nodes[x].size_n for x in entries])
 
 
 class Summarizer:
@@ -298,17 +294,21 @@ class Summarizer:
             [(a, node_weight(g, a)) for a in g.alive_ids()])
         self.sketches = None
         if cfg.score_mode == "sketch":
-            # a node of higher degree has a sketch (see the module docstring)
+            # only a node of higher degree gets a sketch (see the module
+            # docstring); slot_of maps the alive ids onto range(alive count)
             self.heavy_degree = cfg.sketch_width * cfg.sketch_depth
-            seeds = make_hash_seeds(cfg.sketch_depth, cfg.seed)
-            self.sketches = build_sketches(g, cfg.sketch_width, cfg.sketch_depth,
-                                           seeds, self.tree.slot_of)
+            slot_of = self.tree.slot_of
+            self.sketches = SketchRows(
+                slot_of, len(slot_of), cfg.sketch_width, cfg.sketch_depth,
+                make_hash_seeds(cfg.sketch_depth, cfg.seed))
         self._sample_rule = parse_sample_rule(cfg.sample_rule)
         self.iterations = 0
         self.last_candidates: list[ScoredPair] = []
 
     def score(self, a: int, b: int) -> float:
-        """Exact unless both a and b have sketches, i.e. both are heavy."""
+        """Exact unless both a and b have sketches. Only heavy nodes keep
+        one, and ``step`` gives one to both ends of every candidate pair of
+        two heavy nodes before it scores."""
         sketches = self.sketches
         if sketches is not None and a in sketches and b in sketches:
             return score_approx(self.graph, a, b, sketches)
@@ -321,6 +321,18 @@ class Summarizer:
         g = self.graph
         s = _parsed_sample_size(self._sample_rule, g.alive_count)
         pairs = sample_pairs(g, self.tree, s, self.rng)
+        adj = g.adj
+        sketches = self.sketches
+        if sketches is not None:
+            heavy = self.heavy_degree
+            missing = {}
+            for a, b in pairs:
+                if len(adj[a]) > heavy and len(adj[b]) > heavy:
+                    for x in (a, b):
+                        if x not in sketches:
+                            missing[x] = None
+            if missing:
+                build_sketches(g, sketches, missing)
         best = None
         candidates = []
         for a, b in pairs:
@@ -332,15 +344,12 @@ class Summarizer:
         a, b = best.a, best.b
 
         nodes = g.nodes
-        adj = g.adj
         tree = self.tree
         tree_slot = tree.slot_of
-        sketches = self.sketches
         if sketches is not None:
             size_a = nodes[a].size_n
             size_b = nodes[b].size_n
             adj_b = adj[b]
-            heavy = self.heavy_degree
             sketches.pop(a, None)
             sketches.pop(b, None)
             patched = []
@@ -354,10 +363,6 @@ class Summarizer:
         adj_z = adj[z]
         slots = []
         weights = []
-        if sketches is not None:
-            build = len(adj_z) > heavy
-            counts = []
-            sizes = []
         for x, edge in adj_z.items():
             node = nodes[x]
             size = node.size_n
@@ -368,37 +373,28 @@ class Summarizer:
             weights.append(-1.0 / f if f else 0.0)
             slot = tree_slot[x]
             slots.append(slot)
-            if sketches is not None:
-                if build:
-                    counts.append(edge.cross_e)
-                    sizes.append(size)
-                if x in sketches:
-                    if len(adj[x]) > heavy:
-                        patched.append(slot)
-                        cross_z.append(edge.cross_e)
-                        edge_b = adj_b.get(x)
-                        cross_b.append(edge_b.cross_e if edge_b is not None else 0)
-                    else:
-                        del sketches[x]
+            if sketches is not None and x in sketches:
+                if len(adj[x]) > heavy:
+                    patched.append(slot)
+                    cross_z.append(edge.cross_e)
+                    edge_b = adj_b.get(x)
+                    cross_b.append(edge_b.cross_e if edge_b is not None else 0)
+                else:
+                    del sketches[x]
         tree.merge_leaves(a, b, z, node_weight(g, z), slots, weights)
 
-        if sketches is not None:
-            sketches.place(z)
-            if build:
-                sketches.build(z, slots, counts, sizes)
-            if patched:
-                # Detach a, detach b, attach z: each writes one coordinate
-                # into all of the heavy neighbors' rows at once, in that
-                # order per cell.
-                rows = np.array(patched, np.intp)
-                cross_z = np.array(cross_z, np.float64)
-                cross_b = np.array(cross_b, np.float64)
-                # A neighbor of only one of a and b gets -0.0 for the
-                # other, which leaves every float it is added to
-                # bit-identical.
-                sketches.add(rows, a, (cross_z - cross_b) / -math.sqrt(size_a))
-                sketches.add(rows, b, cross_b / -math.sqrt(size_b))
-                sketches.add(rows, z, cross_z * (1.0 / math.sqrt(nodes[z].size_n)))
+        if sketches is not None and patched:
+            # Detach a, detach b, attach z: each writes one coordinate
+            # into all of the patched rows at once, in that order per cell.
+            rows = np.array(patched, np.intp)
+            cross_z = np.array(cross_z, np.float64)
+            cross_b = np.array(cross_b, np.float64)
+            # A neighbor of only one of a and b gets -0.0 for the
+            # other, which leaves every float it is added to
+            # bit-identical.
+            sketches.add(rows, a, (cross_z - cross_b) / -math.sqrt(size_a))
+            sketches.add(rows, b, cross_b / -math.sqrt(size_b))
+            sketches.add(rows, z, cross_z * (1.0 / math.sqrt(nodes[z].size_n)))
         self.iterations += 1
         return z
 

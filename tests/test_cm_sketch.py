@@ -7,6 +7,7 @@ import pytest
 from conftest import (alive_slots, exact_dot, scaled_vector, sketch_of,
                       sparse_int_vector)
 from graphsumm import CountMinSketch, SummaryGraph, make_hash_seeds
+from graphsumm.cm_sketch import SketchRows
 from graphsumm.summarizer import build_sketches
 
 SEEDS2 = make_hash_seeds(2, 99)
@@ -63,16 +64,19 @@ class TestUpdate:
         np.testing.assert_allclose(sk.cells.sum(axis=1), 4.0 / math.sqrt(5), rtol=1e-9)
 
     def test_path_center_sketch(self):
-        # width * depth = 1: only the center, of degree 2, gets a row
+        # a row holds the node's scaled vector and no other id gets one
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
-        sketches = build_sketches(g, 1, 1, make_hash_seeds(1, 99), alive_slots(g))
+        slots = alive_slots(g)
+        sketches = SketchRows(slots, len(slots), 1, 1, make_hash_seeds(1, 99))
+        build_sketches(g, sketches, [2])
         assert set(sketches) == {2}
         np.testing.assert_allclose(sketches[2].cells.sum(axis=1), 2.0, rtol=1e-12)
 
     def test_build_matches_per_coordinate_updates(self):
-        # huge sparse ids (no dense bucket table) and merged blocks, whose
-        # scaled coordinates cross_e / sqrt(size) are not integers; only
-        # nodes of degree above width * depth = 16 get rows
+        # huge sparse ids, hashed by build itself, and merged blocks, whose
+        # scaled coordinates cross_e / sqrt(size) are not integers; each
+        # built row equals one update per coordinate on a fresh sketch, bit
+        # for bit, even over the stale cells of a slot built before
         base = 1 << 40
         rng = random.Random(21)
         edges = [(base + 7 * u, base + 7 * v) for u in range(40)
@@ -84,11 +88,13 @@ class TestUpdate:
         g.merge(alive[3], alive[4])
         g.merge(z, alive[5])
         slots = alive_slots(g)
-        sketches = build_sketches(g, 8, 2, SEEDS2, slots)
-        heavy = {a for a in g.alive_ids() if g.degree(a) > 16}
-        assert set(sketches) == heavy
-        assert 0 < len(heavy) < g.alive_count
-        for a in heavy:
+        sketches = SketchRows(slots, len(slots), 8, 2, SEEDS2)
+        chosen = [a for a in g.alive_ids() if g.degree(a) > 16]
+        assert 0 < len(chosen) < g.alive_count
+        build_sketches(g, sketches, chosen)
+        build_sketches(g, sketches, chosen[::2])
+        assert set(sketches) == set(chosen)
+        for a in chosen:
             reference = sketch_of(scaled_vector(g, a), 8, 2, SEEDS2)
             assert np.shares_memory(sketches[a].cells, sketches.cells[slots[a]])
             assert np.array_equal(sketches[a].cells, reference.cells)

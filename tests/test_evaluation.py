@@ -87,6 +87,11 @@ class TestReBrute:
         with pytest.raises(ValueError, match="oracle"):
             re_brute(g, g, oracle_limit=2)
 
+    def test_vertex_missing_from_summary(self):
+        original = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match="unknown vertex 4"):
+            re_brute(original, p3_twin_summary())
+
 
 class TestReClosed:
     def test_singleton_partition_zero(self):
@@ -309,6 +314,16 @@ class TestBuildReport:
         with pytest.raises(ValueError, match="summary holds 3 vertices, the "
                                              "original graph 4"):
             build_report(original, p3_twin_summary(), oracle_limit=0)
+
+    def test_vertex_count_mismatch_at_default_oracle_limit(self):
+        # the count check runs before the brute-force oracle, which would
+        # meet vertex 4 without a block
+        original = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match="summary holds 3 vertices, the "
+                                             "original graph 4"):
+            build_report(original, p3_twin_summary())
+        with pytest.raises(ValueError, match="unknown vertex 4"):
+            build_report(original, p3_twin_summary(), sample_of_vertices=[1, 2])
 
     def test_unknown_sample_vertex(self):
         original = p3()

@@ -11,7 +11,9 @@ from graphsumm import (SamplingTree, Summarizer, SummarizerConfig,
                        SummaryGraph, make_hash_seeds, node_weight, re_brute,
                        re_closed, sample_pairs, score_approx, score_exact,
                        summarize)
+from graphsumm import summarizer as summarizer_module
 from graphsumm.cli import main
+from graphsumm.cm_sketch import SketchRows
 from graphsumm.summarizer import parse_sample_rule, sample_size
 
 
@@ -297,48 +299,56 @@ class TestSummarize:
         assert g.is_alive(merged)
 
     def test_sketch_mode_keeps_sketches_in_sync(self):
-        # After every step the rows are exactly those of the nodes above
-        # width * depth = 16, each a sketch of the node's current vector.
+        # After every step only nodes above width * depth = 16 have rows,
+        # each a sketch of the node's current vector.
         rng = random.Random(13)
         g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, rng))
         cfg = SummarizerConfig(target_k=6, seed=2, score_mode="sketch",
                                sketch_width=8)
         loop = Summarizer(g, cfg)
         seeds = make_hash_seeds(2, cfg.seed)
-        heavy_counts = []
+        row_counts = []
         while True:
             heavy = {a for a in g.alive_ids() if g.degree(a) > 16}
-            assert set(loop.sketches) == heavy
-            for a in heavy:
+            assert set(loop.sketches) <= heavy
+            for a in loop.sketches:
                 fresh = sketch_of(scaled_vector(g, a), 8, 2, seeds)
                 assert abs(loop.sketches[a].cells - fresh.cells).max() < 1e-9
                 assert abs(loop.sketches[a].l1_mass - fresh.l1_mass) < 1e-9
-            heavy_counts.append(len(heavy))
+            row_counts.append(len(loop.sketches))
             if g.alive_count == cfg.target_k:
                 break
             loop.step()
-        assert max(heavy_counts) > 0 and heavy_counts[-1] == 0
+        assert max(row_counts) > 0 and row_counts[-1] == 0
 
     def test_sketch_patch_replays_per_coordinate_updates(self):
-        # Oracle: standalone sketches of the heavy nodes (degree above
-        # width * depth = 8), patched one coordinate at a time in the order
-        # detach a, detach b, attach z; z's is a fresh sketch of its vector
-        # when z is heavy, and a neighbor that falls to 8 loses its own.
-        # Width 4 makes buckets collide. Each sketch is the row at its tree
-        # slot, and z's row may hold stale cells.
+        # Oracle: standalone sketches, each a fresh sketch of a node's
+        # vector once the node is an end of a candidate pair of two nodes
+        # above width * depth = 8 and has none yet, then patched one
+        # coordinate at a time in the order detach a, detach b, attach z;
+        # a neighbor that falls to 8 loses its own. Width 4 makes buckets
+        # collide. Each sketch is the row at its tree slot, and a built
+        # row may replace stale cells.
         rng = random.Random(31)
         g = SummaryGraph.from_edge_list(gnp_edges(40, 0.3, rng))
         cfg = SummarizerConfig(target_k=4, seed=5, score_mode="sketch",
                                sketch_width=4)
         loop = Summarizer(g, cfg)
         seeds = make_hash_seeds(2, cfg.seed)
-        oracle = {a: sketch_of(scaled_vector(g, a), 4, 2, seeds)
-                  for a in g.alive_ids() if g.degree(a) > 8}
+        oracle = {}
         built = patched = dropped = stale = 0
         while g.alive_count > cfg.target_k:
             before = g.copy()
             cells = loop.sketches.cells.copy()
+            slots = dict(loop.tree.slot_of)
             z = loop.step()
+            for c in loop.last_candidates:
+                if before.degree(c.a) > 8 and before.degree(c.b) > 8:
+                    for x in (c.a, c.b):
+                        if x not in oracle:
+                            oracle[x] = sketch_of(scaled_vector(before, x), 4, 2, seeds)
+                            built += 1
+                            stale += bool(cells[slots[x]].any())
             best = max(loop.last_candidates, key=lambda c: c.score)
             a, b = best.a, best.b
             oracle.pop(a, None)
@@ -359,10 +369,6 @@ class TestSummarize:
                         oracle[x].update(u, -other.cross_e / sqrt_u)
                 oracle[x].update(z, edge.cross_e * inv_sqrt_z)
                 patched += 1
-            if g.degree(z) > 8:
-                oracle[z] = sketch_of(scaled_vector(g, z), 4, 2, seeds)
-                built += 1
-                stale += bool(cells[loop.tree.slot_of[z]].any())
             assert set(loop.sketches) == set(oracle)
             for x, expected in oracle.items():
                 assert np.shares_memory(
@@ -371,6 +377,68 @@ class TestSummarize:
                 assert np.array_equal(loop.sketches[x].cells, expected.cells)
                 assert loop.sketches[x].l1_mass == expected.l1_mass
         assert built > 0 and patched > 0 and dropped > 0 and stale > 0
+
+    def test_sketch_rows_built_only_for_sketch_scored_pairs(self, monkeypatch):
+        # Each sketch-scored pair builds at most its two ends' rows, and a
+        # node never in a sketch-scored pair never gets one.
+        scored_ends = set()
+        scored = builds = 0
+
+        def counting_approx(g, a, b, sketches):
+            nonlocal scored
+            scored += 1
+            scored_ends.update((a, b))
+            return score_approx(g, a, b, sketches)
+
+        def counting_build(rows, a, *args):
+            nonlocal builds
+            builds += 1
+            return build(rows, a, *args)
+
+        build = SketchRows.build
+        monkeypatch.setattr(summarizer_module, "score_approx", counting_approx)
+        monkeypatch.setattr(SketchRows, "build", counting_build)
+        rng = random.Random(19)
+        g = SummaryGraph.from_edge_list(gnp_edges(70, 0.25, rng))
+        loop = Summarizer(g, SummarizerConfig(target_k=8, seed=3,
+                                              score_mode="sketch",
+                                              sketch_width=8))
+        while g.alive_count > 8:
+            loop.step()
+            assert set(loop.sketches) <= scored_ends
+        assert 0 < builds <= 2 * scored
+
+    def test_scoring_a_step_twice_gives_the_same_scores(self):
+        # Once a step has scored its 6 candidates, scoring them all again
+        # gives the same scores, and neither pass touches a row.
+        rng = random.Random(13)
+        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, rng))
+        loop = Summarizer(g, SummarizerConfig(target_k=6, seed=2,
+                                              sample_rule="fixed:6",
+                                              score_mode="sketch",
+                                              sketch_width=8))
+        score = loop.score
+        scored = []
+        rows = cells = None
+        sketched = 0
+
+        def score_twice(a, b):
+            nonlocal rows, cells, sketched
+            if not scored:
+                rows, cells = set(loop.sketches), loop.sketches.cells.copy()
+            value = score(a, b)
+            scored.append((a, b, value))
+            if len(scored) == 6:
+                assert [score(a, b) for a, b, _ in scored] == [v for *_, v in scored]
+                assert set(loop.sketches) == rows
+                assert np.array_equal(loop.sketches.cells, cells)
+                sketched += sum(a in rows and b in rows for a, b, _ in scored)
+                scored.clear()
+            return value
+
+        loop.score = score_twice
+        loop.run()
+        assert sketched > 0
 
     def test_sketch_scores_only_heavy_pairs(self):
         # A pair is scored with the sketch only when both degrees exceed
