@@ -22,13 +22,21 @@ from .summary_graph import UNIT_EDGE, SuperEdge, SuperNode, SummaryGraph
 from .summarizer import SummarizerConfig, summarize
 
 
+def _check_decimal_fields(line: str) -> None:
+    """Reject a line whose integers ``int`` would read other than as
+    optionally signed ASCII decimals: it also reads '1_0' as 10, and
+    non-ASCII digits."""
+    if not line.isascii() or "_" in line:
+        raise ValueError("non-decimal integer field in " + repr(line.rstrip("\n")))
+
+
 def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
     """Read "u v" lines into dense-id edges.
 
-    Skips blank and '#'-comment lines. Returns (edges, original_ids) where
-    original_ids[dense_id] is the label that appeared in the input. Edges
-    are returned as given (duplicates and self-loops included; the graph
-    constructor drops them).
+    Skips blank and '#'-comment lines. A label is an optionally signed
+    ASCII decimal. Returns (edges, original_ids) where original_ids[dense_id]
+    is the label that appeared in the input. Edges are returned as given
+    (duplicates and self-loops included; the graph constructor drops them).
     """
     dense: dict[int, int] = {}
     original: list[int] = []
@@ -41,6 +49,9 @@ def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {text!r}")
         try:
+            # _check_decimal_fields, inlined: this runs once per input edge
+            if not text.isascii() or "_" in text:
+                raise ValueError
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer vertex id in {text!r}") from None
@@ -151,7 +162,8 @@ def read_summary(path: str) -> SummaryGraph:
     shared ``UNIT_EDGE``, as in the identity graph. Member lists, when the
     file has them, become the graph's retained membership: the labels in
     file order, each with its supernode's id as its start block, and an
-    empty merge log.
+    empty merge log. Every integer field is an optionally signed ASCII
+    decimal.
     """
     with open(path) as stream:
         numbered = enumerate(stream, 1)
@@ -166,6 +178,7 @@ def read_summary(path: str) -> SummaryGraph:
             header = line.split()
             if len(header) != 5:
                 raise ValueError("malformed header")
+            _check_decimal_fields(line)
             n, m, k = (int(tok) for tok in header[2:])
             if k < 1 or n < k or m < 0:
                 raise ValueError(f"inconsistent header counts n={n} m={m} k={k}")
@@ -185,6 +198,7 @@ def read_summary(path: str) -> SummaryGraph:
                 fields = line.split()
                 if not fields:
                     continue
+                _check_decimal_fields(line)
                 tag = fields[0]
                 if tag == "E":
                     if len(fields) != 4:

@@ -1,23 +1,21 @@
 """Count-min sketch over a supernode's scaled neighbor vector.
 
 Coordinate i of the vector carries cross_e(a,i)/sqrt(size_n(i)); the sketch
-supports signed coordinate updates (needed when merges move mass between
-coordinates) and a row-minimum inner-product estimate. Because every cell is
-a sum of final coordinate values and all final values are non-negative, each
-row's dot product is the true inner product plus non-negative collision
-terms, so the estimate never underestimates; one row overshoots the true
-value by more than ||A||_1 * ||B||_1 / width with probability at most ~1/2
-under pairwise-independent hashing, and taking the minimum over d rows
-drives the failure probability down exponentially in d.
+supports signed coordinate updates and a row-minimum inner-product estimate.
+Because every cell is a sum of final coordinate values and all final values
+are non-negative, each row's dot product is the true inner product plus
+non-negative collision terms, so the estimate never underestimates; one row
+overshoots the true value by more than ||A||_1 * ||B||_1 / width with
+probability at most ~1/2 under pairwise-independent hashing, and taking the
+minimum over d rows drives the failure probability down exponentially in d.
 
 All sketches of one run must share the same hash seeds: that is what makes
-cell-wise addition of two sketches equal the sketch of the summed vectors.
-``SketchRows`` keeps such a family as rows of one (slots, depth, width)
-array, placed by the caller's slot map, so one coordinate is patched in many
-sketches by a single array write. It holds rows only for the ids the caller
-builds them for: the merge loop builds one for a node of degree above
-width * depth when the node is first drawn into a pair of two such nodes,
-the only pairs scored with a sketch.
+two sketches comparable, and cell-wise addition of two sketches equal the
+sketch of the summed vectors. ``from_vector`` fills a sketch from a whole
+vector at once, hashing its coordinates and adding each hash row's values
+with one ``bincount``. The merge loop keeps no sketch: it builds the two
+sketches of a pair when it scores the pair, so a sketch score costs
+O(deg a + deg b + width * depth).
 """
 
 from __future__ import annotations
@@ -43,26 +41,36 @@ def _bucket(seed: tuple[int, int], coordinate: int, width: int) -> int:
     return ((a * coordinate + b) % _MERSENNE_61) % width
 
 
-def _check_dimensions(width: int, depth: int, seeds) -> None:
-    if width < 1 or depth < 1:
-        raise ValueError(f"width and depth must be positive, got {width}, {depth}")
-    if len(seeds) != depth:
-        raise ValueError(f"need {depth} hash seeds, got {len(seeds)}")
-
-
 class CountMinSketch:
-    """One sketch with (depth, width) ``cells``. A standalone sketch owns its
-    array; one held by a ``SketchRows`` views a row of that family's shared
-    array."""
+    """One sketch with (depth, width) ``cells``."""
 
     __slots__ = ("width", "depth", "seeds", "cells")
 
     def __init__(self, width: int, depth: int, seeds: tuple[tuple[int, int], ...]):
-        _check_dimensions(width, depth, seeds)
+        if width < 1 or depth < 1:
+            raise ValueError(f"width and depth must be positive, got {width}, {depth}")
+        if len(seeds) != depth:
+            raise ValueError(f"need {depth} hash seeds, got {len(seeds)}")
         self.width = width
         self.depth = depth
         self.seeds = seeds
         self.cells = np.zeros((depth, width))
+
+    @classmethod
+    def from_vector(cls, width: int, depth: int, seeds: tuple[tuple[int, int], ...],
+                    coordinates, values: np.ndarray) -> "CountMinSketch":
+        """Sketch of the vector with values[i] at coordinates[i]. Each cell
+        adds its values in the given order from 0.0, as one ``update`` per
+        coordinate on a fresh sketch would."""
+        sketch = cls(width, depth, seeds)
+        cells = sketch.cells
+        # _bucket on an object array does Python int arithmetic per element,
+        # so every id hashes exactly as in ``update``, whatever its size
+        coordinates = np.fromiter(coordinates, object, len(values))
+        for row, seed in enumerate(seeds):
+            columns = _bucket(seed, coordinates, width).astype(np.intp)
+            cells[row] = np.bincount(columns, weights=values, minlength=width)
+        return sketch
 
     @property
     def l1_mass(self) -> float:
@@ -129,59 +137,3 @@ class CountMinSketch:
         merged = cls(first.width, first.depth, first.seeds)
         merged.cells = first.cells + second.cells
         return merged
-
-
-class SketchRows(dict):
-    """Sketches sharing one width, depth and seed family: a dict from id to
-    a ``CountMinSketch`` that views row ``slot_of[a]`` of one
-    (slots, depth, width) array, where ``slot_of`` is the caller's dict.
-
-    Only the ids given a row by ``build`` are keys; the other slots' cells
-    are left as they are and never read. ``add`` patches one coordinate in
-    many rows with one fancy-index write per hash row, applying the same
-    float operations as one ``update`` per sketch would.
-    """
-
-    def __init__(self, slot_of: dict[int, int], slots: int, width: int,
-                 depth: int, seeds: tuple[tuple[int, int], ...]):
-        super().__init__()
-        _check_dimensions(width, depth, seeds)
-        self.width = width
-        self.depth = depth
-        self.seeds = seeds
-        self.slot_of = slot_of
-        self.cells = np.zeros((slots, depth, width))
-        self._flat = self.cells.reshape(-1)
-
-    def build(self, a: int, ids, counts: list[int], sizes: list[int]) -> None:
-        """Give a the sketch of the vector with counts[i] / sqrt(sizes[i])
-        at coordinate ids[i], replacing whatever its slot's cells held.
-        Each cell adds its values in the given order from 0.0, as one
-        ``update`` per coordinate on a fresh sketch would."""
-        count = len(counts)
-        values = np.fromiter(counts, np.float64, count)
-        values /= np.sqrt(np.fromiter(sizes, np.float64, count))
-        cells = self.cells[self.slot_of[a]]
-        width = self.width
-        # _bucket on an object array does Python int arithmetic per element,
-        # so every id hashes exactly as in ``update``, whatever its size
-        coordinates = np.fromiter(ids, object, count)
-        for row, seed in enumerate(self.seeds):
-            columns = _bucket(seed, coordinates, width).astype(np.intp)
-            cells[row] = np.bincount(columns, weights=values, minlength=width)
-        view = CountMinSketch.__new__(CountMinSketch)
-        view.width = width
-        view.depth = self.depth
-        view.seeds = self.seeds
-        view.cells = cells
-        self[a] = view
-
-    def add(self, slots: np.ndarray, coordinate: int, values: np.ndarray) -> None:
-        """Add values[i] to ``coordinate`` in the sketch of row slots[i].
-        The slots must be distinct: a fancy-index ``+=`` applies only one
-        of several writes to the same cell."""
-        width = self.width
-        starts = slots * (self.depth * width)
-        for row, seed in enumerate(self.seeds):
-            column = row * width + _bucket(seed, coordinate, width)
-            self._flat[starts + column] += values

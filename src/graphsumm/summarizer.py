@@ -7,36 +7,25 @@ error would drop if the pair were merged, merges the best one, and patches
 the sampling weights of the merged node and its neighbors. The score of a
 pair has a closed form whose only non-constant part is a cross term over
 common neighbors, which the exact score computes in O(min(deg a, deg b)).
-In sketch mode a count-min inner-product estimate replaces that term in
-O(width * depth), but only for a pair whose two degrees both exceed
-width * depth; every other pair is scored exactly, so every scoring costs
-O(min(deg a, deg b, width * depth)).
+In sketch mode a count-min inner-product estimate replaces that term, but
+only for a pair whose two degrees both exceed width * depth; every other
+pair is scored exactly.
 
-Sketch mode therefore keeps sketches only for heavy nodes, those of degree
-above width * depth, and builds one only when it is needed: before an
-iteration scores its candidates, each end of a pair of two heavy nodes that
-has no sketch yet gets one, built from its adjacency. A merge of a and b
-into z raises no other node's degree: a neighbor of one of them trades that
-key for z, and a neighbor of both trades two keys for one. So a node that
-falls to width * depth or below can never need its sketch again, and only
-z can become heavy; z gets its sketch when it is first drawn into a heavy
-pair, like any other node.
+Sketch mode keeps no sketch between scores: it builds a heavy pair's two
+sketches from the current adjacency when it scores the pair, so a sketch
+score costs O(deg a + deg b + width * depth). Sketches kept through merges
+would need patching at every merge of a neighbor, and were almost never read
+twice: on the benchmark's dense-sketch graph nearly every sketch score had
+to build both of its sketches anyway.
 
-After a merge, one walk over z's neighbors gathers everything the patches
-need: each neighbor's new weight, its tree slot and, for a neighbor with a
-sketch that stays heavy, its counts towards z and towards b (read from b's
-adjacency map, which the merge leaves intact; the count towards a is the
-difference). A neighbor with a sketch that fell to width * depth loses it.
-The tree then takes all leaf changes in one batch. Each sketch is the row
-of one array at its node's tree slot, and three writes move a's and b's
-coordinates out of the patched rows and z's coordinate in. Every tree sum
-and sketch cell gets the same float operations, in the same order, as
-patching one node or coordinate at a time would give.
+After a merge, one walk over z's neighbors gathers each neighbor's new
+weight and tree slot, and the tree takes all leaf changes in one batch.
+Every tree sum gets the same float operations, in the same order, as
+patching one leaf at a time would give.
 
-Scoring is read-only, as every sketch it reads is built beforehand: the
-candidate scorings of one iteration may safely run concurrently. Sampling,
-sketch building, merging, and weight/sketch updates mutate shared state and
-are sequential.
+Scoring is read-only, as each sketch it builds is its own: the candidate
+scorings of one iteration may safely run concurrently. Sampling, merging
+and weight updates mutate shared state and are sequential.
 """
 
 from __future__ import annotations
@@ -48,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cm_sketch import CountMinSketch, SketchRows, make_hash_seeds
+from .cm_sketch import CountMinSketch, make_hash_seeds
 from .sampling_tree import SamplingTree
 from .summary_graph import SummaryGraph
 
@@ -270,18 +259,25 @@ def _draw_other(g: SummaryGraph, tree: SamplingTree, first: int,
 # ----------------------------------------------------------------------
 # main loop
 
-def build_sketches(g: SummaryGraph, sketches: SketchRows, ids) -> None:
-    """Give each alive node in ids a row of sketches: the sketch of its
-    current neighbor vector, cross_e(a,x)/sqrt(size_n(x)) at coordinate x."""
+def build_sketches(g: SummaryGraph, ids, width: int, depth: int,
+                   seeds: tuple[tuple[int, int], ...]) -> dict[int, CountMinSketch]:
+    """The sketch of each alive node in ids: its current neighbor vector,
+    cross_e(a,x)/sqrt(size_n(x)) at coordinate x."""
     nodes = g.nodes
+    sketches = {}
     for a in ids:
         entries = g.adj[a]
-        sketches.build(a, entries, [edge.cross_e for edge in entries.values()],
-                       [nodes[x].size_n for x in entries])
+        count = len(entries)
+        values = np.fromiter([edge.cross_e for edge in entries.values()],
+                             np.float64, count)
+        values /= np.sqrt(np.fromiter([nodes[x].size_n for x in entries],
+                                      np.float64, count))
+        sketches[a] = CountMinSketch.from_vector(width, depth, seeds, entries, values)
+    return sketches
 
 
 class Summarizer:
-    """Drives the merge loop; exposes the tree and sketches for inspection."""
+    """Drives the merge loop; exposes the tree for inspection."""
 
     def __init__(self, g: SummaryGraph, cfg: SummarizerConfig):
         if cfg.target_k > g.alive_count:
@@ -292,47 +288,35 @@ class Summarizer:
         self.rng = random.Random(cfg.seed)
         self.tree = SamplingTree.build(
             [(a, node_weight(g, a)) for a in g.alive_ids()])
-        self.sketches = None
+        self.heavy_degree = self.hash_seeds = None
         if cfg.score_mode == "sketch":
-            # only a node of higher degree gets a sketch (see the module
-            # docstring); slot_of maps the alive ids onto range(alive count)
             self.heavy_degree = cfg.sketch_width * cfg.sketch_depth
-            slot_of = self.tree.slot_of
-            self.sketches = SketchRows(
-                slot_of, len(slot_of), cfg.sketch_width, cfg.sketch_depth,
-                make_hash_seeds(cfg.sketch_depth, cfg.seed))
+            self.hash_seeds = make_hash_seeds(cfg.sketch_depth, cfg.seed)
         self._sample_rule = parse_sample_rule(cfg.sample_rule)
         self.iterations = 0
         self.last_candidates: list[ScoredPair] = []
 
     def score(self, a: int, b: int) -> float:
-        """Exact unless both a and b have sketches. Only heavy nodes keep
-        one, and ``step`` gives one to both ends of every candidate pair of
-        two heavy nodes before it scores."""
-        sketches = self.sketches
-        if sketches is not None and a in sketches and b in sketches:
-            return score_approx(self.graph, a, b, sketches)
-        return score_exact(self.graph, a, b)
+        """Exact, except in sketch mode for a pair whose two degrees both
+        exceed width * depth: its cross term is estimated from sketches of
+        the two nodes built now."""
+        g = self.graph
+        heavy = self.heavy_degree
+        if heavy is not None:
+            adj = g.adj
+            if len(adj[a]) > heavy and len(adj[b]) > heavy:
+                cfg = self.cfg
+                return score_approx(g, a, b, build_sketches(
+                    g, (a, b), cfg.sketch_width, cfg.sketch_depth, self.hash_seeds))
+        return score_exact(g, a, b)
 
     def step(self) -> int:
         """One iteration: sample, score, merge the argmax pair (first
-        encountered wins ties), patch weights and sketches. Returns the
-        merged node's id."""
+        encountered wins ties), patch weights. Returns the merged node's
+        id."""
         g = self.graph
         s = _parsed_sample_size(self._sample_rule, g.alive_count)
         pairs = sample_pairs(g, self.tree, s, self.rng)
-        adj = g.adj
-        sketches = self.sketches
-        if sketches is not None:
-            heavy = self.heavy_degree
-            missing = {}
-            for a, b in pairs:
-                if len(adj[a]) > heavy and len(adj[b]) > heavy:
-                    for x in (a, b):
-                        if x not in sketches:
-                            missing[x] = None
-            if missing:
-                build_sketches(g, sketches, missing)
         best = None
         candidates = []
         for a, b in pairs:
@@ -342,28 +326,17 @@ class Summarizer:
                 best = candidate
         self.last_candidates = candidates
         a, b = best.a, best.b
-
-        nodes = g.nodes
-        tree = self.tree
-        tree_slot = tree.slot_of
-        if sketches is not None:
-            size_a = nodes[a].size_n
-            size_b = nodes[b].size_n
-            adj_b = adj[b]
-            sketches.pop(a, None)
-            sketches.pop(b, None)
-            patched = []
-            cross_z = []
-            cross_b = []
         z = g.merge(a, b)
 
         # The one walk over z's neighbors (see the module docstring). The
         # weight is node_weight's, inlined: -(4d/n) - sq equals -sq - 4d/n
         # bit for bit.
-        adj_z = adj[z]
+        nodes = g.nodes
+        tree = self.tree
+        tree_slot = tree.slot_of
         slots = []
         weights = []
-        for x, edge in adj_z.items():
+        for x in g.adj[z]:
             node = nodes[x]
             size = node.size_n
             f = -(4.0 * node.d_value / size)
@@ -371,30 +344,8 @@ class Summarizer:
             if internal:
                 f -= 4.0 * internal * internal / (size * (size - 1) / 2.0)
             weights.append(-1.0 / f if f else 0.0)
-            slot = tree_slot[x]
-            slots.append(slot)
-            if sketches is not None and x in sketches:
-                if len(adj[x]) > heavy:
-                    patched.append(slot)
-                    cross_z.append(edge.cross_e)
-                    edge_b = adj_b.get(x)
-                    cross_b.append(edge_b.cross_e if edge_b is not None else 0)
-                else:
-                    del sketches[x]
+            slots.append(tree_slot[x])
         tree.merge_leaves(a, b, z, node_weight(g, z), slots, weights)
-
-        if sketches is not None and patched:
-            # Detach a, detach b, attach z: each writes one coordinate
-            # into all of the patched rows at once, in that order per cell.
-            rows = np.array(patched, np.intp)
-            cross_z = np.array(cross_z, np.float64)
-            cross_b = np.array(cross_b, np.float64)
-            # A neighbor of only one of a and b gets -0.0 for the
-            # other, which leaves every float it is added to
-            # bit-identical.
-            sketches.add(rows, a, (cross_z - cross_b) / -math.sqrt(size_a))
-            sketches.add(rows, b, cross_b / -math.sqrt(size_b))
-            sketches.add(rows, z, cross_z * (1.0 / math.sqrt(nodes[z].size_n)))
         self.iterations += 1
         return z
 

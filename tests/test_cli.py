@@ -48,6 +48,17 @@ class TestParseEdgeList:
         with pytest.raises(ValueError, match="line 1"):
             parse_text("a b\n")
 
+    @pytest.mark.parametrize("label", ["1_0", "\u0663", "\uff11", "0x1"])
+    def test_label_not_an_ascii_decimal(self, label):
+        # int() reads the first three as 10, 3 and 1
+        with pytest.raises(ValueError, match="^line 2: non-integer vertex id"):
+            parse_text(f"1 2\n{label} 2\n")
+
+    def test_signed_labels(self):
+        edges, original = parse_text("-1 +2\n")
+        assert edges == [(0, 1)]
+        assert original == [-1, 2]
+
     def test_wrong_field_count(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_text("1 2\n3 4 5\n")
@@ -239,6 +250,19 @@ class TestSummaryRoundTrip:
                         "\n"
                         "N 0 2 x\n")
         with pytest.raises(ValueError, match=r"^line 3: .*'x'"):
+            read_summary(path)
+
+    @pytest.mark.parametrize("lines, bad", [
+        (["SUMMARY v1 2 1_0 2", "N 0 1 0", "N 1 1 0"], 1),
+        (["SUMMARY v1 2 1 2", "N 0 1 0", "N 1 1 0", "E 0 1 \u0661"], 4),
+        (["SUMMARY v1 2 1 2", "N 0 1 0", "N 1_0 1 0"], 3),
+        (["SUMMARY v1 2 1 2", "N 0 1 0 5", "N 1 1 0 1_0", "E 0 1 1"], 3),
+    ])
+    def test_field_not_an_ascii_decimal_names_its_line(self, tmp_path, lines, bad):
+        # int() would read each of these fields as an integer
+        path = tmp_path / "bad.summary"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line {bad}: non-decimal integer"):
             read_summary(path)
 
     def test_duplicate_id_names_its_line(self, tmp_path):

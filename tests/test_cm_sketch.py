@@ -4,10 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import (alive_slots, exact_dot, scaled_vector, sketch_of,
-                      sparse_int_vector)
+from conftest import exact_dot, scaled_vector, sketch_of, sparse_int_vector
 from graphsumm import CountMinSketch, SummaryGraph, make_hash_seeds
-from graphsumm.cm_sketch import SketchRows
 from graphsumm.summarizer import build_sketches
 
 SEEDS2 = make_hash_seeds(2, 99)
@@ -64,19 +62,18 @@ class TestUpdate:
         np.testing.assert_allclose(sk.cells.sum(axis=1), 4.0 / math.sqrt(5), rtol=1e-9)
 
     def test_path_center_sketch(self):
-        # a row holds the node's scaled vector and no other id gets one
+        # a sketch holds the node's scaled vector, and only the ids asked
+        # for get one
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
-        slots = alive_slots(g)
-        sketches = SketchRows(slots, len(slots), 1, 1, make_hash_seeds(1, 99))
-        build_sketches(g, sketches, [2])
+        sketches = build_sketches(g, [2], 1, 1, make_hash_seeds(1, 99))
         assert set(sketches) == {2}
         np.testing.assert_allclose(sketches[2].cells.sum(axis=1), 2.0, rtol=1e-12)
 
     def test_build_matches_per_coordinate_updates(self):
-        # huge sparse ids, hashed by build itself, and merged blocks, whose
-        # scaled coordinates cross_e / sqrt(size) are not integers; each
-        # built row equals one update per coordinate on a fresh sketch, bit
-        # for bit, even over the stale cells of a slot built before
+        # huge sparse ids, hashed by the build itself, and merged blocks,
+        # whose scaled coordinates cross_e / sqrt(size) are not integers;
+        # each built sketch equals one update per coordinate on a fresh
+        # sketch, bit for bit
         base = 1 << 40
         rng = random.Random(21)
         edges = [(base + 7 * u, base + 7 * v) for u in range(40)
@@ -87,16 +84,12 @@ class TestUpdate:
         z = g.merge(z, alive[2])
         g.merge(alive[3], alive[4])
         g.merge(z, alive[5])
-        slots = alive_slots(g)
-        sketches = SketchRows(slots, len(slots), 8, 2, SEEDS2)
         chosen = [a for a in g.alive_ids() if g.degree(a) > 16]
         assert 0 < len(chosen) < g.alive_count
-        build_sketches(g, sketches, chosen)
-        build_sketches(g, sketches, chosen[::2])
-        assert set(sketches) == set(chosen)
+        sketches = build_sketches(g, chosen, 8, 2, SEEDS2)
+        assert list(sketches) == chosen
         for a in chosen:
             reference = sketch_of(scaled_vector(g, a), 8, 2, SEEDS2)
-            assert np.shares_memory(sketches[a].cells, sketches.cells[slots[a]])
             assert np.array_equal(sketches[a].cells, reference.cells)
             assert sketches[a].l1_mass == reference.l1_mass
 

@@ -2,18 +2,16 @@ import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from conftest import (constant_degree_edges, gnp_edges, member_sets,
                       scaled_vector, score_oracle, sketch_of, sketches_of)
-from graphsumm import (SamplingTree, Summarizer, SummarizerConfig,
-                       SummaryGraph, make_hash_seeds, node_weight, re_brute,
-                       re_closed, sample_pairs, score_approx, score_exact,
-                       summarize)
+from graphsumm import (CountMinSketch, SamplingTree, Summarizer,
+                       SummarizerConfig, SummaryGraph, make_hash_seeds,
+                       node_weight, re_brute, re_closed, sample_pairs,
+                       score_approx, score_exact, summarize)
 from graphsumm import summarizer as summarizer_module
 from graphsumm.cli import main
-from graphsumm.cm_sketch import SketchRows
 from graphsumm.summarizer import parse_sample_rule, sample_size
 
 
@@ -298,147 +296,56 @@ class TestSummarize:
         assert not g.is_alive(first_best.b)
         assert g.is_alive(merged)
 
-    def test_sketch_mode_keeps_sketches_in_sync(self):
-        # After every step only nodes above width * depth = 16 have rows,
-        # each a sketch of the node's current vector.
+    def test_sketch_scores_equal_sketches_of_current_vectors(self):
+        # Oracle: each candidate pair of two nodes above width * depth = 16
+        # scores exactly as score_approx on per-coordinate sketches of the
+        # two nodes' vectors at scoring time, bit for bit. Width 8 makes
+        # buckets collide.
         rng = random.Random(13)
         g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, rng))
         cfg = SummarizerConfig(target_k=6, seed=2, score_mode="sketch",
                                sketch_width=8)
         loop = Summarizer(g, cfg)
         seeds = make_hash_seeds(2, cfg.seed)
-        row_counts = []
-        while True:
-            heavy = {a for a in g.alive_ids() if g.degree(a) > 16}
-            assert set(loop.sketches) <= heavy
-            for a in loop.sketches:
-                fresh = sketch_of(scaled_vector(g, a), 8, 2, seeds)
-                assert abs(loop.sketches[a].cells - fresh.cells).max() < 1e-9
-                assert abs(loop.sketches[a].l1_mass - fresh.l1_mass) < 1e-9
-            row_counts.append(len(loop.sketches))
-            if g.alive_count == cfg.target_k:
-                break
-            loop.step()
-        assert max(row_counts) > 0 and row_counts[-1] == 0
-
-    def test_sketch_patch_replays_per_coordinate_updates(self):
-        # Oracle: standalone sketches, each a fresh sketch of a node's
-        # vector once the node is an end of a candidate pair of two nodes
-        # above width * depth = 8 and has none yet, then patched one
-        # coordinate at a time in the order detach a, detach b, attach z;
-        # a neighbor that falls to 8 loses its own. Width 4 makes buckets
-        # collide. Each sketch is the row at its tree slot, and a built
-        # row may replace stale cells.
-        rng = random.Random(31)
-        g = SummaryGraph.from_edge_list(gnp_edges(40, 0.3, rng))
-        cfg = SummarizerConfig(target_k=4, seed=5, score_mode="sketch",
-                               sketch_width=4)
-        loop = Summarizer(g, cfg)
-        seeds = make_hash_seeds(2, cfg.seed)
-        oracle = {}
-        built = patched = dropped = stale = 0
+        sketched = 0
         while g.alive_count > cfg.target_k:
             before = g.copy()
-            cells = loop.sketches.cells.copy()
-            slots = dict(loop.tree.slot_of)
-            z = loop.step()
+            loop.step()
             for c in loop.last_candidates:
-                if before.degree(c.a) > 8 and before.degree(c.b) > 8:
-                    for x in (c.a, c.b):
-                        if x not in oracle:
-                            oracle[x] = sketch_of(scaled_vector(before, x), 4, 2, seeds)
-                            built += 1
-                            stale += bool(cells[slots[x]].any())
-            best = max(loop.last_candidates, key=lambda c: c.score)
-            a, b = best.a, best.b
-            oracle.pop(a, None)
-            oracle.pop(b, None)
-            inv_sqrt_z = 1.0 / math.sqrt(g.nodes[z].size_n)
-            for x, edge in g.adj[z].items():
-                if x not in oracle:
-                    continue
-                assert g.degree(x) <= before.degree(x)
-                if g.degree(x) <= 8:
-                    del oracle[x]
-                    dropped += 1
-                    continue
-                for u in (a, b):
-                    other = before.adj[u].get(x)
-                    if other is not None:
-                        sqrt_u = math.sqrt(before.nodes[u].size_n)
-                        oracle[x].update(u, -other.cross_e / sqrt_u)
-                oracle[x].update(z, edge.cross_e * inv_sqrt_z)
-                patched += 1
-            assert set(loop.sketches) == set(oracle)
-            for x, expected in oracle.items():
-                assert np.shares_memory(
-                    loop.sketches[x].cells,
-                    loop.sketches.cells[loop.tree.slot_of[x]])
-                assert np.array_equal(loop.sketches[x].cells, expected.cells)
-                assert loop.sketches[x].l1_mass == expected.l1_mass
-        assert built > 0 and patched > 0 and dropped > 0 and stale > 0
+                if before.degree(c.a) > 16 and before.degree(c.b) > 16:
+                    reference = {x: sketch_of(scaled_vector(before, x), 8, 2, seeds)
+                                 for x in (c.a, c.b)}
+                    assert c.score == score_approx(before, c.a, c.b, reference)
+                    sketched += 1
+        assert sketched > 0
 
     def test_sketch_rows_built_only_for_sketch_scored_pairs(self, monkeypatch):
-        # Each sketch-scored pair builds at most its two ends' rows, and a
-        # node never in a sketch-scored pair never gets one.
-        scored_ends = set()
+        # Each sketch-scored pair builds the sketches of its two ends, and
+        # nothing else builds one.
         scored = builds = 0
 
         def counting_approx(g, a, b, sketches):
             nonlocal scored
             scored += 1
-            scored_ends.update((a, b))
+            assert set(sketches) == {a, b}
             return score_approx(g, a, b, sketches)
 
-        def counting_build(rows, a, *args):
+        def counting_from_vector(cls, *args):
             nonlocal builds
             builds += 1
-            return build(rows, a, *args)
+            return from_vector(*args)
 
-        build = SketchRows.build
+        from_vector = CountMinSketch.from_vector
         monkeypatch.setattr(summarizer_module, "score_approx", counting_approx)
-        monkeypatch.setattr(SketchRows, "build", counting_build)
+        monkeypatch.setattr(CountMinSketch, "from_vector",
+                            classmethod(counting_from_vector))
         rng = random.Random(19)
         g = SummaryGraph.from_edge_list(gnp_edges(70, 0.25, rng))
         loop = Summarizer(g, SummarizerConfig(target_k=8, seed=3,
                                               score_mode="sketch",
                                               sketch_width=8))
-        while g.alive_count > 8:
-            loop.step()
-            assert set(loop.sketches) <= scored_ends
-        assert 0 < builds <= 2 * scored
-
-    def test_scoring_a_step_twice_gives_the_same_scores(self):
-        # Once a step has scored its 6 candidates, scoring them all again
-        # gives the same scores, and neither pass touches a row.
-        rng = random.Random(13)
-        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, rng))
-        loop = Summarizer(g, SummarizerConfig(target_k=6, seed=2,
-                                              sample_rule="fixed:6",
-                                              score_mode="sketch",
-                                              sketch_width=8))
-        score = loop.score
-        scored = []
-        rows = cells = None
-        sketched = 0
-
-        def score_twice(a, b):
-            nonlocal rows, cells, sketched
-            if not scored:
-                rows, cells = set(loop.sketches), loop.sketches.cells.copy()
-            value = score(a, b)
-            scored.append((a, b, value))
-            if len(scored) == 6:
-                assert [score(a, b) for a, b, _ in scored] == [v for *_, v in scored]
-                assert set(loop.sketches) == rows
-                assert np.array_equal(loop.sketches.cells, cells)
-                sketched += sum(a in rows and b in rows for a, b, _ in scored)
-                scored.clear()
-            return value
-
-        loop.score = score_twice
         loop.run()
-        assert sketched > 0
+        assert scored > 0 and builds == 2 * scored
 
     def test_sketch_scores_only_heavy_pairs(self):
         # A pair is scored with the sketch only when both degrees exceed
@@ -463,34 +370,41 @@ class TestSummarize:
                     sketched += 1
         assert sketched > 0 and exact > 0
 
-    def test_sketch_mode_without_heavy_nodes_is_exact_mode(self, tmp_path):
-        # width * depth = 128 exceeds every degree of a 60-node graph, so
-        # sketch mode keeps no sketch and scores every pair exactly.
+    def test_sketch_mode_without_heavy_nodes_is_exact_mode(self, tmp_path,
+                                                           monkeypatch):
+        # width * depth exceeds every degree of a 60-node graph, so sketch
+        # mode builds no sketch and scores every pair exactly. Width 10**9
+        # must allocate nothing of its size.
+        def no_build(*args):
+            raise AssertionError("built a sketch")
+
+        monkeypatch.setattr(summarizer_module, "build_sketches", no_build)
         rng = random.Random(23)
         edges = gnp_edges(60, 0.2, rng)
-        merged = {}
-        for mode in ("exact", "sketch"):
-            g = SummaryGraph.from_edge_list(edges)
-            loop = Summarizer(g, SummarizerConfig(target_k=10, seed=6,
-                                                  score_mode=mode,
-                                                  sketch_width=64))
-            merged[mode] = []
-            while g.alive_count > 10:
-                loop.step()
-                assert not loop.sketches
-                best = max(loop.last_candidates, key=lambda c: c.score)
-                merged[mode].append((best.a, best.b))
-        assert merged["sketch"] == merged["exact"]
         graph_file = tmp_path / "graph.txt"
         graph_file.write_text("".join(f"{u} {v}\n" for u, v in edges))
-        payloads = []
-        for mode in ("exact", "sketch"):
-            out = tmp_path / f"{mode}.summary"
-            assert main(["--input", str(graph_file), "--k", "10", "--seed", "6",
-                         "--score", mode, "--width", "64", "--retain-members",
-                         "--summary-out", str(out)]) == 0
-            payloads.append(out.read_bytes())
-        assert payloads[0] == payloads[1]
+        for width in (64, 10**9):
+            merged = {}
+            for mode in ("exact", "sketch"):
+                g = SummaryGraph.from_edge_list(edges)
+                loop = Summarizer(g, SummarizerConfig(target_k=10, seed=6,
+                                                      score_mode=mode,
+                                                      sketch_width=width))
+                merged[mode] = []
+                while g.alive_count > 10:
+                    loop.step()
+                    best = max(loop.last_candidates, key=lambda c: c.score)
+                    merged[mode].append((best.a, best.b))
+            assert merged["sketch"] == merged["exact"]
+            payloads = []
+            for mode in ("exact", "sketch"):
+                out = tmp_path / f"{mode}.summary"
+                assert main(["--input", str(graph_file), "--k", "10",
+                             "--seed", "6", "--score", mode,
+                             "--width", str(width), "--retain-members",
+                             "--summary-out", str(out)]) == 0
+                payloads.append(out.read_bytes())
+            assert payloads[0] == payloads[1]
 
     @pytest.mark.parametrize("mode", ["exact", "sketch"])
     def test_tree_matches_per_leaf_patch_sequence(self, mode):

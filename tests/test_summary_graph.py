@@ -238,8 +238,7 @@ class TestInvariantsUnderRandomMerges:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_merge_raises_no_other_degree(self, data):
-        # Sketch mode keeps sketches for nodes above a degree threshold and
-        # rebuilds none but z's, which holds only because of this.
+        # A merge raises no surviving node's degree but z's.
         n = data.draw(st.integers(2, 14), label="n")
         vertex = st.integers(0, n - 1)
         edges = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1,
