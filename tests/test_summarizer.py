@@ -319,6 +319,74 @@ class TestSummarize:
                     sketched += 1
         assert sketched > 0
 
+    def test_sketch_mode_keeps_sketches_in_sync(self, monkeypatch):
+        # Every sketch the loop builds is, cell for cell, a sketch of its
+        # node's vector at that moment, only of a node above width * depth
+        # = 16, and the loop keeps none between steps.
+        rng = random.Random(13)
+        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, rng))
+        cfg = SummarizerConfig(target_k=6, seed=2, score_mode="sketch",
+                               sketch_width=8)
+        seeds = make_hash_seeds(2, cfg.seed)
+        built = 0
+
+        def checked_build(graph, ids, width, depth, hash_seeds):
+            nonlocal built
+            sketches = build_sketches(graph, ids, width, depth, hash_seeds)
+            for a, sketch in sketches.items():
+                assert graph.degree(a) > 16
+                fresh = sketch_of(scaled_vector(graph, a), 8, 2, seeds)
+                assert abs(sketch.cells - fresh.cells).max() < 1e-9
+                assert abs(sketch.l1_mass - fresh.l1_mass) < 1e-9
+                built += 1
+            return sketches
+
+        build_sketches = summarizer_module.build_sketches
+        monkeypatch.setattr(summarizer_module, "build_sketches", checked_build)
+        loop = Summarizer(g, cfg)
+        while g.alive_count > cfg.target_k:
+            loop.step()
+            for value in vars(loop).values():
+                held = value.values() if isinstance(value, dict) else [value]
+                assert not any(isinstance(v, CountMinSketch) for v in held)
+        assert built > 0
+
+    def test_scoring_a_step_twice_gives_the_same_scores(self):
+        # Once a step has scored its 6 candidates, scoring them all again
+        # gives the same scores, and neither pass changes the graph.
+        rng = random.Random(13)
+        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, rng))
+        loop = Summarizer(g, SummarizerConfig(target_k=6, seed=2,
+                                              sample_rule="fixed:6",
+                                              score_mode="sketch",
+                                              sketch_width=8))
+        score = loop.score
+        scored = []
+        adjacency = None
+        sketched = 0
+
+        def snapshot():
+            return {a: {x: edge.cross_e for x, edge in g.adj[a].items()}
+                    for a in g.alive_ids()}
+
+        def score_twice(a, b):
+            nonlocal adjacency, sketched
+            if not scored:
+                adjacency = snapshot()
+            value = score(a, b)
+            scored.append((a, b, value))
+            if len(scored) == 6:
+                assert [score(a, b) for a, b, _ in scored] == [v for *_, v in scored]
+                assert snapshot() == adjacency
+                sketched += sum(g.degree(a) > 16 and g.degree(b) > 16
+                                for a, b, _ in scored)
+                scored.clear()
+            return value
+
+        loop.score = score_twice
+        loop.run()
+        assert sketched > 0
+
     def test_sketch_rows_built_only_for_sketch_scored_pairs(self, monkeypatch):
         # Each sketch-scored pair builds the sketches of its two ends, and
         # nothing else builds one.
