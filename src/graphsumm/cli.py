@@ -30,11 +30,17 @@ def _check_decimal_fields(line: str) -> None:
         raise ValueError("non-decimal integer field in " + repr(line.rstrip("\n")))
 
 
+# vertex labels must fit the summary file's 64-bit member lists
+_LABEL_MIN = -(1 << 63)
+_LABEL_MAX = (1 << 63) - 1
+
+
 def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
     """Read "u v" lines into dense-id edges.
 
     Skips blank and '#'-comment lines. A label is an optionally signed
-    ASCII decimal. Returns (edges, original_ids) where original_ids[dense_id]
+    ASCII decimal in the signed 64-bit range, checked when the label is
+    first seen. Returns (edges, original_ids) where original_ids[dense_id]
     is the label that appeared in the input. Edges are returned as given
     (duplicates and self-loops included; the graph constructor drops them).
     """
@@ -59,6 +65,9 @@ def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
         for label in (u, v):
             idx = dense.get(label)
             if idx is None:
+                if not _LABEL_MIN <= label <= _LABEL_MAX:
+                    raise ValueError(f"line {lineno}: vertex id {label} outside "
+                                     f"the 64-bit integer range")
                 idx = len(original)
                 dense[label] = idx
                 original.append(label)
@@ -163,9 +172,10 @@ def read_summary(path: str) -> SummaryGraph:
     file has them, become the graph's retained membership: the labels in
     file order, each with its supernode's id as its start block, and an
     empty merge log. Every integer field is an optionally signed ASCII
-    decimal.
+    decimal. A byte that is not UTF-8 reads as a lone surrogate, so the
+    line holding it fails that check with its line number.
     """
-    with open(path) as stream:
+    with open(path, errors="surrogateescape") as stream:
         numbered = enumerate(stream, 1)
         for lineno, line in numbered:
             if not line.isspace():
@@ -358,7 +368,9 @@ def main(argv=None) -> int:
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
-        with open(args.input) as stream:
+        # a byte that is not UTF-8 reads as a lone surrogate: a comment
+        # holding one is skipped, a data line fails with its line number
+        with open(args.input, errors="surrogateescape") as stream:
             edges, original_ids = parse_edge_list(stream)
         graph = SummaryGraph.from_edge_list(edges,
                                             retain_members=args.retain_members)

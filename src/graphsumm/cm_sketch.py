@@ -8,6 +8,10 @@ non-negative collision terms, so the estimate never underestimates; one row
 overshoots the true value by more than ||A||_1 * ||B||_1 / width with
 probability at most ~1/2 under pairwise-independent hashing, and taking the
 minimum over d rows drives the failure probability down exponentially in d.
+A scored pair's two sketches leave out each other's coordinate (see
+``summarizer.build_sketches``), so the true inner product of the sketched
+vectors is the score's cross term, and both guarantees, with those
+vectors' l1 masses, apply to the estimate as it stands.
 
 All sketches of one run must share the same hash seeds: that is what makes
 two sketches comparable, and cell-wise addition of two sketches equal the
@@ -77,9 +81,6 @@ class CountMinSketch:
         """The vector's l1 mass: each coordinate has one cell in row 0."""
         return float(self.cells[0].sum())
 
-    def bucket(self, row: int, coordinate: int) -> int:
-        return _bucket(self.seeds[row], coordinate, self.width)
-
     def update(self, coordinate: int, delta: float) -> None:
         """Add delta to one coordinate (all rows). Caller guarantees the
         true value of every coordinate stays non-negative."""
@@ -93,41 +94,12 @@ class CountMinSketch:
                 or self.seeds != other.seeds):
             raise ValueError("incompatible sketches")
 
-    def inner_product_estimate(self, other: "CountMinSketch",
-                               exclude: tuple = ()) -> float:
+    def inner_product_estimate(self, other: "CountMinSketch") -> float:
         """Minimum over rows of the cell-wise dot product; never below the
-        true inner product of the sketched vectors.
-
-        ``exclude`` holds (coordinate, self_value, other_value) triples whose
-        known contributions are removed from the respective sketches before
-        the product is taken, as if those coordinates had never been inserted.
-        The overestimate guarantee then applies to the reduced vectors.
-        """
+        true inner product of the sketched vectors."""
         self._check_compatible(other)
-        best = None
-        for row in range(self.depth):
-            prod = float(np.dot(self.cells[row], other.cells[row]))
-            if exclude:
-                prod += self._exclusion_delta(other, row, exclude)
-            if best is None or prod < best:
-                best = prod
-        return best
-
-    def _exclusion_delta(self, other: "CountMinSketch", row: int,
-                         exclude: tuple) -> float:
-        # Only the buckets hit by excluded coordinates change, so recompute
-        # just those products. Multiple exclusions may share a bucket.
-        reduced: dict[int, list[float]] = {}
-        for coordinate, self_value, other_value in exclude:
-            j = self.bucket(row, coordinate)
-            if j not in reduced:
-                reduced[j] = [float(self.cells[row, j]), float(other.cells[row, j])]
-            reduced[j][0] -= self_value
-            reduced[j][1] -= other_value
-        delta = 0.0
-        for j, (x, y) in reduced.items():
-            delta += x * y - float(self.cells[row, j]) * float(other.cells[row, j])
-        return delta
+        return min(float(np.dot(mine, theirs))
+                   for mine, theirs in zip(self.cells, other.cells))
 
     @classmethod
     def combined(cls, first: "CountMinSketch", second: "CountMinSketch") -> "CountMinSketch":

@@ -180,22 +180,14 @@ def score_approx(g: SummaryGraph, a: int, b: int,
     """Like score_exact but with the cross term estimated from the two
     nodes' sketches in O(width * depth).
 
-    The pair's own coordinates (b inside a's vector and a inside b's) are
-    excluded from the estimate using their exactly-known values, so the
-    estimate targets the sum over i != a,b. The cross term only ever gets
-    overestimated and enters the score positively, hence
-    score_approx >= score_exact up to float rounding.
+    sketches[a] is a's vector without coordinate b, and sketches[b] is b's
+    without coordinate a, as build_sketches(g, (a, b), ...) gives them; their
+    inner product is then the cross term, the sum over i != a,b. The estimate
+    never underestimates it, and the cross term enters the score positively,
+    hence score_approx >= score_exact up to float rounding.
     """
     _check_pair(g, a, b)
-    e_ab = g.cross_count(a, b)
-    if e_ab:
-        size_a = g.nodes[a].size_n
-        size_b = g.nodes[b].size_n
-        exclude = ((b, e_ab / math.sqrt(size_b), 0.0),
-                   (a, 0.0, e_ab / math.sqrt(size_a)))
-    else:
-        exclude = ()
-    cross = sketches[a].inner_product_estimate(sketches[b], exclude=exclude)
+    cross = sketches[a].inner_product_estimate(sketches[b])
     return _score_from_cross(g, a, b, cross)
 
 
@@ -262,14 +254,19 @@ def _draw_other(g: SummaryGraph, tree: SamplingTree, first: int,
 def build_sketches(g: SummaryGraph, ids, width: int, depth: int,
                    seeds: tuple[tuple[int, int], ...]) -> dict[int, CountMinSketch]:
     """The sketch of each alive node in ids: its current neighbor vector,
-    cross_e(a,x)/sqrt(size_n(x)) at coordinate x."""
+    cross_e(a,x)/sqrt(size_n(x)) at coordinate x, with the coordinates of
+    the other ids left out. A left-out neighbor gets the value 0, and adding
+    0.0 leaves every cell as omitting the coordinate would."""
     nodes = g.nodes
+    ids = dict.fromkeys(ids)  # in order, with constant-time membership
     sketches = {}
     for a in ids:
+        # a is never its own neighbor, so testing x against all of ids
+        # leaves out exactly the other ids
         entries = g.adj[a]
         count = len(entries)
-        values = np.fromiter([edge.cross_e for edge in entries.values()],
-                             np.float64, count)
+        values = np.fromiter([0 if x in ids else edge.cross_e
+                              for x, edge in entries.items()], np.float64, count)
         values /= np.sqrt(np.fromiter([nodes[x].size_n for x in entries],
                                       np.float64, count))
         sketches[a] = CountMinSketch.from_vector(width, depth, seeds, entries, values)
@@ -289,7 +286,10 @@ class Summarizer:
         self.tree = SamplingTree.build(
             [(a, node_weight(g, a)) for a in g.alive_ids()])
         self.heavy_degree = self.hash_seeds = None
-        if cfg.score_mode == "sketch":
+        # A degree is at most alive_count - 1, and alive_count only falls:
+        # at or above that no pair is ever heavy, so no seeds are drawn.
+        if (cfg.score_mode == "sketch"
+                and cfg.sketch_width * cfg.sketch_depth < g.alive_count - 1):
             self.heavy_degree = cfg.sketch_width * cfg.sketch_depth
             self.hash_seeds = make_hash_seeds(cfg.sketch_depth, cfg.seed)
         self._sample_rule = parse_sample_rule(cfg.sample_rule)

@@ -111,17 +111,19 @@ def sketch_of(vec: dict[int, float], width: int, depth: int, seeds) -> CountMinS
     return sk
 
 
-def scaled_vector(g: SummaryGraph, a: int) -> dict[int, float]:
-    """a's sketched vector: cross_e(a,x)/sqrt(size_n(x)) per neighbor x, in
-    adjacency order."""
+def scaled_vector(g: SummaryGraph, a: int, without=()) -> dict[int, float]:
+    """a's sketched vector: cross_e(a,x)/sqrt(size_n(x)) per neighbor x not
+    in without, in adjacency order."""
     return {x: edge.cross_e / math.sqrt(g.nodes[x].size_n)
-            for x, edge in g.adj[a].items()}
+            for x, edge in g.adj[a].items() if x not in without}
 
 
-def sketches_of(g: SummaryGraph, width: int, depth: int, seeds) -> dict:
-    """Reference sketches of every alive node, one update per coordinate."""
-    return {a: sketch_of(scaled_vector(g, a), width, depth, seeds)
-            for a in g.alive_ids()}
+def pair_sketches(g: SummaryGraph, a: int, b: int, width: int, depth: int,
+                  seeds) -> dict:
+    """Reference sketches of a pair as score_approx takes them: a's vector
+    without coordinate b and b's without a, one update per coordinate."""
+    return {x: sketch_of(scaled_vector(g, x, (a, b)), width, depth, seeds)
+            for x in (a, b)}
 
 
 # ----------------------------------------------------------------------

@@ -59,6 +59,13 @@ class TestParseEdgeList:
         assert edges == [(0, 1)]
         assert original == [-1, 2]
 
+    @pytest.mark.parametrize("label", [str(2 ** 63), str(-2 ** 63 - 1)])
+    def test_label_outside_64_bits(self, label):
+        # a summary file's member lists hold 64-bit labels only
+        with pytest.raises(ValueError, match=f"^line 2: vertex id {label} "
+                                             f"outside the 64-bit integer range$"):
+            parse_text(f"1 2\n2 {label}\n1 3\n")
+
     def test_wrong_field_count(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_text("1 2\n3 4 5\n")
@@ -347,6 +354,12 @@ class TestSummaryRoundTrip:
         assert member_sets(back) == {0: {-1, 3}, 1: {2 ** 63 - 1}}
         assert list(back.member_start) == [0, 0, 1]
         back.validate()
+
+    def test_byte_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.summary"
+        path.write_bytes(b"SUMMARY v1 2 1 2\nN 0 1 0\nN 1 1 \xff0\nE 0 1 1\n")
+        with pytest.raises(ValueError, match="^line 3: non-decimal integer field"):
+            read_summary(path)
 
     def test_non_integer_header_count_names_its_line(self, tmp_path):
         path = tmp_path / "bad.summary"
@@ -638,6 +651,41 @@ class TestMain:
         path.write_text("1 2\noops\n")
         assert main(["--input", str(path), "--k", "1"]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_label_outside_64_bits_names_its_line(self, tmp_path, capsys):
+        # the run used to write a summary that read_summary then rejected
+        path = tmp_path / "big.txt"
+        path.write_text("1 2\n2 99999999999999999999999\n1 3\n")
+        out = tmp_path / "s.txt"
+        assert main(["--input", str(path), "--k", "2", "--retain-members",
+                     "--summary-out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("graphsumm: line 2: vertex id ")
+        assert not out.exists()
+
+    def test_64_bit_extreme_labels_round_trip(self, tmp_path):
+        low, high = -2 ** 63, 2 ** 63 - 1
+        path = tmp_path / "extreme.txt"
+        path.write_text(f"{high} {low}\n{low} 5\n")
+        out = tmp_path / "s.txt"
+        assert main(["--input", str(path), "--k", "2", "--retain-members",
+                     "--summary-out", str(out),
+                     "--report", str(tmp_path / "report.txt")]) == 0
+        labels = set().union(*member_sets(read_summary(out)).values())
+        assert labels == {low, high, 5}
+
+    @pytest.mark.parametrize("text, code, error", [
+        (b"# caf\xe9\n1 2\n2 3\n", 0, ""),
+        (b"# caf\xe9\n1 2\n2 \xff3\n", 1,
+         "graphsumm: line 3: non-integer vertex id"),
+    ])
+    def test_byte_not_utf8(self, tmp_path, capsys, text, code, error):
+        # a Latin-1 comment is skipped like any comment; a bad byte in a data
+        # line is rejected with its line number
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text)
+        assert main(["--input", str(path), "--k", "1",
+                     "--report", str(tmp_path / "report.txt")]) == code
+        assert capsys.readouterr().err.startswith(error)
 
     def test_bad_sample_rule(self, tmp_path, capsys):
         graph = self.write_p3(tmp_path)

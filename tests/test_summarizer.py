@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import (constant_degree_edges, gnp_edges, member_sets,
-                      scaled_vector, score_oracle, sketch_of, sketches_of)
+                      pair_sketches, scaled_vector, score_oracle, sketch_of)
 from graphsumm import (CountMinSketch, SamplingTree, Summarizer,
                        SummarizerConfig, SummaryGraph, make_hash_seeds,
                        node_weight, re_brute, re_closed, sample_pairs,
@@ -116,13 +116,13 @@ class TestScoreApprox:
     def test_equals_exact_without_collisions(self):
         # disjoint neighborhoods and width far above support: nothing collides
         g = SummaryGraph.from_edge_list([(0, 1), (2, 3)])
-        sketches = sketches_of(g, 256, 2, make_hash_seeds(2, 1))
+        sketches = pair_sketches(g, 0, 2, 256, 2, make_hash_seeds(2, 1))
         assert score_approx(g, 0, 2, sketches) == pytest.approx(
             score_exact(g, 0, 2), abs=1e-12)
 
     def test_path_twins_within_bound(self):
         g = p3()
-        sketches = sketches_of(g, 8, 2, make_hash_seeds(2, 2))
+        sketches = pair_sketches(g, 1, 3, 8, 2, make_hash_seeds(2, 2))
         epsilon = 1.0 / 8
         mass_bound = epsilon * sketches[1].l1_mass * sketches[3].l1_mass
         approx = score_approx(g, 1, 3, sketches)
@@ -133,13 +133,14 @@ class TestScoreApprox:
         edges = gnp_edges(20, 0.3, rng)
         g = SummaryGraph.from_edge_list(edges)
         width, depth = 16, 2
-        sketches = sketches_of(g, width, depth, make_hash_seeds(depth, 9))
+        seeds = make_hash_seeds(depth, 9)
         alive = list(g.alive_ids())
         over_bound = 0
         pair_count = 0
         for i, a in enumerate(alive):
             for b in alive[i + 1:]:
                 exact = score_exact(g, a, b)
+                sketches = pair_sketches(g, a, b, width, depth, seeds)
                 approx = score_approx(g, a, b, sketches)
                 assert approx >= exact - 1e-9  # float dust only
                 size_z = g.nodes[a].size_n + g.nodes[b].size_n
@@ -152,8 +153,8 @@ class TestScoreApprox:
 
     def test_incompatible_sketches(self):
         g = p3()
-        sketches = sketches_of(g, 8, 2, make_hash_seeds(2, 2))
-        sketches[3] = sketches_of(g, 8, 2, make_hash_seeds(2, 3))[3]
+        sketches = pair_sketches(g, 1, 3, 8, 2, make_hash_seeds(2, 2))
+        sketches[3] = pair_sketches(g, 1, 3, 8, 2, make_hash_seeds(2, 3))[3]
         with pytest.raises(ValueError, match="incompatible"):
             score_approx(g, 1, 3, sketches)
 
@@ -299,30 +300,31 @@ class TestSummarize:
     def test_sketch_scores_equal_sketches_of_current_vectors(self):
         # Oracle: each candidate pair of two nodes above width * depth = 16
         # scores exactly as score_approx on per-coordinate sketches of the
-        # two nodes' vectors at scoring time, bit for bit. Width 8 makes
-        # buckets collide.
+        # two nodes' vectors at scoring time, each without the other's
+        # coordinate, bit for bit. Width 8 makes buckets collide.
         rng = random.Random(13)
         g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, rng))
         cfg = SummarizerConfig(target_k=6, seed=2, score_mode="sketch",
                                sketch_width=8)
         loop = Summarizer(g, cfg)
         seeds = make_hash_seeds(2, cfg.seed)
-        sketched = 0
+        sketched = adjacent = 0
         while g.alive_count > cfg.target_k:
             before = g.copy()
             loop.step()
             for c in loop.last_candidates:
                 if before.degree(c.a) > 16 and before.degree(c.b) > 16:
-                    reference = {x: sketch_of(scaled_vector(before, x), 8, 2, seeds)
-                                 for x in (c.a, c.b)}
+                    reference = pair_sketches(before, c.a, c.b, 8, 2, seeds)
                     assert c.score == score_approx(before, c.a, c.b, reference)
                     sketched += 1
-        assert sketched > 0
+                    adjacent += before.cross_count(c.a, c.b) > 0
+        assert sketched > adjacent > 0
 
     def test_sketch_mode_keeps_sketches_in_sync(self, monkeypatch):
         # Every sketch the loop builds is, cell for cell, a sketch of its
-        # node's vector at that moment, only of a node above width * depth
-        # = 16, and the loop keeps none between steps.
+        # node's vector at that moment without the coordinates of the other
+        # ids built with it, only of a node above width * depth = 16, and the
+        # loop keeps none between steps.
         rng = random.Random(13)
         g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, rng))
         cfg = SummarizerConfig(target_k=6, seed=2, score_mode="sketch",
@@ -335,7 +337,7 @@ class TestSummarize:
             sketches = build_sketches(graph, ids, width, depth, hash_seeds)
             for a, sketch in sketches.items():
                 assert graph.degree(a) > 16
-                fresh = sketch_of(scaled_vector(graph, a), 8, 2, seeds)
+                fresh = sketch_of(scaled_vector(graph, a, ids), 8, 2, seeds)
                 assert abs(sketch.cells - fresh.cells).max() < 1e-9
                 assert abs(sketch.l1_mass - fresh.l1_mass) < 1e-9
                 built += 1
@@ -441,23 +443,29 @@ class TestSummarize:
     def test_sketch_mode_without_heavy_nodes_is_exact_mode(self, tmp_path,
                                                            monkeypatch):
         # width * depth exceeds every degree of a 60-node graph, so sketch
-        # mode builds no sketch and scores every pair exactly. Width 10**9
-        # must allocate nothing of its size.
+        # mode builds no sketch, draws no hash seed and scores every pair
+        # exactly. Width 10**9 must allocate nothing of its size, and depth
+        # 10**9 must not draw a seed per row.
         def no_build(*args):
             raise AssertionError("built a sketch")
 
+        def no_seeds(*args):
+            raise AssertionError("drew hash seeds")
+
         monkeypatch.setattr(summarizer_module, "build_sketches", no_build)
+        monkeypatch.setattr(summarizer_module, "make_hash_seeds", no_seeds)
         rng = random.Random(23)
         edges = gnp_edges(60, 0.2, rng)
         graph_file = tmp_path / "graph.txt"
         graph_file.write_text("".join(f"{u} {v}\n" for u, v in edges))
-        for width in (64, 10**9):
+        for width, depth in ((64, 2), (10**9, 2), (64, 10**9)):
             merged = {}
             for mode in ("exact", "sketch"):
                 g = SummaryGraph.from_edge_list(edges)
                 loop = Summarizer(g, SummarizerConfig(target_k=10, seed=6,
                                                       score_mode=mode,
-                                                      sketch_width=width))
+                                                      sketch_width=width,
+                                                      sketch_depth=depth))
                 merged[mode] = []
                 while g.alive_count > 10:
                     loop.step()
@@ -469,7 +477,8 @@ class TestSummarize:
                 out = tmp_path / f"{mode}.summary"
                 assert main(["--input", str(graph_file), "--k", "10",
                              "--seed", "6", "--score", mode,
-                             "--width", str(width), "--retain-members",
+                             "--width", str(width), "--depth", str(depth),
+                             "--retain-members",
                              "--summary-out", str(out)]) == 0
                 payloads.append(out.read_bytes())
             assert payloads[0] == payloads[1]
