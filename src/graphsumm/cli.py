@@ -85,23 +85,25 @@ def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
 _CHUNK_LINES = 8192
 
 
-def write_summary(summary: SummaryGraph, path: str, id_map=None) -> None:
+def write_summary(summary: SummaryGraph, path: str, id_map=None,
+                  members: bool = True) -> None:
     """Serialize alive supernodes and superedges as "SUMMARY v1" text.
 
-    Supernodes are renumbered 0..k-1, ordered by their smallest member
-    label when membership is retained (mapped through id_map if given) and
-    by internal id otherwise, so identical summaries serialize identically.
-    Superedges follow as "E i j" lines with i < j, in (i, j) order. The
-    membership replay and every label lookup happen before the file is
-    opened, so a bad id_map leaves no file behind; the lines are then
-    streamed, so the memory beyond the labels does not grow with the
-    number of superedges.
+    With ``members`` each "N" line lists its supernode's member labels
+    (mapped through id_map if given) and supernodes are renumbered 0..k-1
+    by their smallest label; without, the lines carry no labels and the
+    order is by internal id. Either way identical summaries serialize
+    identically. Superedges follow as "E i j" lines with i < j, in (i, j)
+    order. The membership replay and every label lookup happen before the
+    file is opened, so a bad id_map, or ``members`` on a summary whose
+    membership is unknown (ValueError), leaves no file behind; the lines
+    are then streamed, so the memory beyond the labels does not grow with
+    the number of superedges.
     """
     nodes = summary.nodes
     adj = summary.adj
     order = list(nodes)
-    retained = summary.merge_log is not None
-    if retained:
+    if members:
         # each block's sorted labels give both its sort key and its N line
         labels = {a: [] for a in order}
         vertices, blocks = summary.membership()
@@ -118,7 +120,7 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None) -> None:
     with open(path, "w") as out:
         out.write(f"SUMMARY v1 {summary.original_vertex_count} "
                   f"{summary.original_edge_count} {len(order)}\n")
-        if retained:
+        if members:
             out.writelines(f"N {pos} {nodes[a].size_n} {nodes[a].internal_e} "
                            f"{' '.join(map(str, labels[a]))}\n"
                            for pos, a in enumerate(order))
@@ -169,9 +171,10 @@ def read_summary(path: str) -> SummaryGraph:
     each supernode's d_value is accumulated as its superedges are read,
     which is the order of its adjacency map. Count-1 superedges are all the
     shared ``UNIT_EDGE``, as in the identity graph. Member lists, when the
-    file has them, become the graph's retained membership: the labels in
-    file order, each with its supernode's id as its start block, and an
-    empty merge log. Every integer field is an optionally signed ASCII
+    file has them, become the graph's membership: the labels in file
+    order, each with its supernode's id as its start block. Without them
+    membership is unknown (``member_ids`` is None). Either way the merge
+    log starts empty. Every integer field is an optionally signed ASCII
     decimal. A byte that is not UTF-8 reads as a lone surrogate, so the
     line holding it fails that check with its line number.
     """
@@ -285,7 +288,6 @@ def read_summary(path: str) -> SummaryGraph:
             raise ValueError("member lists do not cover the vertex set")
         g.member_ids = member_ids
         g.member_start = member_start
-        g.merge_log = array("q")
     if internal_total + cross_total != m:
         raise ValueError(f"edge conservation violated: {internal_total} internal "
                          f"+ {cross_total} cross != {m}")
@@ -309,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, default=2, help="sketch depth")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--retain-members", action="store_true",
-                        help="keep vertex membership; enables query error reporting")
+                        help="write member lists; enables query error reporting")
     parser.add_argument("--oracle-limit", type=int, default=1024,
                         help="max |V| for the brute-force RE cross-check")
     parser.add_argument("--summary-out", default=None, help="summary file path")
@@ -372,8 +374,7 @@ def main(argv=None) -> int:
         # holding one is skipped, a data line fails with its line number
         with open(args.input, errors="surrogateescape") as stream:
             edges, original_ids = parse_edge_list(stream)
-        graph = SummaryGraph.from_edge_list(edges,
-                                            retain_members=args.retain_members)
+        graph = SummaryGraph.from_edge_list(edges)
         del edges  # nothing reads the parsed list once the graph is built
         cfg = SummarizerConfig(
             target_k=args.k, sample_rule=args.sample, score_mode=args.score,
@@ -383,7 +384,8 @@ def main(argv=None) -> int:
         summary = summarize(graph, cfg)
         elapsed = time.perf_counter() - started
         if args.summary_out:
-            write_summary(summary, args.summary_out, id_map=original_ids)
+            write_summary(summary, args.summary_out, id_map=original_ids,
+                          members=args.retain_members)
         del original_ids  # nothing reads the labels after the write
         report = None
         if args.retain_members:

@@ -76,11 +76,6 @@ class CountMinSketch:
             cells[row] = np.bincount(columns, weights=values, minlength=width)
         return sketch
 
-    @property
-    def l1_mass(self) -> float:
-        """The vector's l1 mass: each coordinate has one cell in row 0."""
-        return float(self.cells[0].sum())
-
     def update(self, coordinate: int, delta: float) -> None:
         """Add delta to one coordinate (all rows). Caller guarantees the
         true value of every coordinate stays non-negative."""

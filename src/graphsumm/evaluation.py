@@ -56,8 +56,8 @@ class QueryErrorReport:
 
 def membership_index(summary: SummaryGraph) -> dict[int, int]:
     """Map each original vertex to its supernode, a dict view of
-    ``summary.membership()`` for per-vertex queries; needs retained
-    membership."""
+    ``summary.membership()`` for per-vertex queries; raises ValueError on
+    a summary read back without member lists."""
     return dict(zip(*summary.membership()))
 
 

@@ -18,11 +18,13 @@ where counts add up and reuses the rest), so ``copy`` shares them between
 the original and the copy, and every count-1 superedge of the graph is the
 one shared ``UNIT_EDGE``.
 
-Vertex membership, when retained, is not stored per supernode. The graph
-keeps each original vertex with its block at the start (``member_ids``,
+Vertex membership is not stored per supernode. The graph keeps each
+original vertex with its block at the start (``member_ids``,
 ``member_start``) and a flat log of its merges (``merge_log``, one
 (a, b, z) triple per merge); ``membership`` replays the log to give every
-vertex its current block.
+vertex its current block. Every graph ``from_edge_list`` builds knows its
+vertices; only a summary read back from a file without member lists does
+not (``member_ids`` is None), and its log then records the merges since.
 """
 
 from __future__ import annotations
@@ -92,12 +94,12 @@ class SummaryGraph:
         self.original_vertex_count = 0
         self.original_edge_count = 0
         self._next_id = 0
-        # Retained membership (all three None when not retained): the
-        # original vertex ids, each one's block when the log starts, and
-        # the merges since, as flat (a, b, z) triples.
+        # The original vertex ids and each one's block when the log starts
+        # (both None while membership is unknown), and the merges since, as
+        # flat (a, b, z) triples.
         self.member_ids: array | None = None
         self.member_start: array | None = None
-        self.merge_log: array | None = None
+        self.merge_log = array("q")
         # Adjacency entries read or removed by the most recent merge; the
         # count excludes creation of the merged node's new entries so that
         # 2*(deg(a)+deg(b)) is the right yardstick for the merge cost.
@@ -111,14 +113,14 @@ class SummaryGraph:
     # construction
 
     @classmethod
-    def from_edge_list(cls, edges: Iterable[tuple[int, int]],
-                       retain_members: bool = False) -> "SummaryGraph":
+    def from_edge_list(cls, edges: Iterable[tuple[int, int]]) -> "SummaryGraph":
         """Build the identity summary: one singleton supernode per vertex.
 
         Duplicate edges (in either orientation) and self-loops are dropped.
-        ``retain_members`` keeps the vertex ids and logs every merge, so
-        that ``membership`` can say which supernode holds each vertex; the
-        evaluation queries need that, the summarization loop does not.
+        The graph keeps the vertex ids, and every merge is logged, so that
+        ``membership`` can say which supernode holds each vertex. Merged
+        ids run up to max id + n - 2 and must fit the int64 log, so larger
+        ids raise ValueError.
         """
         edges = list(edges)
         if not edges:
@@ -141,13 +143,10 @@ class SummaryGraph:
         g.original_vertex_count = len(ids)
         g.original_edge_count = sum(map(len, adj.values())) // 2
         g._next_id = max(ids) + 1
-        if retain_members:
-            # merged ids run up to _next_id + n - 2; the arrays hold int64
-            if g._next_id + len(ids) - 2 >= 2 ** 63:
-                raise ValueError("vertex ids too large to retain membership")
-            # each vertex starts as its own block, so one array serves both
-            g.member_ids = g.member_start = array("q", ids)
-            g.merge_log = array("q")
+        if g._next_id + len(ids) - 2 >= 2 ** 63:
+            raise ValueError("vertex ids too large for the int64 merge log")
+        # each vertex starts as its own block, so one array serves both
+        g.member_ids = g.member_start = array("q", ids)
         return g
 
     # ------------------------------------------------------------------
@@ -175,14 +174,13 @@ class SummaryGraph:
         Replays the merge log with union-find in O(n α(n)): each merge
         links a and b under z, path compression then points every merged
         id at its root, and a start block that no merge touched is its own
-        root. Raises ValueError when the graph was built without retained
-        membership.
+        root. Raises ValueError when membership is unknown: the graph was
+        read from a summary file without member lists.
         """
-        log = self.merge_log
-        if log is None:
+        if self.member_ids is None:
             raise ValueError("membership not retained on this summary")
         parent: dict[int, int] = {}
-        triples = iter(log)
+        triples = iter(self.merge_log)
         for a, b, z in zip(triples, triples, triples):
             parent[a] = z
             parent[b] = z
@@ -247,8 +245,7 @@ class SummaryGraph:
 
         z = self._next_id
         self._next_id += 1
-        if self.merge_log is not None:
-            self.merge_log.extend((a, b, z))
+        self.merge_log.extend((a, b, z))
         node_z = SuperNode(size_z, node_a.internal_e + node_b.internal_e + e_ab)
         nodes[z] = node_z
         adj_z: dict[int, SuperEdge] = {}
@@ -289,8 +286,7 @@ class SummaryGraph:
         g._next_id = self._next_id
         g.member_ids = self.member_ids
         g.member_start = self.member_start
-        if self.merge_log is not None:
-            g.merge_log = array("q", self.merge_log)
+        g.merge_log = array("q", self.merge_log)
         g.nodes = {i: SuperNode(node.size_n, node.internal_e, node.d_value)
                    for i, node in self.nodes.items()}
         g.adj = {a: entries.copy() for a, entries in self.adj.items()}
@@ -335,7 +331,7 @@ class SummaryGraph:
                 f"d_value drift at {a}: stored {node.d_value}, recomputed {expect}"
         assert internal_total + cross_total == self.original_edge_count, \
             "edge conservation violated"
-        if self.merge_log is not None:
+        if self.member_ids is not None:
             assert Counter(self.membership()[1]) \
                 == {a: node.size_n for a, node in nodes.items()}, \
                 "replayed membership disagrees with supernode sizes"

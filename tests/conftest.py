@@ -111,6 +111,12 @@ def sketch_of(vec: dict[int, float], width: int, depth: int, seeds) -> CountMinS
     return sk
 
 
+def l1_mass(sketch: CountMinSketch) -> float:
+    """The sketched vector's l1 mass: each coordinate has one cell in row
+    0, and every value is non-negative."""
+    return float(sketch.cells[0].sum())
+
+
 def scaled_vector(g: SummaryGraph, a: int, without=()) -> dict[int, float]:
     """a's sketched vector: cross_e(a,x)/sqrt(size_n(x)) per neighbor x not
     in without, in adjacency order."""

@@ -29,8 +29,7 @@ def test_criterion_1_closed_form_matches_brute_force_oracle():
     worst = 0.0
     for _ in range(1000):
         n = rng.randint(2, 12)
-        original = SummaryGraph.from_edge_list(gnp_edges(n, 0.3, rng),
-                                               retain_members=True)
+        original = SummaryGraph.from_edge_list(gnp_edges(n, 0.3, rng))
         summary = merge_partition(
             original.copy(),
             random_partition(original.alive_ids(),
@@ -210,7 +209,7 @@ def test_criterion_6b_enron_smoke():
 def test_criterion_7_facebook_query_accuracy():
     path = require_dataset("facebook")
     edges = _load_snap_graph(path)
-    g = SummaryGraph.from_edge_list(edges, retain_members=True)
+    g = SummaryGraph.from_edge_list(edges)
     original = g.copy()
     cfg = SummarizerConfig(target_k=1500, sample_rule="logn", seed=3)
     summarize(g, cfg)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import random
 import tracemalloc
@@ -77,7 +78,7 @@ class TestParseEdgeList:
 
 class TestSummaryRoundTrip:
     def test_exact_file_format(self, tmp_path):
-        g = SummaryGraph.from_edge_list([(1, 2), (2, 3)], retain_members=True)
+        g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
         g.merge(1, 3)
         path = tmp_path / "p3.summary"
         write_summary(g, path)
@@ -87,8 +88,7 @@ class TestSummaryRoundTrip:
                                     "E 0 1 2\n")
 
     def test_round_trip_preserves_error(self, tmp_path):
-        g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4), (1, 4), (2, 4)],
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4), (1, 4), (2, 4)])
         g.merge(1, 3)
         path = tmp_path / "g.summary"
         write_summary(g, path)
@@ -101,14 +101,14 @@ class TestSummaryRoundTrip:
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
         g.merge(1, 2)
         path = tmp_path / "nm.summary"
-        write_summary(g, path)
+        write_summary(g, path, members=False)
         back = read_summary(path)
+        assert back.member_ids is None
         assert re_closed(back) == pytest.approx(re_closed(g))
 
     def test_round_trip_d_values_exact(self, tmp_path):
         rng = random.Random(31)
-        g = SummaryGraph.from_edge_list(gnp_edges(80, 0.1, rng),
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list(gnp_edges(80, 0.1, rng))
         for _ in range(50):
             g.merge(*rng.sample(list(g.alive_ids()), 2))
         path = tmp_path / "merged.summary"
@@ -119,8 +119,7 @@ class TestSummaryRoundTrip:
 
     def test_read_back_shares_one_unit_edge(self, tmp_path):
         rng = random.Random(12)
-        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.1, rng),
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.1, rng))
         path = tmp_path / "identity.summary"
         write_summary(g, path)
         back = read_summary(path)
@@ -176,8 +175,7 @@ class TestSummaryRoundTrip:
 
     def test_read_triggers_no_collection(self, tmp_path):
         rng = random.Random(8)
-        g = SummaryGraph.from_edge_list(gnp_edges(300, 0.05, rng),
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list(gnp_edges(300, 0.05, rng))
         for _ in range(100):
             g.merge(*rng.sample(list(g.alive_ids()), 2))
         path = tmp_path / "gnp.summary"
@@ -285,8 +283,7 @@ class TestSummaryRoundTrip:
     def test_merges_after_a_round_trip(self, tmp_path_factory, n, rng):
         # the file's member lists become the start blocks of a fresh log,
         # which later merges extend like any other
-        g = SummaryGraph.from_edge_list(gnp_edges(n, 0.3, rng),
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list(gnp_edges(n, 0.3, rng))
         random_merges(g, rng, rng.randrange(g.alive_count))
         id_map = rng.sample(range(-10 ** 6, 10 ** 6), n)
         path = tmp_path_factory.mktemp("round") / "g.summary"
@@ -308,7 +305,7 @@ class TestSummaryRoundTrip:
         # the same summary read back with and without its member lists
         n = 2 ** 13
         g = SummaryGraph.from_edge_list(
-            constant_degree_edges(n, 6, random.Random(13)), retain_members=True)
+            constant_degree_edges(n, 6, random.Random(13)))
         for v in range(0, n // 4, 2):
             if g.is_alive(v) and g.is_alive(v + 1):
                 g.merge(v, v + 1)
@@ -326,7 +323,7 @@ class TestSummaryRoundTrip:
                 traced[path] = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            assert (back.merge_log is not None) == (path == with_members)
+            assert (back.member_ids is not None) == (path == with_members)
             del back
         assert traced[with_members] <= 1.1 * traced[without]
 
@@ -369,15 +366,14 @@ class TestSummaryRoundTrip:
             read_summary(path)
 
 
-def reference_write_summary(summary, path, id_map=None):
+def reference_write_summary(summary, path, id_map=None, members=True):
     """The list-and-join writer that the streaming write_summary replaced:
     every line is built in memory, then written in one call."""
     blocks = list(summary.nodes.items())
-    retained = summary.merge_log is not None
-    if retained:
-        labels = {a: sorted(members if id_map is None
-                            else (id_map[m] for m in members))
-                  for a, members in member_sets(summary).items()}
+    if members:
+        labels = {a: sorted(vertices if id_map is None
+                            else (id_map[v] for v in vertices))
+                  for a, vertices in member_sets(summary).items()}
         blocks.sort(key=lambda block: labels[block[0]][0])
     else:
         blocks.sort(key=lambda block: block[0])
@@ -386,7 +382,7 @@ def reference_write_summary(summary, path, id_map=None):
              f"{summary.original_edge_count} {len(blocks)}"]
     for pos, (a, node) in enumerate(blocks):
         line = f"N {pos} {node.size_n} {node.internal_e}"
-        if retained:
+        if members:
             line += " " + " ".join(map(str, labels[a]))
         lines.append(line)
     superedges = []
@@ -411,11 +407,11 @@ def superedge_count(g):
 
 
 class TestStreamingWrite:
-    def assert_same_bytes(self, tmp_path, g, id_map=None):
+    def assert_same_bytes(self, tmp_path, g, id_map=None, members=True):
         streamed = tmp_path / "streamed.summary"
         reference = tmp_path / "reference.summary"
-        write_summary(g, streamed, id_map=id_map)
-        reference_write_summary(g, reference, id_map=id_map)
+        write_summary(g, streamed, id_map=id_map, members=members)
+        reference_write_summary(g, reference, id_map=id_map, members=members)
         assert streamed.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("seed", range(4))
@@ -423,19 +419,18 @@ class TestStreamingWrite:
     def test_random_merges_match_reference(self, tmp_path, seed, members):
         rng = random.Random(seed)
         n = 120
-        g = SummaryGraph.from_edge_list(gnp_edges(n, 0.08, rng),
-                                        retain_members=members != "none")
+        g = SummaryGraph.from_edge_list(gnp_edges(n, 0.08, rng))
         random_merges(g, rng, rng.randrange(n // 2))
         id_map = rng.sample(range(10 ** 6), n) if members == "id_map" else None
-        self.assert_same_bytes(tmp_path, g, id_map)
+        self.assert_same_bytes(tmp_path, g, id_map, members != "none")
 
-    @pytest.mark.parametrize("retain", [True, False])
-    def test_no_superedges_matches_reference(self, tmp_path, retain):
+    @pytest.mark.parametrize("members", [True, False])
+    def test_no_superedges_matches_reference(self, tmp_path, members):
         # two components, each merged down to one block in random order
         rng = random.Random(5)
         left = gnp_edges(30, 0.2, rng)
         right = [(u + 30, v + 30) for u, v in gnp_edges(30, 0.2, rng)]
-        g = SummaryGraph.from_edge_list(left + right, retain_members=retain)
+        g = SummaryGraph.from_edge_list(left + right)
         partition = [[v for v in side if g.is_alive(v)]
                      for side in (range(30), range(30, 60))]
         for block in partition:
@@ -443,22 +438,20 @@ class TestStreamingWrite:
         merge_partition(g, partition)
         assert g.alive_count == 2
         assert superedge_count(g) == 0
-        self.assert_same_bytes(tmp_path, g)
+        self.assert_same_bytes(tmp_path, g, members=members)
 
-    @pytest.mark.parametrize("retain", [True, False])
-    def test_single_block_matches_reference(self, tmp_path, retain):
+    @pytest.mark.parametrize("members", [True, False])
+    def test_single_block_matches_reference(self, tmp_path, members):
         rng = random.Random(6)
-        g = SummaryGraph.from_edge_list(gnp_edges(40, 0.15, rng),
-                                        retain_members=retain)
+        g = SummaryGraph.from_edge_list(gnp_edges(40, 0.15, rng))
         random_merges(g, rng, g.alive_count - 1)
         assert g.alive_count == 1
-        self.assert_same_bytes(tmp_path, g)
+        self.assert_same_bytes(tmp_path, g, members=members)
 
     def test_several_chunks_match_reference(self, tmp_path):
         rng = random.Random(7)
         n = 4000
-        g = SummaryGraph.from_edge_list(constant_degree_edges(n, 10, rng),
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list(constant_degree_edges(n, 10, rng))
         random_merges(g, rng, 500)
         assert superedge_count(g) > 2 * _CHUNK_LINES
         self.assert_same_bytes(tmp_path, g, rng.sample(range(10 ** 7), n))
@@ -467,8 +460,7 @@ class TestStreamingWrite:
         peaks = {}
         for degree in (10, 40):
             g = SummaryGraph.from_edge_list(
-                constant_degree_edges(2000, degree, random.Random(degree)),
-                retain_members=True)
+                constant_degree_edges(2000, degree, random.Random(degree)))
             tracemalloc.start()
             try:
                 write_summary(g, tmp_path / f"d{degree}.summary")
@@ -478,10 +470,21 @@ class TestStreamingWrite:
         assert peaks[40] < 1.5 * peaks[10]
 
     def test_bad_id_map_leaves_no_file(self, tmp_path):
-        g = SummaryGraph.from_edge_list([(0, 1), (1, 2)], retain_members=True)
+        g = SummaryGraph.from_edge_list([(0, 1), (1, 2)])
         path = tmp_path / "bad.summary"
         with pytest.raises(IndexError):
             write_summary(g, path, id_map=[])
+        assert not path.exists()
+
+    def test_members_without_membership_leave_no_file(self, tmp_path):
+        # a summary read back without member lists cannot write them
+        plain = tmp_path / "plain.summary"
+        write_summary(SummaryGraph.from_edge_list([(0, 1), (1, 2)]), plain,
+                      members=False)
+        back = read_summary(plain)
+        path = tmp_path / "bad.summary"
+        with pytest.raises(ValueError, match="membership not retained"):
+            write_summary(back, path)
         assert not path.exists()
 
 
@@ -620,7 +623,7 @@ class TestMain:
 
         with open(graph) as stream:
             edges, _ = parse_edge_list(stream)
-        g = SummaryGraph.from_edge_list(edges, retain_members=True)
+        g = SummaryGraph.from_edge_list(edges)
         original = g.copy()
         summary = summarize(g, SummarizerConfig(
             target_k=30, score_mode=score, sketch_width=100, sketch_depth=2,
@@ -727,3 +730,43 @@ class TestMain:
             if not was_enabled:
                 gc.disable()
         assert collections == []
+
+
+def cli_summary_digest(tmp_path, score, members):
+    """sha256 of the summary file of one fixed CLI run: a G(n, p) graph
+    with sparse signed labels and k=n/3. Width 4 and depth 2 make sketch
+    mode score every pair whose two degrees exceed 8 with the sketch."""
+    rng = random.Random(83)
+    n = 300
+    labels = rng.sample(range(-10 ** 9, 10 ** 9), n)
+    graph = tmp_path / "gnp.txt"
+    graph.write_text("".join(f"{labels[u]} {labels[v]}\n"
+                             for u, v in gnp_edges(n, 0.05, rng)))
+    out = tmp_path / "out.summary"
+    argv = ["--input", str(graph), "--k", str(n // 3), "--score", score,
+            "--width", "4", "--depth", "2", "--seed", "17",
+            "--summary-out", str(out), "--report", str(tmp_path / "report.txt")]
+    if members:
+        argv.append("--retain-members")
+    assert main(argv) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+class TestGoldenSummaryFiles:
+    # summary file digests of cli_summary_digest's runs, recorded before the
+    # merge log was kept on every graph; the writer's output must not change
+    GOLDEN = {
+        ("exact", False):
+            "c1720e455e98424058a7d63b6e6752250f019c5f2e423f99fe925f1473141e72",
+        ("exact", True):
+            "86bb68491144c87f10cc3ae6f623eae010794fedb5f08d6750823ee344d2721a",
+        ("sketch", False):
+            "3f18ec57e317de1415421e52a105dcebfeb262ea049911d0013ff8149238af33",
+        ("sketch", True):
+            "71fd445a73630fa7fdf7f8bea1c85719bf3ced459dbd328dbe2f11bdbe6aaa7c",
+    }
+
+    @pytest.mark.parametrize("score, members", list(GOLDEN))
+    def test_summary_bytes_pinned(self, tmp_path, score, members):
+        assert cli_summary_digest(tmp_path, score, members) \
+            == self.GOLDEN[score, members]

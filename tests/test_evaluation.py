@@ -17,10 +17,11 @@ from graphsumm import (SummaryGraph, build_report, centrality_estimate,
                        degree_estimate, evaluation, expected_adjacency,
                        membership_index, re_brute, re_closed,
                        triangle_count_exact, triangle_estimate)
+from graphsumm.cli import read_summary, write_summary
 
 
-def p3(retain=True):
-    return SummaryGraph.from_edge_list([(1, 2), (2, 3)], retain_members=retain)
+def p3():
+    return SummaryGraph.from_edge_list([(1, 2), (2, 3)])
 
 
 def p3_twin_summary():
@@ -31,10 +32,9 @@ def p3_twin_summary():
 
 
 def random_merged_summary(rng, n, p):
-    """G(n, p) with retained members, and a copy reduced by a random
+    """G(n, p), and a copy reduced by a random
     merge sequence to a random number of supernodes."""
-    original = SummaryGraph.from_edge_list(gnp_edges(n, p, rng),
-                                           retain_members=True)
+    original = SummaryGraph.from_edge_list(gnp_edges(n, p, rng))
     summary = original.copy()
     for _ in range(rng.randrange(original.alive_count)):
         summary.merge(*rng.sample(list(summary.alive_ids()), 2))
@@ -43,7 +43,7 @@ def random_merged_summary(rng, n, p):
 
 def edgeless():
     """Two vertices that appear only in self-loops, so |E| = 0."""
-    return SummaryGraph.from_edge_list([(5, 5), (7, 7)], retain_members=True)
+    return SummaryGraph.from_edge_list([(5, 5), (7, 7)])
 
 
 class TestExpectedAdjacency:
@@ -60,9 +60,12 @@ class TestExpectedAdjacency:
         with pytest.raises(ValueError, match="unknown vertex"):
             expected_adjacency(p3(), 1, 9)
 
-    def test_membership_required(self):
+    def test_membership_required(self, tmp_path):
+        # only a summary read back without member lists lacks membership
+        path = tmp_path / "plain.summary"
+        write_summary(p3(), path, members=False)
         with pytest.raises(ValueError, match="membership"):
-            expected_adjacency(p3(retain=False), 1, 2)
+            expected_adjacency(read_summary(path), 1, 2)
 
 
 class TestReBrute:
@@ -116,7 +119,7 @@ class TestReClosed:
         rng = random.Random(99)
         for _ in range(100):
             original = SummaryGraph.from_edge_list(
-                gnp_edges(rng.randint(3, 12), 0.3, rng), retain_members=True)
+                gnp_edges(rng.randint(3, 12), 0.3, rng))
             summary = merge_partition(
                 original.copy(),
                 random_partition(original.alive_ids(),
@@ -129,7 +132,7 @@ class TestReClosed:
         rng = random.Random(123)
         for _ in range(30):
             original = SummaryGraph.from_edge_list(
-                gnp_edges(rng.randint(3, 10), 0.4, rng), retain_members=True)
+                gnp_edges(rng.randint(3, 10), 0.4, rng))
             summary = merge_partition(
                 original.copy(),
                 random_partition(original.alive_ids(),
@@ -150,8 +153,7 @@ class TestReClosed:
 class TestDegreeAndCentrality:
     def test_identity_summary_exact(self):
         rng = random.Random(3)
-        g = SummaryGraph.from_edge_list(gnp_edges(10, 0.4, rng),
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list(gnp_edges(10, 0.4, rng))
         index = membership_index(g)
         for v in g.nodes:
             assert degree_estimate(g, v, index) == pytest.approx(len(g.adj[v]))
@@ -163,8 +165,7 @@ class TestDegreeAndCentrality:
 
     def test_total_degree_mass_preserved(self):
         rng = random.Random(8)
-        original = SummaryGraph.from_edge_list(gnp_edges(12, 0.3, rng),
-                                               retain_members=True)
+        original = SummaryGraph.from_edge_list(gnp_edges(12, 0.3, rng))
         summary = merge_partition(
             original.copy(), random_partition(original.alive_ids(), 4, rng))
         index = membership_index(summary)
@@ -239,13 +240,12 @@ class TestTriangles:
         # blocks that are internally complete or empty, and complete or
         # empty across: K4 split into two halves is fully homogeneous
         edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        original = SummaryGraph.from_edge_list(edges, retain_members=True)
+        original = SummaryGraph.from_edge_list(edges)
         summary = merge_partition(original.copy(), [[0, 1], [2, 3]])
         assert triangle_estimate(summary) == pytest.approx(
             triangle_count_exact(original))
         # a star grouped as {leaves}, {center}: empty block + complete cross
-        star = SummaryGraph.from_edge_list([(0, 1), (0, 2), (0, 3)],
-                                           retain_members=True)
+        star = SummaryGraph.from_edge_list([(0, 1), (0, 2), (0, 3)])
         grouped = merge_partition(star.copy(), [[1, 2, 3], [0]])
         assert triangle_estimate(grouped) == pytest.approx(
             triangle_count_exact(star))
@@ -254,8 +254,7 @@ class TestTriangles:
 class TestBuildReport:
     def test_identity_summary_all_zero(self):
         rng = random.Random(5)
-        g = SummaryGraph.from_edge_list(gnp_edges(10, 0.4, rng),
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list(gnp_edges(10, 0.4, rng))
         report = build_report(g, g)
         assert report.re_l1 == 0.0
         assert report.re_l1_normalized == 0.0
@@ -274,8 +273,7 @@ class TestBuildReport:
 
     def test_l2_column_is_half_l1(self):
         rng = random.Random(21)
-        original = SummaryGraph.from_edge_list(gnp_edges(12, 0.3, rng),
-                                               retain_members=True)
+        original = SummaryGraph.from_edge_list(gnp_edges(12, 0.3, rng))
         summary = merge_partition(
             original.copy(), random_partition(original.alive_ids(), 3, rng))
         report = build_report(original, summary)
@@ -284,8 +282,7 @@ class TestBuildReport:
 
     def test_vertex_sample_restricts_query_errors(self):
         rng = random.Random(2)
-        original = SummaryGraph.from_edge_list(gnp_edges(10, 0.5, rng),
-                                               retain_members=True)
+        original = SummaryGraph.from_edge_list(gnp_edges(10, 0.5, rng))
         summary = merge_partition(
             original.copy(), random_partition(original.alive_ids(), 2, rng))
         full = build_report(original, summary)
@@ -354,7 +351,7 @@ class TestBuildReport:
         # python -O strips assert statements; the cross-check must survive it
         script = (
             "from graphsumm import SummaryGraph, evaluation\n"
-            "g = SummaryGraph.from_edge_list([(1, 2), (2, 3)], retain_members=True)\n"
+            "g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])\n"
             "evaluation.re_brute = lambda *args: 5.0\n"
             "try:\n"
             "    evaluation.build_report(g, g)\n"
@@ -376,8 +373,8 @@ class TestBuildReport:
 def self_loop_vertex_summary(rng):
     """G(15, 0.3) plus vertex 99, which appears only in a self-loop, and a
     random merge of it."""
-    original = SummaryGraph.from_edge_list(gnp_edges(15, 0.3, rng) + [(99, 99)],
-                                           retain_members=True)
+    original = SummaryGraph.from_edge_list(
+        gnp_edges(15, 0.3, rng) + [(99, 99)])
     summary = original.copy()
     for _ in range(rng.randrange(1, original.alive_count)):
         summary.merge(*rng.sample(list(summary.alive_ids()), 2))
@@ -428,8 +425,7 @@ class TestInputGraph:
 
     def test_under_half_the_memory_of_a_copy(self):
         g = SummaryGraph.from_edge_list(
-            constant_degree_edges(2000, 10, random.Random(3)),
-            retain_members=True)
+            constant_degree_edges(2000, 10, random.Random(3)))
         allocated = {}
         for name, build in (("copy", g.copy),
                             ("tuples", lambda: evaluation.InputGraph(g))):

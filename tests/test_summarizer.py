@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import (constant_degree_edges, gnp_edges, member_sets,
+from conftest import (constant_degree_edges, gnp_edges, l1_mass, member_sets,
                       pair_sketches, scaled_vector, score_oracle, sketch_of)
 from graphsumm import (CountMinSketch, SamplingTree, Summarizer,
                        SummarizerConfig, SummaryGraph, make_hash_seeds,
@@ -15,8 +15,8 @@ from graphsumm.cli import main
 from graphsumm.summarizer import parse_sample_rule, sample_size
 
 
-def p3(retain=False):
-    return SummaryGraph.from_edge_list([(1, 2), (2, 3)], retain_members=retain)
+def p3():
+    return SummaryGraph.from_edge_list([(1, 2), (2, 3)])
 
 
 def star3():
@@ -124,7 +124,7 @@ class TestScoreApprox:
         g = p3()
         sketches = pair_sketches(g, 1, 3, 8, 2, make_hash_seeds(2, 2))
         epsilon = 1.0 / 8
-        mass_bound = epsilon * sketches[1].l1_mass * sketches[3].l1_mass
+        mass_bound = epsilon * l1_mass(sketches[1]) * l1_mass(sketches[3])
         approx = score_approx(g, 1, 3, sketches)
         assert 0.0 - 1e-12 <= approx <= (8.0 / 2) * mass_bound + 1e-12
 
@@ -145,7 +145,7 @@ class TestScoreApprox:
                 assert approx >= exact - 1e-9  # float dust only
                 size_z = g.nodes[a].size_n + g.nodes[b].size_n
                 bound = (8.0 / size_z) * (1.0 / width) * \
-                    sketches[a].l1_mass * sketches[b].l1_mass
+                    l1_mass(sketches[a]) * l1_mass(sketches[b])
                 pair_count += 1
                 if approx - exact > bound:
                     over_bound += 1
@@ -222,7 +222,7 @@ class TestSamplePairs:
 
 class TestSummarize:
     def test_k_equals_n_is_identity(self):
-        g = p3(retain=True)
+        g = p3()
         out = summarize(g, SummarizerConfig(target_k=3, seed=1))
         assert out.alive_count == 3
         assert re_closed(out) == 0.0
@@ -243,12 +243,11 @@ class TestSummarize:
                 assert score_exact(g, a, b) == pytest.approx(0.0, abs=1e-12)
             assert score_exact(g, 0, a) < -1e-9
         # the optimal 2-block partition really has zero error
-        retained = SummaryGraph.from_edge_list([(0, 1), (0, 2), (0, 3)],
-                                               retain_members=True)
-        best = retained.copy()
+        star = SummaryGraph.from_edge_list([(0, 1), (0, 2), (0, 3)])
+        best = star.copy()
         z = best.merge(1, 2)
         best.merge(z, 3)
-        assert re_brute(retained, best) == pytest.approx(0.0, abs=1e-12)
+        assert re_brute(star, best) == pytest.approx(0.0, abs=1e-12)
 
     def test_majority_of_seeds_reach_zero_error_on_star(self):
         zero = 0
@@ -264,7 +263,7 @@ class TestSummarize:
         edges = gnp_edges(40, 0.15, rng)
 
         def run():
-            g = SummaryGraph.from_edge_list(edges, retain_members=True)
+            g = SummaryGraph.from_edge_list(edges)
             out = summarize(g, SummarizerConfig(target_k=10, seed=1234,
                                                 score_mode="sketch",
                                                 sketch_width=32))
@@ -339,7 +338,7 @@ class TestSummarize:
                 assert graph.degree(a) > 16
                 fresh = sketch_of(scaled_vector(graph, a, ids), 8, 2, seeds)
                 assert abs(sketch.cells - fresh.cells).max() < 1e-9
-                assert abs(sketch.l1_mass - fresh.l1_mass) < 1e-9
+                assert abs(l1_mass(sketch) - l1_mass(fresh)) < 1e-9
                 built += 1
             return sketches
 

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import constant_degree_edges, gnp_edges, member_sets
 from graphsumm import SummaryGraph, SuperEdge, SuperNode
+from graphsumm.cli import read_summary, write_summary
 
 
 def p3():
@@ -82,7 +84,7 @@ class TestFromEdgeList:
                 rows[u].append(v)
                 rows[v].append(u)
                 edge_count += 1
-        g = SummaryGraph.from_edge_list(edges, retain_members=True)
+        g = SummaryGraph.from_edge_list(edges)
         assert list(g.nodes) == list(g.adj) == order
         assert {a: list(entries) for a, entries in g.adj.items()} == rows
         assert g.original_vertex_count == len(order)
@@ -102,23 +104,27 @@ class TestFromEdgeList:
         assert len({id(e) for e in edges}) == 1
         assert edges[0].cross_e == 1
 
-    def test_members_retained_on_demand(self):
-        g = SummaryGraph.from_edge_list([(1, 2)], retain_members=True)
+    def test_members_retained_on_demand(self, tmp_path):
+        # every built graph knows its members; a summary read back from a
+        # file without member lists does not, but still logs its merges
+        g = SummaryGraph.from_edge_list([(1, 2)])
         assert member_sets(g) == {1: {1}, 2: {2}}
-        g = p3()
-        assert (g.member_ids, g.member_start, g.merge_log) == (None, None, None)
-        g.merge(1, 2)
-        assert g.merge_log is None
+        path = tmp_path / "plain.summary"
+        write_summary(p3(), path, members=False)
+        g = read_summary(path)
+        assert (g.member_ids, g.member_start, list(g.merge_log)) \
+            == (None, None, [])
+        z = g.merge(0, 1)
+        assert list(g.merge_log) == [0, 1, z]
         with pytest.raises(ValueError, match="membership not retained"):
             g.membership()
+        g.validate()
 
     def test_retained_ids_must_fit_int64(self):
-        edges = [(0, 2 ** 63 - 3), (1, 2)]
-        assert SummaryGraph.from_edge_list(edges).alive_count == 4
-        with pytest.raises(ValueError, match="too large to retain"):
-            SummaryGraph.from_edge_list(edges, retain_members=True)
-        g = SummaryGraph.from_edge_list([(0, 2 ** 63 - 4), (1, 2)],
-                                        retain_members=True)
+        # merged ids run up to max id + n - 2, which the int64 log must hold
+        with pytest.raises(ValueError, match="too large for the int64 merge log"):
+            SummaryGraph.from_edge_list([(0, 2 ** 63 - 3), (1, 2)])
+        g = SummaryGraph.from_edge_list([(0, 2 ** 63 - 4), (1, 2)])
         while g.alive_count > 1:
             g.merge(*list(g.alive_ids())[:2])
         g.validate()
@@ -157,7 +163,7 @@ class TestMerge:
         g.validate()
 
     def test_merge_members_union(self):
-        g = SummaryGraph.from_edge_list([(1, 2), (2, 3)], retain_members=True)
+        g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
         z = g.merge(1, 3)
         assert member_sets(g) == {2: {2}, z: {1, 3}}
         assert list(g.merge_log) == [1, 3, z]
@@ -216,8 +222,7 @@ class TestInvariantsUnderRandomMerges:
         rng = random.Random(42)
         for trial in range(30):
             n = rng.randint(4, 14)
-            g = SummaryGraph.from_edge_list(gnp_edges(n, 0.4, rng),
-                                            retain_members=True)
+            g = SummaryGraph.from_edge_list(gnp_edges(n, 0.4, rng))
             edge_count = g.original_edge_count
             while g.alive_count > 1:
                 alive = list(g.alive_ids())
@@ -261,8 +266,7 @@ class TestInvariantsUnderRandomMerges:
 
     def test_copy_is_independent(self):
         rng = random.Random(3)
-        g = SummaryGraph.from_edge_list(gnp_edges(12, 0.4, rng),
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list(gnp_edges(12, 0.4, rng))
         g.merge(0, 1)
 
         def snapshot(graph):
@@ -334,7 +338,7 @@ class TestMembershipLog:
     @given(merge_sequences())
     def test_replay_matches_set_union(self, case):
         edges, picks = case
-        g = SummaryGraph.from_edge_list(edges, retain_members=True)
+        g = SummaryGraph.from_edge_list(edges)
         sets = {a: {a} for a in g.nodes}
         apply_picks(g, picks, sets)
         assert member_sets(g) == sets
@@ -348,7 +352,7 @@ class TestMembershipLog:
            st.booleans())
     def test_copy_and_original_merge_independently(self, case, more, in_copy):
         edges, picks = case
-        g = SummaryGraph.from_edge_list(edges, retain_members=True)
+        g = SummaryGraph.from_edge_list(edges)
         apply_picks(g, picks)
         clone = g.copy()
         moved, kept = (clone, g) if in_copy else (g, clone)
@@ -362,8 +366,7 @@ class TestMembershipLog:
 
     @pytest.mark.parametrize("tamper", ["relink", "drop", "extra"])
     def test_validate_rejects_a_log_that_disagrees_with_sizes(self, tamper):
-        g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)],
-                                        retain_members=True)
+        g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
         z = g.merge(1, 3)
         g.merge(z, 4)
         g.validate()
@@ -378,18 +381,19 @@ class TestMembershipLog:
 
     def test_retained_identity_memory(self):
         # the log and vertex arrays cost a few bytes per vertex, next to the
-        # supernodes and adjacency maps the graph needs anyway
+        # supernodes and adjacency maps the graph needs anyway: at most a
+        # tenth of the rest of the identity graph's traced memory
         edges = constant_degree_edges(2 ** 13, 6, random.Random(13))
-        traced = {}
-        for retain in (False, True):
-            tracemalloc.start()
-            try:
-                g = SummaryGraph.from_edge_list(edges, retain_members=retain)
-                traced[retain] = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            del g
-        assert traced[True] <= 1.1 * traced[False]
+        tracemalloc.start()
+        try:
+            g = SummaryGraph.from_edge_list(edges)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.member_start is g.member_ids
+        arrays = sys.getsizeof(g.member_ids) + sys.getsizeof(g.merge_log)
+        assert arrays >= 8 * g.original_vertex_count
+        assert arrays <= 0.1 * (traced - arrays)
 
 
 class TestValidate:
