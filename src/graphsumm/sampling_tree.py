@@ -33,8 +33,7 @@ class SamplingTree:
         self._padded = padded
         self._sums = [0.0] * (2 * padded)
         self._leaf_vertex: list[int | None] = [None] * padded
-        # vertex -> its leaf's slot; read-only for callers, which may look
-        # slots up for merge_leaves or keep per-vertex rows at them
+        # vertex -> its leaf's slot; read-only for callers
         self.slot_of: dict[int, int] = {}
         self._free_slots: list[int] = list(range(capacity))
         # Nodes visited by every draw and update (one root-to-leaf path),
@@ -137,15 +136,16 @@ class SamplingTree:
         self._set_slot(slot, weight)
 
     def merge_leaves(self, a: int, b: int, z: int, weight: float,
-                     slots: list[int], weights: list[float]) -> None:
+                     others: Iterable[int], weights: list[float]) -> None:
         """Replace a and b by z and reweigh other leaves, in one batch.
 
-        The result equals delete(a), delete(b), insert(z, weight) followed
-        by setting the leaf at slots[i] to weights[i]: z takes the lowest
-        free slot. The slots must be bound to vertices other than a and b.
-        Every changed leaf is written first, and then each changed ancestor
-        is recomputed once from its two children, instead of once per
-        changed leaf below it.
+        a's and b's leaves are unbound and their slots freed, z is bound to
+        the lowest free slot with the given weight, and the leaf of each
+        vertex in others, all bound and none of them a or b, takes the
+        matching entry of weights. Every changed leaf is written first, and
+        then each changed ancestor is recomputed once from its two
+        children, so every sum is the one a leaf-by-leaf update would
+        give. A bad batch raises before anything changes.
         """
         slot_of = self.slot_of
         if a == b or a not in slot_of or b not in slot_of:
@@ -154,6 +154,7 @@ class SamplingTree:
             raise ValueError(f"vertex {z} already present")
         if weight < 0 or min(weights, default=0.0) < 0:
             raise ValueError("negative weight")
+        slots = [slot_of[x] for x in others]
         slot_a = slot_of.pop(a)
         slot_b = slot_of.pop(b)
         free = self._free_slots

@@ -19,7 +19,7 @@ twice: on the benchmark's dense-sketch graph nearly every sketch score had
 to build both of its sketches anyway.
 
 After a merge, one walk over z's neighbors gathers each neighbor's new
-weight and tree slot, and the tree takes all leaf changes in one batch.
+weight, and the tree takes all leaf changes in one batch.
 Every tree sum gets the same float operations, in the same order, as
 patching one leaf at a time would give.
 
@@ -332,11 +332,9 @@ class Summarizer:
         # weight is node_weight's, inlined: -(4d/n) - sq equals -sq - 4d/n
         # bit for bit.
         nodes = g.nodes
-        tree = self.tree
-        tree_slot = tree.slot_of
-        slots = []
+        neighbors = g.adj[z]
         weights = []
-        for x in g.adj[z]:
+        for x in neighbors:
             node = nodes[x]
             size = node.size_n
             f = -(4.0 * node.d_value / size)
@@ -344,8 +342,7 @@ class Summarizer:
             if internal:
                 f -= 4.0 * internal * internal / (size * (size - 1) / 2.0)
             weights.append(-1.0 / f if f else 0.0)
-            slots.append(tree_slot[x])
-        tree.merge_leaves(a, b, z, node_weight(g, z), slots, weights)
+        self.tree.merge_leaves(a, b, z, node_weight(g, z), neighbors, weights)
         self.iterations += 1
         return z
 

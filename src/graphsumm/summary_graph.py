@@ -200,17 +200,17 @@ class SummaryGraph:
     def merge(self, a: int, b: int) -> int:
         """Collapse supernodes a and b into a new supernode; return its id.
 
-        Work is proportional to deg(a) + deg(b): both adjacency lists are
-        coalesced through one scratch map, neighbor-side entries are removed
-        by key (the shared-edge analogue of a mirror pointer), and every
-        affected d_value is patched incrementally. A superedge that only one
-        of a and b had is carried over to z as it is, since its count does
-        not change; a neighbor of both gets a new one.
+        Work is proportional to deg(a) + deg(b): b's adjacency is folded
+        into a's map in place, which becomes z's, neighbor-side entries are
+        removed by key (the shared-edge analogue of a mirror pointer), and
+        every affected d_value is patched incrementally. A superedge that
+        only one of a and b had is carried over to z as it is, since its
+        count does not change; a neighbor of both gets a new one. z's map
+        keeps a's neighbors first, in a's order, then b's other neighbors
+        in b's order.
 
-        a and b leave ``nodes`` and ``adj``, but their own adjacency maps
-        and ``SuperNode`` objects are left as they were (only ``alive``
-        turns False), so a caller holding them can still read the pair's
-        pre-merge edges and statistics.
+        a and b leave ``nodes`` and ``adj``, and their ``SuperNode``
+        objects have ``alive`` cleared.
         """
         nodes = self.nodes
         node_a = nodes.get(a)
@@ -218,28 +218,28 @@ class SummaryGraph:
         if a == b or node_a is None or node_b is None:
             raise ValueError("invalid merge pair")
         adj = self.adj
-        adj_a = adj[a]
+        adj_z = adj[a]
         adj_b = adj[b]
         size_a = node_a.size_n
         size_b = node_b.size_n
         size_z = size_a + size_b
-        pair_edge = adj_a.get(b)
+        pair_edge = adj_z.pop(b, None)
         e_ab = pair_edge.cross_e if pair_edge is not None else 0
+        # each entry of a's and b's maps is read, and each one not between
+        # a and b is also deleted from the neighbour's map; with b's entry
+        # already popped from a's map, that is twice the two lengths
+        self.last_merge_touched = 2 * (len(adj_z) + len(adj_b))
 
-        new_edges: dict[int, SuperEdge] = {}
-        for x, edge in adj_a.items():
-            if x == b:
-                continue
+        for x, edge in adj_z.items():
             e_ax = edge.cross_e
-            new_edges[x] = edge
             nodes[x].d_value -= e_ax * e_ax / size_a
             del adj[x][a]
         for x, edge in adj_b.items():
             if x == a:
                 continue
             e_bx = edge.cross_e
-            edge_a = new_edges.get(x)
-            new_edges[x] = edge if edge_a is None else SuperEdge(edge_a.cross_e + e_bx)
+            edge_a = adj_z.get(x)
+            adj_z[x] = edge if edge_a is None else SuperEdge(edge_a.cross_e + e_bx)
             nodes[x].d_value -= e_bx * e_bx / size_b
             del adj[x][b]
 
@@ -248,12 +248,10 @@ class SummaryGraph:
         self.merge_log.extend((a, b, z))
         node_z = SuperNode(size_z, node_a.internal_e + node_b.internal_e + e_ab)
         nodes[z] = node_z
-        adj_z: dict[int, SuperEdge] = {}
         adj[z] = adj_z
         d_z = 0.0
-        for x, edge in new_edges.items():
+        for x, edge in adj_z.items():
             e_zx = edge.cross_e
-            adj_z[x] = edge
             adj[x][z] = edge
             node = nodes[x]
             node.d_value += e_zx * e_zx / size_z
@@ -263,10 +261,6 @@ class SummaryGraph:
         node_a.alive = False
         node_b.alive = False
         del nodes[a], nodes[b], adj[a], adj[b]
-        # each entry of a's and b's maps is read, and each one not between
-        # a and b is also deleted from the neighbour's map
-        self.last_merge_touched = (2 * (len(adj_a) + len(adj_b))
-                                   - (2 if pair_edge is not None else 0))
         return z
 
     # ------------------------------------------------------------------

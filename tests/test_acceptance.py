@@ -20,6 +20,7 @@ from conftest import (constant_degree_edges, exact_dot, gnp_edges,
 from graphsumm import (SamplingTree, SummarizerConfig, SummaryGraph,
                        build_report, make_hash_seeds, re_brute, re_closed,
                        score_exact, summarize)
+from graphsumm import summarizer as summarizer_module
 from graphsumm.cli import main, parse_edge_list
 
 
@@ -253,6 +254,55 @@ def test_criterion_8_near_linearithmic_scaling():
     assert total < 600.0, f"total {total:.0f}s >= 600s; {detail}"
     print(f"\nACCEPTANCE 8 scaling: PASS (slope {slope:.3f} <= 1.35; {detail}; "
           f"total {total:.0f}s)")
+
+
+@pytest.mark.slow
+def test_criterion_8_work_counts_near_linearithmic(monkeypatch):
+    # Criterion 8's graphs, sizes and config, with the loop's work counted
+    # instead of timed: draws, adjacency entries touched by merges and the
+    # summed smaller degree of exactly scored pairs. The counts depend only
+    # on the code, not on the machine, so each one's log-log slope is held
+    # to that of n log^2 n over the same sizes.
+    counts = {"draws": 0, "touched": 0, "min_degree": 0}
+    get_leaf = SamplingTree.get_leaf
+    merge = SummaryGraph.merge
+    exact = summarizer_module.score_exact
+
+    def counted_get_leaf(tree, r):
+        counts["draws"] += 1
+        return get_leaf(tree, r)
+
+    def counted_merge(g, a, b):
+        z = merge(g, a, b)
+        counts["touched"] += g.last_merge_touched
+        return z
+
+    def counted_score_exact(g, a, b):
+        counts["min_degree"] += min(len(g.adj[a]), len(g.adj[b]))
+        return exact(g, a, b)
+
+    monkeypatch.setattr(SamplingTree, "get_leaf", counted_get_leaf)
+    monkeypatch.setattr(SummaryGraph, "merge", counted_merge)
+    monkeypatch.setattr(summarizer_module, "score_exact", counted_score_exact)
+    sizes = [2 ** 14, 2 ** 15, 2 ** 16, 2 ** 17]
+    series = {name: [] for name in counts}
+    for n in sizes:
+        rng = random.Random(n)
+        g = SummaryGraph.from_edge_list(constant_degree_edges(n, 6, rng))
+        counts.update(dict.fromkeys(counts, 0))
+        summarize(g, SummarizerConfig(target_k=n // 2, score_mode="sketch",
+                                      sketch_width=50, sketch_depth=2, seed=1))
+        for name, count in counts.items():
+            series[name].append(count)
+    log_sizes = np.log(sizes)
+    bound = float(np.polyfit(log_sizes, np.log([n * math.log(n) ** 2
+                                                for n in sizes]), 1)[0])
+    slopes = {name: float(np.polyfit(log_sizes, np.log(values), 1)[0])
+              for name, values in series.items()}
+    detail = ", ".join(f"{name} {slope:.3f}" for name, slope in slopes.items())
+    assert max(slopes.values()) <= bound, \
+        f"work-count slope above n log^2 n's {bound:.3f}: {detail}; {series}"
+    print(f"\nACCEPTANCE 8 work counts: PASS ({detail} <= {bound:.3f})")
 
 
 def test_criterion_9_deterministic_summary_files(tmp_path):

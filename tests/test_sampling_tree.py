@@ -231,8 +231,7 @@ class TestMergeLeaves:
         older_slot = 0
         for a, b, z, weight, others, weights in self.merge_sequence(size, batch, batch):
             freed = {tree.slot_of[a], tree.slot_of[b]}
-            tree.merge_leaves(a, b, z, weight,
-                              [tree.slot_of[x] for x in others], weights)
+            tree.merge_leaves(a, b, z, weight, others, weights)
             reference.delete(a)
             reference.delete(b)
             reference.insert(z, weight)
@@ -255,7 +254,10 @@ class TestMergeLeaves:
         with pytest.raises(ValueError, match="already present"):
             tree.merge_leaves(1, 2, 3, 1.0, [], [])
         with pytest.raises(ValueError, match="negative"):
-            tree.merge_leaves(1, 2, 4, 1.0, [tree.slot_of[3]], [-1.0])
-        assert tree._sums == sums and len(tree) == 3
-        tree.merge_leaves(1, 2, 2, 0.5, [tree.slot_of[3]], [2.0])
+            tree.merge_leaves(1, 2, 4, 1.0, [3], [-1.0])
+        slots = dict(tree.slot_of)
+        with pytest.raises(KeyError):
+            tree.merge_leaves(1, 2, 4, 1.0, [3, 9], [1.0, 1.0])  # 9 unbound
+        assert tree._sums == sums and tree.slot_of == slots and len(tree) == 3
+        tree.merge_leaves(1, 2, 2, 0.5, [3], [2.0])
         assert tree.total_weight == 2.5 and tree.slot_of == {2: 0, 3: 2}
