@@ -199,7 +199,6 @@ def read_summary(path: str) -> SummaryGraph:
             g = SummaryGraph()
             g.original_vertex_count = n
             g.original_edge_count = m
-            g._next_id = k
             nodes = g.nodes
             adj = g.adj
             member_ids = array("q")

@@ -135,48 +135,40 @@ class SamplingTree:
         self.slot_of[vertex] = slot
         self._set_slot(slot, weight)
 
-    def merge_leaves(self, a: int, b: int, z: int, weight: float,
+    def merge_leaves(self, a: int, b: int, weight: float,
                      others: Iterable[int], weights: list[float]) -> None:
-        """Replace a and b by z and reweigh other leaves, in one batch.
+        """Fold b's leaf into a's and reweigh other leaves, in one batch.
 
-        a's and b's leaves are unbound and their slots freed, z is bound to
-        the lowest free slot with the given weight, and the leaf of each
-        vertex in others, all bound and none of them a or b, takes the
-        matching entry of weights. Every changed leaf is written first, and
-        then each changed ancestor is recomputed once from its two
-        children, so every sum is the one a leaf-by-leaf update would
-        give. A bad batch raises before anything changes.
+        a's leaf takes the given weight, b's leaf is zeroed and unbound and
+        its slot freed for insert(), and the leaf of each vertex in others,
+        all bound and none of them a or b, takes the matching entry of
+        weights. Every changed leaf is written first, and then each changed
+        ancestor is recomputed once from its two children, so every sum is
+        the one a leaf-by-leaf update would give. A bad batch raises before
+        anything changes.
         """
         slot_of = self.slot_of
         if a == b or a not in slot_of or b not in slot_of:
             raise KeyError(f"vertices {a} and {b} need distinct leaves")
-        if z in slot_of and z not in (a, b):
-            raise ValueError(f"vertex {z} already present")
         if weight < 0 or min(weights, default=0.0) < 0:
             raise ValueError("negative weight")
         slots = [slot_of[x] for x in others]
-        slot_a = slot_of.pop(a)
+        slot_a = slot_of[a]
         slot_b = slot_of.pop(b)
-        free = self._free_slots
-        heapq.heappush(free, slot_a)
-        slot_z = heapq.heappushpop(free, slot_b)
-        leaf_vertex = self._leaf_vertex
-        leaf_vertex[slot_a] = leaf_vertex[slot_b] = None
-        leaf_vertex[slot_z] = z
-        slot_of[z] = slot_z
+        self._leaf_vertex[slot_b] = None
+        heapq.heappush(self._free_slots, slot_b)
 
         sums = self._sums
         padded = self._padded
-        sums[padded + slot_a] = sums[padded + slot_b] = 0.0
-        sums[padded + slot_z] = weight
+        sums[padded + slot_a] = weight
+        sums[padded + slot_b] = 0.0
         for slot, leaf_weight in zip(slots, weights):
             sums[padded + slot] = leaf_weight
         # Walked in slot order, a leaf stops below its lowest common
-        # ancestor with the next changed leaf (a repeated slot, z's when it
-        # was a's or b's, walks no level): that leaf's walk passes the
+        # ancestor with the next changed leaf: that leaf's walk passes the
         # shared ancestors later, with all of their changed leaves written,
         # so each ancestor is computed once.
-        changed = [slot_a, slot_b, slot_z, *slots]
+        changed = [slot_a, slot_b, *slots]
         changed.sort()
         heights = [(slot ^ after).bit_length() - 1
                    for slot, after in zip(changed, changed[1:])]
@@ -188,6 +180,20 @@ class SamplingTree:
                 total += sums[idx ^ 1]
                 idx >>= 1
                 sums[idx] = total
+
+    def uniform_vertex(self, rng, other_than: int | None = None) -> int:
+        """A bound vertex other than other_than, drawn uniformly whatever
+        the weights: slots are drawn uniformly until one is bound to
+        another vertex, about capacity / len(self) draws. Raises
+        ValueError when there is no such vertex."""
+        if len(self.slot_of) - (other_than in self.slot_of) < 1:
+            raise ValueError("no other bound vertex to draw")
+        leaf_vertex = self._leaf_vertex
+        capacity = self.capacity
+        while True:
+            vertex = leaf_vertex[rng.randrange(capacity)]
+            if vertex is not None and vertex != other_than:
+                return vertex
 
     def _set_slot(self, slot: int, new_weight: float) -> None:
         if new_weight < 0:

@@ -18,8 +18,9 @@ would need patching at every merge of a neighbor, and were almost never read
 twice: on the benchmark's dense-sketch graph nearly every sketch score had
 to build both of its sketches anyway.
 
-After a merge, one walk over z's neighbors gathers each neighbor's new
-weight, and the tree takes all leaf changes in one batch.
+A merge of a and b keeps a. After it, one walk over a's neighbors gathers
+each neighbor's new weight, and the tree takes all leaf changes in one
+batch: a's leaf keeps its slot and b's is freed.
 Every tree sum gets the same float operations, in the same order, as
 patching one leaf at a time would give.
 
@@ -202,50 +203,38 @@ def sample_pairs(g: SummaryGraph, tree: SamplingTree, s: int,
     the first node's leaf zeroed; that gives the same distribution as
     redrawing until distinct, and the leaf is then restored bit-exactly (the
     tree's sums depend only on its leaves). When no other node carries mass,
-    a zero total weight included, draws are uniform over the alive nodes, so
-    any two alive nodes always yield a pair.
+    a zero total weight included, draws are uniform over the tree's bound
+    vertices, which are the alive nodes, so any two alive nodes always
+    yield a pair. The tree alone is read; g is not.
     """
     total = tree.total_weight
     if total > 0.0:
-        alive = None
         draw = lambda: tree.get_leaf(rng.random() * total)
     else:
-        alive = _alive_sorted(g)
-        draw = lambda: alive[rng.randrange(len(alive))]
+        draw = lambda: tree.uniform_vertex(rng)
     pairs = []
     for _ in range(s):
         first = draw()
         partner = draw()
         if partner == first:
-            partner = _draw_other(g, tree, first, rng, alive)
+            partner = _draw_other(tree, first, rng)
         pairs.append((first, partner))
     return pairs
 
 
-def _alive_sorted(g: SummaryGraph) -> list[int]:
-    alive = sorted(g.alive_ids())
-    if len(alive) < 2:
-        raise ValueError("need at least 2 alive nodes to sample a pair")
-    return alive
-
-
-def _draw_other(g: SummaryGraph, tree: SamplingTree, first: int,
-                rng: random.Random, alive: list[int] | None) -> int:
+def _draw_other(tree: SamplingTree, first: int, rng: random.Random) -> int:
     """One draw conditioned on differing from first: weighted from the mass
-    left without first, or uniform over the other alive nodes when none is
-    left (alive is given when the whole tree is known to be massless)."""
-    if alive is None:
-        weight = tree.weight_of(first)
+    left without first, or uniform over the other vertices when none is
+    left."""
+    weight = tree.weight_of(first)
+    if weight > 0.0:
         tree.update_weight(first, 0.0)
         rest = tree.total_weight
         partner = tree.get_leaf(rng.random() * rest) if rest > 0.0 else None
         tree.update_weight(first, weight)
         if partner is not None:
             return partner
-        alive = _alive_sorted(g)
-    # index len-1 stands in for first's own index
-    partner = alive[rng.randrange(len(alive) - 1)]
-    return alive[-1] if partner == first else partner
+    return tree.uniform_vertex(rng, first)
 
 
 # ----------------------------------------------------------------------
@@ -311,9 +300,9 @@ class Summarizer:
         return score_exact(g, a, b)
 
     def step(self) -> int:
-        """One iteration: sample, score, merge the argmax pair (first
-        encountered wins ties), patch weights. Returns the merged node's
-        id."""
+        """One iteration: sample, score, merge the argmax pair (a, b)
+        (first encountered wins ties), patch weights. Returns a, the
+        merged node's id."""
         g = self.graph
         s = _parsed_sample_size(self._sample_rule, g.alive_count)
         pairs = sample_pairs(g, self.tree, s, self.rng)
@@ -326,13 +315,13 @@ class Summarizer:
                 best = candidate
         self.last_candidates = candidates
         a, b = best.a, best.b
-        z = g.merge(a, b)
+        g.merge(a, b)
 
-        # The one walk over z's neighbors (see the module docstring). The
+        # The one walk over a's neighbors (see the module docstring). The
         # weight is node_weight's, inlined: -(4d/n) - sq equals -sq - 4d/n
         # bit for bit.
         nodes = g.nodes
-        neighbors = g.adj[z]
+        neighbors = g.adj[a]
         weights = []
         for x in neighbors:
             node = nodes[x]
@@ -342,9 +331,9 @@ class Summarizer:
             if internal:
                 f -= 4.0 * internal * internal / (size * (size - 1) / 2.0)
             weights.append(-1.0 / f if f else 0.0)
-        self.tree.merge_leaves(a, b, z, node_weight(g, z), neighbors, weights)
+        self.tree.merge_leaves(a, b, node_weight(g, a), neighbors, weights)
         self.iterations += 1
-        return z
+        return a
 
     def run(self) -> SummaryGraph:
         while self.graph.alive_count > self.cfg.target_k:

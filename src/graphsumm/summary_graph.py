@@ -18,11 +18,15 @@ where counts add up and reuses the rest), so ``copy`` shares them between
 the original and the copy, and every count-1 superedge of the graph is the
 one shared ``UNIT_EDGE``.
 
+A merge of a and b keeps a: the merged supernode takes a's id, its
+``SuperNode`` and its adjacency map, so no id is ever made up and every
+live id is one the graph started with.
+
 Vertex membership is not stored per supernode. The graph keeps each
 original vertex with its block at the start (``member_ids``,
-``member_start``) and a flat log of its merges (``merge_log``, one
-(a, b, z) triple per merge); ``membership`` replays the log to give every
-vertex its current block. Every graph ``from_edge_list`` builds knows its
+``member_start``) and a flat log of its merges (``merge_log``, one (a, b)
+pair per merge); ``membership`` replays the log to give every vertex its
+current block. Every graph ``from_edge_list`` builds knows its
 vertices; only a summary read back from a file without member lists does
 not (``member_ids`` is None), and its log then records the merges since.
 """
@@ -37,8 +41,9 @@ from typing import Iterable, Iterator
 
 class SuperNode:
     """One class of the vertex partition; its id is its key in
-    ``SummaryGraph.nodes``. ``alive`` turns False when a merge removes the
-    node from the graph, for callers still holding the object."""
+    ``SummaryGraph.nodes``. A merge updates the kept node in place and
+    turns ``alive`` False on the removed one, for callers still holding
+    the object."""
 
     __slots__ = ("size_n", "internal_e", "d_value", "alive")
 
@@ -93,10 +98,9 @@ class SummaryGraph:
         self.adj: dict[int, dict[int, SuperEdge]] = {}
         self.original_vertex_count = 0
         self.original_edge_count = 0
-        self._next_id = 0
         # The original vertex ids and each one's block when the log starts
         # (both None while membership is unknown), and the merges since, as
-        # flat (a, b, z) triples.
+        # flat (kept, removed) pairs.
         self.member_ids: array | None = None
         self.member_start: array | None = None
         self.merge_log = array("q")
@@ -118,9 +122,8 @@ class SummaryGraph:
 
         Duplicate edges (in either orientation) and self-loops are dropped.
         The graph keeps the vertex ids, and every merge is logged, so that
-        ``membership`` can say which supernode holds each vertex. Merged
-        ids run up to max id + n - 2 and must fit the int64 log, so larger
-        ids raise ValueError.
+        ``membership`` can say which supernode holds each vertex. Ids must
+        fit the int64 log, so an id of 2^63 or more raises ValueError.
         """
         edges = list(edges)
         if not edges:
@@ -142,8 +145,7 @@ class SummaryGraph:
                    for w, entries in adj.items()}
         g.original_vertex_count = len(ids)
         g.original_edge_count = sum(map(len, adj.values())) // 2
-        g._next_id = max(ids) + 1
-        if g._next_id + len(ids) - 2 >= 2 ** 63:
+        if max(ids) >= 2 ** 63:
             raise ValueError("vertex ids too large for the int64 merge log")
         # each vertex starts as its own block, so one array serves both
         g.member_ids = g.member_start = array("q", ids)
@@ -172,18 +174,17 @@ class SummaryGraph:
         graph's own ``member_ids``; ``blocks`` is new on every call.
 
         Replays the merge log with union-find in O(n α(n)): each merge
-        links a and b under z, path compression then points every merged
-        id at its root, and a start block that no merge touched is its own
-        root. Raises ValueError when membership is unknown: the graph was
-        read from a summary file without member lists.
+        links b under a, path compression then points every merged id at
+        its root, and a start block that no merge touched is its own root.
+        Raises ValueError when membership is unknown: the graph was read
+        from a summary file without member lists.
         """
         if self.member_ids is None:
             raise ValueError("membership not retained on this summary")
         parent: dict[int, int] = {}
-        triples = iter(self.merge_log)
-        for a, b, z in zip(triples, triples, triples):
-            parent[a] = z
-            parent[b] = z
+        pairs = iter(self.merge_log)
+        for a, b in zip(pairs, pairs):
+            parent[b] = a
         for merged in parent:  # only values change, never keys
             root = parent[merged]
             while root in parent:
@@ -198,19 +199,19 @@ class SummaryGraph:
     # mutation
 
     def merge(self, a: int, b: int) -> int:
-        """Collapse supernodes a and b into a new supernode; return its id.
+        """Collapse supernode b into supernode a; return a.
 
         Work is proportional to deg(a) + deg(b): b's adjacency is folded
-        into a's map in place, which becomes z's, neighbor-side entries are
-        removed by key (the shared-edge analogue of a mirror pointer), and
-        every affected d_value is patched incrementally. A superedge that
-        only one of a and b had is carried over to z as it is, since its
-        count does not change; a neighbor of both gets a new one. z's map
-        keeps a's neighbors first, in a's order, then b's other neighbors
-        in b's order.
+        into a's map in place, each of b's neighbors trades its key b for
+        a, and every affected d_value is patched incrementally. A
+        superedge that only one of a and b had is carried over as it is,
+        since its count does not change; a neighbor of both gets a new
+        one. a's map keeps its neighbors first, in its order, then b's
+        other neighbors in b's order. A neighbor of a keeps key a where it
+        was; a neighbor of b alone gets it at the end of its map.
 
-        a and b leave ``nodes`` and ``adj``, and their ``SuperNode``
-        objects have ``alive`` cleared.
+        a's ``SuperNode`` is updated in place; b leaves ``nodes`` and
+        ``adj``, and its ``SuperNode`` has ``alive`` cleared.
         """
         nodes = self.nodes
         node_a = nodes.get(a)
@@ -218,50 +219,47 @@ class SummaryGraph:
         if a == b or node_a is None or node_b is None:
             raise ValueError("invalid merge pair")
         adj = self.adj
-        adj_z = adj[a]
-        adj_b = adj[b]
+        adj_a = adj[a]
+        adj_b = adj.pop(b)
         size_a = node_a.size_n
         size_b = node_b.size_n
-        size_z = size_a + size_b
-        pair_edge = adj_z.pop(b, None)
+        size_ab = size_a + size_b
+        pair_edge = adj_a.pop(b, None)
         e_ab = pair_edge.cross_e if pair_edge is not None else 0
         # each entry of a's and b's maps is read, and each one not between
-        # a and b is also deleted from the neighbour's map; with b's entry
+        # a and b is also patched in the neighbour's map; with b's entry
         # already popped from a's map, that is twice the two lengths
-        self.last_merge_touched = 2 * (len(adj_z) + len(adj_b))
+        self.last_merge_touched = 2 * (len(adj_a) + len(adj_b))
 
-        for x, edge in adj_z.items():
+        for x, edge in adj_a.items():
             e_ax = edge.cross_e
             nodes[x].d_value -= e_ax * e_ax / size_a
-            del adj[x][a]
         for x, edge in adj_b.items():
             if x == a:
                 continue
             e_bx = edge.cross_e
-            edge_a = adj_z.get(x)
-            adj_z[x] = edge if edge_a is None else SuperEdge(edge_a.cross_e + e_bx)
             nodes[x].d_value -= e_bx * e_bx / size_b
-            del adj[x][b]
+            adj_x = adj[x]
+            del adj_x[b]
+            edge_a = adj_a.get(x)
+            if edge_a is not None:
+                edge = SuperEdge(edge_a.cross_e + e_bx)
+            adj_a[x] = adj_x[a] = edge
 
-        z = self._next_id
-        self._next_id += 1
-        self.merge_log.extend((a, b, z))
-        node_z = SuperNode(size_z, node_a.internal_e + node_b.internal_e + e_ab)
-        nodes[z] = node_z
-        adj[z] = adj_z
-        d_z = 0.0
-        for x, edge in adj_z.items():
-            e_zx = edge.cross_e
-            adj[x][z] = edge
+        self.merge_log.extend((a, b))
+        d_ab = 0.0
+        for x, edge in adj_a.items():
+            e_ax = edge.cross_e
             node = nodes[x]
-            node.d_value += e_zx * e_zx / size_z
-            d_z += e_zx * e_zx / node.size_n
-        node_z.d_value = d_z
+            node.d_value += e_ax * e_ax / size_ab
+            d_ab += e_ax * e_ax / node.size_n
+        node_a.size_n = size_ab
+        node_a.internal_e += node_b.internal_e + e_ab
+        node_a.d_value = d_ab
 
-        node_a.alive = False
         node_b.alive = False
-        del nodes[a], nodes[b], adj[a], adj[b]
-        return z
+        del nodes[b]
+        return a
 
     # ------------------------------------------------------------------
     # copying and validation
@@ -277,7 +275,6 @@ class SummaryGraph:
         g = SummaryGraph()
         g.original_vertex_count = self.original_vertex_count
         g.original_edge_count = self.original_edge_count
-        g._next_id = self._next_id
         g.member_ids = self.member_ids
         g.member_start = self.member_start
         g.merge_log = array("q", self.merge_log)

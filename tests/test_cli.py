@@ -301,6 +301,31 @@ class TestSummaryRoundTrip:
         assert member_sets(back) == sets
         back.validate()
 
+    @pytest.mark.parametrize("members", [True, False])
+    def test_read_back_merges_keep_file_ids(self, tmp_path, members):
+        # a read-back summary numbers its supernodes 0..k-1, and merging it
+        # further keeps its ids in that range; the result round-trips
+        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.15, random.Random(31)))
+        summarize(g, SummarizerConfig(target_k=20, seed=3))
+        first = tmp_path / "first.summary"
+        write_summary(g, first, members=members)
+        back = read_summary(first)
+        assert set(back.alive_ids()) == set(range(20))
+        summarize(back, SummarizerConfig(target_k=7, seed=4))
+        assert set(back.alive_ids()) < set(range(20))
+        back.validate()
+        second = tmp_path / "second.summary"
+        write_summary(back, second, members=members)
+        again = read_summary(second)
+        again.validate()
+        assert re_closed(again) == pytest.approx(re_closed(back), rel=1e-12)
+        third = tmp_path / "third.summary"
+        write_summary(again, third, members=members)
+        assert third.read_bytes() == second.read_bytes()
+        if members:
+            assert sorted(map(sorted, member_sets(again).values())) \
+                == sorted(map(sorted, member_sets(back).values()))
+
     def test_read_back_membership_memory(self, tmp_path):
         # the same summary read back with and without its member lists
         n = 2 ** 13
@@ -753,17 +778,18 @@ def cli_summary_digest(tmp_path, score, members):
 
 
 class TestGoldenSummaryFiles:
-    # summary file digests of cli_summary_digest's runs, recorded before the
-    # merge log was kept on every graph; the writer's output must not change
+    # summary file digests of cli_summary_digest's runs, recorded when the
+    # merged node began keeping a's id and leaf, each file read back and
+    # validated; the writer's output must not change
     GOLDEN = {
         ("exact", False):
-            "c1720e455e98424058a7d63b6e6752250f019c5f2e423f99fe925f1473141e72",
+            "f04baf8239f6f04f13abc812385c6c41e8eb28d147b46147721c228b1433ecac",
         ("exact", True):
-            "86bb68491144c87f10cc3ae6f623eae010794fedb5f08d6750823ee344d2721a",
+            "bf46c58a42747403f7f12efe18ec870692bd865ab33b721ea9565be288a564ee",
         ("sketch", False):
-            "3f18ec57e317de1415421e52a105dcebfeb262ea049911d0013ff8149238af33",
+            "fddda72b150dda5d6796f465659310cb8ede48af274abd55ae18d3cc07a1b6d8",
         ("sketch", True):
-            "71fd445a73630fa7fdf7f8bea1c85719bf3ced459dbd328dbe2f11bdbe6aaa7c",
+            "cf193eb9b8b579a94f95b395d647395b76ba583dd488b16569ca36e7d90a432f",
     }
 
     @pytest.mark.parametrize("score, members", list(GOLDEN))

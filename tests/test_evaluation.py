@@ -299,8 +299,8 @@ class TestBuildReport:
             original, summary = random_merged_summary(
                 rng, rng.randint(2, 30), rng.uniform(0.1, 0.6))
             sets = {a: {a} for a in original.nodes}
-            for a, b, z in zip(*[iter(summary.merge_log)] * 3):
-                sets[z] = sets.pop(a) | sets.pop(b)
+            for a, b in zip(*[iter(summary.merge_log)] * 2):
+                sets[a] |= sets.pop(b)
             assert membership_index(summary) == {
                 v: block for block, members in sets.items() for v in members}
             assert build_report(original, summary) == build_report(

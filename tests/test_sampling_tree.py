@@ -205,21 +205,18 @@ class TestProperties:
 class TestMergeLeaves:
     @staticmethod
     def merge_sequence(size, batch, seed):
-        """Merges of two random vertices into a new one, each reweighing
-        `batch` other vertices (some to zero), as (a, b, z, weight,
+        """Merges of two random vertices, the first kept, each reweighing
+        `batch` other vertices (some to zero), as (a, b, weight,
         reweighed vertices, their weights)."""
         rng = random.Random(seed)
         alive = list(range(size))
-        next_vertex = size
         for _ in range(size // 2):
             a, b = rng.sample(alive, 2)
-            alive.remove(a)
             alive.remove(b)
-            others = rng.sample(alive, min(batch, len(alive)))
+            others = rng.sample([x for x in alive if x != a],
+                                min(batch, len(alive) - 1))
             weights = [rng.choice([0.0, rng.random()]) for _ in others]
-            yield a, b, next_vertex, rng.random(), others, weights
-            alive.append(next_vertex)
-            next_vertex += 1
+            yield a, b, rng.random(), others, weights
 
     @pytest.mark.parametrize("batch", [0, 1, 6, 48, 140])
     def test_equals_per_leaf_updates(self, batch):
@@ -228,36 +225,59 @@ class TestMergeLeaves:
         items = [(v, rng.random()) for v in range(size)]
         tree = SamplingTree.build(items)
         reference = SamplingTree.build(items)
-        older_slot = 0
-        for a, b, z, weight, others, weights in self.merge_sequence(size, batch, batch):
-            freed = {tree.slot_of[a], tree.slot_of[b]}
-            tree.merge_leaves(a, b, z, weight, others, weights)
-            reference.delete(a)
+        for a, b, weight, others, weights in self.merge_sequence(size, batch, batch):
+            slot_a = tree.slot_of[a]
+            tree.merge_leaves(a, b, weight, others, weights)
             reference.delete(b)
-            reference.insert(z, weight)
+            reference.update_weight(a, weight)
             for x, leaf_weight in zip(others, weights):
                 reference.update_weight(x, leaf_weight)
-            older_slot += tree.slot_of[z] not in freed
+            assert tree.slot_of[a] == slot_a
             assert tree._sums == reference._sums
             assert tree.slot_of == reference.slot_of
             assert tree._leaf_vertex == reference._leaf_vertex
+            assert tree._free_slots == reference._free_slots
         tree.check_consistency()
-        assert older_slot > 0  # z also landed on slots freed by earlier merges
 
     def test_bad_batches_leave_tree_unchanged(self):
         tree = small_tree()
         sums = list(tree._sums)
         with pytest.raises(KeyError):
-            tree.merge_leaves(1, 9, 4, 1.0, [], [])
+            tree.merge_leaves(1, 9, 1.0, [], [])
         with pytest.raises(KeyError):
-            tree.merge_leaves(1, 1, 4, 1.0, [], [])
-        with pytest.raises(ValueError, match="already present"):
-            tree.merge_leaves(1, 2, 3, 1.0, [], [])
+            tree.merge_leaves(1, 1, 1.0, [], [])
         with pytest.raises(ValueError, match="negative"):
-            tree.merge_leaves(1, 2, 4, 1.0, [3], [-1.0])
+            tree.merge_leaves(1, 2, -1.0, [], [])
+        with pytest.raises(ValueError, match="negative"):
+            tree.merge_leaves(1, 2, 1.0, [3], [-1.0])
         slots = dict(tree.slot_of)
         with pytest.raises(KeyError):
-            tree.merge_leaves(1, 2, 4, 1.0, [3, 9], [1.0, 1.0])  # 9 unbound
+            tree.merge_leaves(1, 2, 1.0, [3, 9], [1.0, 1.0])  # 9 unbound
         assert tree._sums == sums and tree.slot_of == slots and len(tree) == 3
-        tree.merge_leaves(1, 2, 2, 0.5, [3], [2.0])
-        assert tree.total_weight == 2.5 and tree.slot_of == {2: 0, 3: 2}
+        tree.merge_leaves(1, 2, 0.5, [3], [2.0])
+        assert tree.total_weight == 2.5 and tree.slot_of == {1: 0, 3: 2}
+        tree.insert(4, 1.0)  # b's freed slot
+        assert tree.slot_of[4] == 1
+
+
+class TestUniformVertex:
+    def test_ignores_weights_and_skips_other_than(self):
+        stats = pytest.importorskip("scipy.stats")
+        tree = SamplingTree.build([(v, 10.0 ** v) for v in range(6)])
+        tree.delete(2)
+        rng = random.Random(4)
+        counts = {v: 0 for v in (0, 1, 4, 5)}
+        for _ in range(8000):
+            counts[tree.uniform_vertex(rng, 3)] += 1
+        assert stats.chisquare(list(counts.values())).pvalue > 0.001
+
+    def test_no_other_bound_vertex(self):
+        tree = SamplingTree.build([(7, 0.0), (8, 0.0)])
+        tree.delete(8)
+        rng = random.Random(0)
+        assert tree.uniform_vertex(rng) == 7
+        with pytest.raises(ValueError, match="no other bound vertex"):
+            tree.uniform_vertex(rng, 7)
+        tree.delete(7)
+        with pytest.raises(ValueError, match="no other bound vertex"):
+            tree.uniform_vertex(rng)

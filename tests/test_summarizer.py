@@ -82,7 +82,10 @@ class TestScoreExact:
             score_exact(g, 1, 1)
         g.merge(1, 2)
         with pytest.raises(ValueError):
-            score_exact(g, 1, 3)
+            score_exact(g, 2, 3)  # 2 is merged into 1
+        with pytest.raises(ValueError):
+            score_exact(g, 3, 2)
+        assert score_exact(g, 1, 3) == pytest.approx(score_oracle(g, 1, 3), abs=1e-9)
 
     def test_matches_re_delta_oracle(self):
         rng = random.Random(23)
@@ -204,6 +207,27 @@ class TestSamplePairs:
                 assert g.is_alive(a) and g.is_alive(b)
             assert tree._sums == sums
 
+    def test_zero_weight_draws_read_only_the_tree(self):
+        # the uniform fallback draws from the tree's bound vertices, so it
+        # never lists or sorts the graph's alive ids
+        class NoGraph:
+            @property
+            def nodes(self):
+                raise AssertionError("graph read")
+
+            def alive_ids(self):
+                raise AssertionError("graph read")
+
+        tree = SamplingTree.build([(a, 0.0) for a in range(5)])
+        tree.delete(3)
+        pairs = sample_pairs(NoGraph(), tree, 200, random.Random(9))
+        assert all(a != b for a, b in pairs)
+        assert {v for pair in pairs for v in pair} == {0, 1, 2, 4}
+        tree = SamplingTree.build([(0, 1.0), (1, 0.0), (2, 0.0)])
+        pairs = sample_pairs(NoGraph(), tree, 200, random.Random(9))
+        assert {a for a, _ in pairs} == {0}
+        assert {b for _, b in pairs} == {1, 2}
+
     def test_partner_excludes_first_mass(self):
         stats = pytest.importorskip("scipy.stats")
         g = SummaryGraph.from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -283,6 +307,20 @@ class TestSummarize:
         assert driver.iterations == 25
         g.validate()
 
+    @pytest.mark.parametrize("mode", ["exact", "sketch"])
+    def test_live_ids_are_input_ids(self, mode):
+        # a merge keeps one of its two ids, so no live id is ever made up
+        rng = random.Random(27)
+        edges = [(3 * u + 5, 3 * v + 5)
+                 for u, v in constant_degree_edges(120, 8, rng)]
+        g = SummaryGraph.from_edge_list(edges)
+        inputs = set(g.alive_ids())
+        summarize(g, SummarizerConfig(target_k=1, seed=5, score_mode=mode,
+                                      sketch_width=2))
+        assert set(g.alive_ids()) <= inputs
+        assert len(g.merge_log) == 2 * (len(inputs) - 1)
+        assert set(g.merge_log) <= inputs
+
     def test_step_merges_first_encountered_argmax(self):
         rng = random.Random(88)
         g = SummaryGraph.from_edge_list(gnp_edges(25, 0.25, rng))
@@ -292,9 +330,9 @@ class TestSummarize:
         assert candidates and driver.cfg.score_mode == "exact"
         winner = max(candidates, key=lambda c: c.score)
         first_best = next(c for c in candidates if c.score == winner.score)
-        assert not g.is_alive(first_best.a)
+        assert merged == first_best.a
+        assert g.is_alive(first_best.a)
         assert not g.is_alive(first_best.b)
-        assert g.is_alive(merged)
 
     def test_sketch_scores_equal_sketches_of_current_vectors(self):
         # Oracle: each candidate pair of two nodes above width * depth = 16
@@ -484,61 +522,56 @@ class TestSummarize:
 
     @pytest.mark.parametrize("mode", ["exact", "sketch"])
     def test_tree_matches_per_leaf_patch_sequence(self, mode):
-        # Reference: a tree driven by delete(a), delete(b), insert(z) and
-        # one update_weight per neighbor of z, with node_weight's values.
+        # Reference: a tree driven by delete(b), update_weight(a) and one
+        # update_weight per neighbor of a, with node_weight's values.
         rng = random.Random(41)
         g = SummaryGraph.from_edge_list(constant_degree_edges(160, 36, rng))
         loop = Summarizer(g, SummarizerConfig(target_k=20, seed=8, score_mode=mode,
                                               sketch_width=16))
         reference = SamplingTree.build([(a, node_weight(g, a)) for a in g.alive_ids()])
-        older_slot = 0
         while g.alive_count > 20:
-            slots = dict(loop.tree.slot_of)
-            z = loop.step()
+            a = loop.step()
             best = max(loop.last_candidates, key=lambda c: c.score)
-            reference.delete(best.a)
+            assert a == best.a
             reference.delete(best.b)
-            reference.insert(z, node_weight(g, z))
-            for x in g.adj[z]:
+            reference.update_weight(a, node_weight(g, a))
+            for x in g.adj[a]:
                 reference.update_weight(x, node_weight(g, x))
             assert loop.tree._sums == reference._sums
             assert loop.tree.slot_of == reference.slot_of
             for x in g.alive_ids():
                 assert loop.tree.weight_of(x) == node_weight(g, x)
-            older_slot += loop.tree.slot_of[z] not in (slots[best.a], slots[best.b])
-        assert older_slot > 0
 
-    # Merged pairs recorded before the merge loop patched the tree from one
-    # walk (exact mode) and after sketch mode began scoring only pairs of
-    # two nodes above width * depth with the sketch (sketch mode); the loop
-    # must keep merging the same pairs. Width 2 puts that threshold at 4,
-    # so about a third of the sketch-mode candidates are sketch-scored;
-    # exact mode ignores the width.
+    # Merged pairs recorded when the merged node began keeping a's id and
+    # leaf, with validate() and re_closed == re_brute checked after every
+    # step; the loop must keep merging the same pairs. Width 2 puts the
+    # sketch threshold at 4, so about a third of the sketch-mode candidates
+    # are sketch-scored; exact mode ignores the width.
     GOLDEN = [
         (lambda: gnp_edges(36, 0.2, random.Random(61)), 9, "exact", 71,
-         [(9, 31), (22, 4), (19, 26), (18, 8), (10, 24), (6, 7), (3, 40), (42, 0),
-          (34, 20), (44, 27), (16, 2), (32, 5), (43, 28), (21, 23), (1, 17),
-          (15, 45), (14, 35), (38, 41), (30, 46), (48, 13), (11, 29), (51, 50),
-          (37, 33), (47, 54), (55, 39), (49, 36), (59, 25)]),
+         [(9, 31), (22, 4), (15, 17), (3, 10), (24, 22), (26, 27), (21, 9),
+          (8, 0), (34, 5), (25, 14), (34, 1), (16, 2), (28, 19), (34, 28),
+          (32, 8), (24, 21), (13, 12), (18, 30), (26, 7), (29, 23), (34, 18),
+          (16, 29), (34, 16), (20, 13), (15, 6), (25, 3), (26, 11)]),
         (lambda: gnp_edges(36, 0.2, random.Random(61)), 9, "sketch", 72,
-         [(10, 17), (21, 12), (4, 6), (38, 18), (39, 2), (30, 35), (1, 24),
-          (5, 3), (33, 14), (40, 41), (0, 15), (16, 36), (23, 7), (42, 29),
-          (34, 22), (48, 28), (51, 32), (9, 31), (13, 37), (47, 45), (25, 49),
-          (19, 26), (50, 8), (11, 20), (59, 56), (27, 58), (55, 54)]),
+         [(10, 17), (25, 12), (15, 10), (25, 21), (18, 2), (4, 23), (29, 20),
+          (9, 31), (5, 33), (0, 29), (11, 4), (16, 25), (6, 32), (8, 13),
+          (34, 27), (28, 8), (7, 18), (34, 3), (26, 19), (15, 35), (1, 24),
+          (30, 7), (22, 9), (15, 14), (0, 16), (6, 30), (26, 22)]),
         (lambda: constant_degree_edges(48, 8, random.Random(62)), 12, "exact", 73,
-         [(27, 28), (14, 3), (35, 40), (50, 30), (37, 20), (47, 48), (0, 4),
-          (8, 2), (53, 51), (23, 15), (21, 44), (25, 18), (5, 38), (31, 9),
-          (55, 49), (42, 62), (43, 63), (59, 26), (65, 60), (56, 7), (32, 22),
-          (24, 68), (41, 6), (46, 12), (19, 17), (34, 67), (45, 52), (74, 64),
-          (70, 29), (11, 16), (66, 75), (13, 77), (72, 36), (39, 61), (1, 71),
-          (76, 57)]),
+         [(27, 28), (14, 3), (29, 30), (42, 5), (26, 47), (0, 4), (42, 9),
+          (22, 40), (37, 34), (37, 23), (42, 44), (41, 35), (18, 0), (14, 24),
+          (7, 8), (25, 17), (2, 7), (20, 2), (39, 16), (43, 37), (25, 38),
+          (12, 13), (18, 42), (43, 29), (14, 21), (46, 27), (32, 26), (41, 45),
+          (19, 32), (12, 18), (25, 11), (6, 15), (19, 14), (12, 10), (19, 12),
+          (6, 43)]),
         (lambda: constant_degree_edges(48, 8, random.Random(62)), 12, "sketch", 74,
-         [(42, 41), (25, 36), (35, 48), (43, 15), (45, 50), (28, 22), (10, 31),
-          (9, 39), (27, 52), (12, 29), (26, 33), (47, 34), (24, 23), (59, 60),
-          (58, 49), (4, 44), (16, 8), (37, 61), (54, 13), (63, 51), (3, 0),
-          (11, 65), (30, 6), (56, 69), (18, 68), (19, 38), (73, 66), (71, 17),
-          (57, 32), (76, 21), (2, 14), (78, 70), (40, 72), (1, 46), (64, 80),
-          (75, 53)]),
+         [(42, 41), (25, 36), (35, 42), (26, 15), (6, 44), (23, 32), (19, 35),
+          (6, 18), (8, 10), (40, 19), (26, 3), (20, 1), (33, 43), (27, 6),
+          (4, 34), (4, 25), (31, 16), (27, 12), (21, 17), (29, 22), (21, 31),
+          (30, 14), (39, 38), (45, 27), (7, 4), (24, 29), (13, 21), (24, 11),
+          (37, 5), (33, 23), (7, 40), (28, 9), (24, 37), (45, 26), (0, 39),
+          (47, 2)]),
     ]
 
     @pytest.mark.parametrize("make_edges, k, mode, seed, expected", GOLDEN)

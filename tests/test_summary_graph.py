@@ -89,7 +89,6 @@ class TestFromEdgeList:
         assert {a: list(entries) for a, entries in g.adj.items()} == rows
         assert g.original_vertex_count == len(order)
         assert g.original_edge_count == edge_count
-        assert g._next_id == max(order) + 1
         vertices, blocks = g.membership()
         assert list(vertices) == list(blocks) == order
         assert len(g.merge_log) == 0
@@ -114,33 +113,39 @@ class TestFromEdgeList:
         g = read_summary(path)
         assert (g.member_ids, g.member_start, list(g.merge_log)) \
             == (None, None, [])
-        z = g.merge(0, 1)
-        assert list(g.merge_log) == [0, 1, z]
+        assert g.merge(0, 1) == 0
+        assert list(g.merge_log) == [0, 1]
         with pytest.raises(ValueError, match="membership not retained"):
             g.membership()
         g.validate()
 
     def test_retained_ids_must_fit_int64(self):
-        # merged ids run up to max id + n - 2, which the int64 log must hold
+        # a merge makes up no id, so every id the int64 log holds is a
+        # vertex id, and the largest one it can hold is accepted
         with pytest.raises(ValueError, match="too large for the int64 merge log"):
-            SummaryGraph.from_edge_list([(0, 2 ** 63 - 3), (1, 2)])
-        g = SummaryGraph.from_edge_list([(0, 2 ** 63 - 4), (1, 2)])
+            SummaryGraph.from_edge_list([(0, 2 ** 63), (1, 2)])
+        top = 2 ** 63 - 1
+        g = SummaryGraph.from_edge_list([(0, top), (1, 2)])
+        assert g.merge(top, 1) == top
         while g.alive_count > 1:
             g.merge(*list(g.alive_ids())[:2])
+        assert list(g.merge_log) == [top, 1, 0, top, 0, 2]
+        assert member_sets(g) == {0: {0, 1, 2, top}}
         g.validate()
 
 
 class TestMerge:
     def test_path_merge_adjacent(self):
         g = p3()
-        held = g.nodes[1]
-        z = g.merge(1, 2)
-        assert not held.alive
-        assert list(g.nodes) == list(g.adj) == [3, z]
-        assert g.nodes[z].size_n == 2
-        assert g.nodes[z].internal_e == 1
-        assert list(g.adj[z]) == [3]
-        assert g.cross_count(z, 3) == 1
+        kept, removed = g.nodes[1], g.nodes[2]
+        assert g.merge(1, 2) == 1
+        assert g.nodes[1] is kept and kept.alive
+        assert not removed.alive
+        assert list(g.nodes) == list(g.adj) == [1, 3]
+        assert g.nodes[1].size_n == 2
+        assert g.nodes[1].internal_e == 1
+        assert list(g.adj[1]) == [3]
+        assert g.cross_count(1, 3) == 1
         # neighbor's cached sum moves from 1^2/1 to 1^2/2
         assert g.nodes[3].d_value == pytest.approx(0.5, rel=1e-12)
         g.validate()
@@ -164,9 +169,9 @@ class TestMerge:
 
     def test_merge_members_union(self):
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
-        z = g.merge(1, 3)
-        assert member_sets(g) == {2: {2}, z: {1, 3}}
-        assert list(g.merge_log) == [1, 3, z]
+        assert g.merge(1, 3) == 1
+        assert member_sets(g) == {1: {1, 3}, 2: {2}}
+        assert list(g.merge_log) == [1, 3]
 
     def test_invalid_pairs(self):
         g = p3()
@@ -174,11 +179,34 @@ class TestMerge:
             g.merge(1, 1)
         with pytest.raises(ValueError, match="invalid merge pair"):
             g.merge(1, 99)
-        z = g.merge(1, 2)
+        g.merge(1, 2)
         with pytest.raises(ValueError, match="invalid merge pair"):
-            g.merge(1, 3)  # 1 is dead
-        g.merge(z, 3)
+            g.merge(2, 3)  # 2 is dead
+        with pytest.raises(ValueError, match="invalid merge pair"):
+            g.merge(3, 2)
+        assert g.merge(3, 1) == 3
         assert g.alive_count == 1
+
+    def test_neighbour_maps_keep_key_a_in_place(self):
+        # a neighbour of a keeps key a where it was and loses b; a
+        # neighbour of b alone trades b for a at the end of its map; every
+        # other map is left as it was
+        rng = random.Random(19)
+        for trial in range(30):
+            g = SummaryGraph.from_edge_list(gnp_edges(rng.randint(4, 14), 0.4, rng))
+            while g.alive_count > 1:
+                a, b = rng.sample(list(g.alive_ids()), 2)
+                before = {x: list(g.adj[x]) for x in g.alive_ids()}
+                g.merge(a, b)
+                for x in g.alive_ids():
+                    if x == a:
+                        continue
+                    expect = [y for y in before[x] if y != b]
+                    if b in before[x] and a not in before[x]:
+                        expect.append(a)
+                    assert list(g.adj[x]) == expect
+                    if a in expect:
+                        assert g.adj[x][a] is g.adj[a][x]
 
 
 class TestNeighbors:
@@ -209,12 +237,12 @@ class TestInvariantsUnderRandomMerges:
                 a, b = rng.sample(alive, 2)
                 touched = 2 * (g.degree(a) + g.degree(b)) - 2 * (b in g.adj[a])
                 before = g.alive_count
-                z = g.merge(a, b)
+                assert g.merge(a, b) == a
                 assert g.alive_count == before - 1
                 assert g.last_merge_touched == touched
-                assert a not in g.nodes and b not in g.nodes
+                assert a in g.nodes and b not in g.nodes
                 assert list(g.nodes) == list(g.adj) == [x for x in alive
-                                                        if x not in (a, b)] + [z]
+                                                        if x != b]
                 g.validate()  # conservation, mirrors, d-values, bounds
             last = next(iter(g.alive_ids()))
             assert g.nodes[last].size_n == g.original_vertex_count
@@ -261,7 +289,7 @@ class TestInvariantsUnderRandomMerges:
 
         before = snapshot(g)
         clone = g.copy()
-        assert 0 not in clone.nodes and 1 not in clone.nodes
+        assert 0 in clone.nodes and 1 not in clone.nodes
         assert list(clone.nodes) == list(clone.adj) == list(g.nodes)
         for a, entries in g.adj.items():
             assert clone.adj[a] is not entries
@@ -322,7 +350,7 @@ class TestMembershipLog:
         sets = {a: {a} for a in g.nodes}
         apply_picks(g, picks, sets)
         assert member_sets(g) == sets
-        assert len(g.merge_log) == 3 * (g.original_vertex_count - g.alive_count)
+        assert len(g.merge_log) == 2 * (g.original_vertex_count - g.alive_count)
         g.validate()
 
     @settings(max_examples=100, deadline=None)
@@ -347,15 +375,15 @@ class TestMembershipLog:
     @pytest.mark.parametrize("tamper", ["relink", "drop", "extra"])
     def test_validate_rejects_a_log_that_disagrees_with_sizes(self, tamper):
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
-        z = g.merge(1, 3)
-        g.merge(z, 4)
+        g.merge(1, 3)
+        g.merge(1, 4)
         g.validate()
         if tamper == "relink":
             g.merge_log[1] = 2  # the first merge now takes 2 in place of 3
         elif tamper == "drop":
-            del g.merge_log[3:]  # the second merge is forgotten
+            del g.merge_log[2:]  # the second merge is forgotten
         else:
-            g.merge_log.extend((2, g._next_id - 1, g._next_id))
+            g.merge_log.extend((2, 1))  # a merge that never happened
         with pytest.raises(AssertionError, match="replayed membership"):
             g.validate()
 
