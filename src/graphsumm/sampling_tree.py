@@ -1,13 +1,18 @@
 """Weighted sampling over a changing population in O(log n) per operation.
 
-The tree is a complete binary tree stored in an array: node i has children
-2i and 2i+1, leaves occupy the last level (the leaf count is padded to a
-power of two with permanently-zero slots). Each internal node holds exactly
-the float sum of its two children: an update rewrites the leaf and then
-recomputes every ancestor from its two children instead of adding a delta,
-so the sums depend only on the current leaf weights, never on the history of
-updates. There is no drift to repair, and zeroing a leaf and restoring it
-leaves every sum bit-identical.
+The tree is a complete binary tree stored in one contiguous float64 numpy
+array: node i has children 2i and 2i+1, leaves occupy the last level (the
+leaf count is padded to a power of two with permanently-zero slots). `_sums`
+is a memoryview of that array, so the scalar paths (the draw's descent, a
+single leaf's climb, `weight_of`, `total_weight`) read and write plain Python
+floats at list-like cost, while a whole-tree rebuild runs one numpy addition
+per level. Each internal node holds exactly the float sum of its two
+children: an update rewrites the leaf and then recomputes every ancestor from
+its two children instead of adding a delta, so the sums depend only on the
+current leaf weights, never on the history of updates or on whether
+merge_leaves climbed or rebuilt (each parent is left + right in IEEE double
+either way). There is no drift to repair, and zeroing a leaf and
+restoring it leaves every sum bit-identical.
 
 Drawing a leaf with probability proportional to its weight is a single
 root-to-leaf descent steered by a uniform number in [0, total). Rounding in
@@ -21,6 +26,14 @@ from __future__ import annotations
 import heapq
 from typing import Iterable
 
+import numpy as np
+
+# Bounds the cost of merge_leaves' whole-tree rebuild against its climbs
+# (see its docstring). On `sparse-exact` (a shared 2-core VM), tree time over
+# merge time read 1.20, 1.11, 1.20 and 1.38 with the factor at 32, 64, 128
+# and 256, against 2.12 with climbs only.
+_REBUILD_FACTOR = 64
+
 
 class SamplingTree:
     def __init__(self, capacity: int):
@@ -31,7 +44,8 @@ class SamplingTree:
         while padded < capacity:
             padded <<= 1
         self._padded = padded
-        self._sums = [0.0] * (2 * padded)
+        self._sum_array = np.zeros(2 * padded)
+        self._sums = memoryview(self._sum_array)
         self._leaf_vertex: list[int | None] = [None] * padded
         # vertex -> its leaf's slot; read-only for callers
         self.slot_of: dict[int, int] = {}
@@ -58,8 +72,7 @@ class SamplingTree:
             tree._leaf_vertex[slot] = vertex
             tree.slot_of[vertex] = slot
         tree._free_slots = []
-        for idx in range(padded - 1, 0, -1):
-            sums[idx] = sums[2 * idx] + sums[2 * idx + 1]
+        tree._rebuild()
         return tree
 
     # ------------------------------------------------------------------
@@ -142,10 +155,19 @@ class SamplingTree:
         a's leaf takes the given weight, b's leaf is zeroed and unbound and
         its slot freed for insert(), and the leaf of each vertex in others,
         all bound and none of them a or b, takes the matching entry of
-        weights. Every changed leaf is written first, and then each changed
-        ancestor is recomputed once from its two children, so every sum is
-        the one a leaf-by-leaf update would give. A bad batch raises before
-        anything changes.
+        weights (one per vertex). A bad batch raises before anything
+        changes.
+
+        Every changed leaf is written first. Then the ancestors are
+        recomputed one of two ways, chosen by the batch's size m (changed
+        leaves) against the P padded leaves:
+        - climb, when m * (log2 P + 1) * _REBUILD_FACTOR < P: each changed
+          ancestor is recomputed once from its two children, O(m log P);
+        - rebuild, otherwise: every internal node, bottom-up, one numpy
+          addition per level, O(P), which the rule bounds by
+          O(m log P) * _REBUILD_FACTOR.
+        Each parent is left + right in IEEE double on both paths, so every
+        sum is bit for bit the one a leaf-by-leaf update would give.
         """
         slot_of = self.slot_of
         if a == b or a not in slot_of or b not in slot_of:
@@ -154,7 +176,12 @@ class SamplingTree:
             raise ValueError("negative weight")
         slots = [slot_of[x] for x in others]
         slot_a = slot_of[a]
-        slot_b = slot_of.pop(b)
+        slot_b = slot_of[b]
+        if slot_a in slots or slot_b in slots:
+            raise ValueError(f"others must not name {a} or {b}")
+        if len(slots) != len(weights):
+            raise ValueError(f"{len(slots)} others but {len(weights)} weights")
+        del slot_of[b]
         self._leaf_vertex[slot_b] = None
         heapq.heappush(self._free_slots, slot_b)
 
@@ -164,6 +191,9 @@ class SamplingTree:
         sums[padded + slot_b] = 0.0
         for slot, leaf_weight in zip(slots, weights):
             sums[padded + slot] = leaf_weight
+        if (len(slots) + 2) * padded.bit_length() * _REBUILD_FACTOR >= padded:
+            self._rebuild()
+            return
         # Walked in slot order, a leaf stops below its lowest common
         # ancestor with the next changed leaf: that leaf's walk passes the
         # shared ancestors later, with all of their changed leaves written,
@@ -206,16 +236,29 @@ class SamplingTree:
             idx >>= 1
             sums[idx] = weight
 
+    def _rebuild(self) -> None:
+        """Recompute every internal node from the leaves up, one level
+        (nodes lo..2lo-1, children 2lo..4lo-1) per numpy addition."""
+        array = self._sum_array
+        lo = self._padded >> 1
+        while lo:
+            np.add(array[2 * lo:4 * lo:2], array[2 * lo + 1:4 * lo:2],
+                   out=array[lo:2 * lo])
+            lo >>= 1
+
     # ------------------------------------------------------------------
 
     def check_consistency(self) -> None:
-        """Assert that every internal node is exactly the sum of its children."""
+        """Assert that every internal node is exactly the sum of its
+        children, that no leaf is negative and that every unbound slot
+        (freed or padding) has weight 0.0."""
         sums = self._sums
         for idx in range(1, self._padded):
             child_sum = sums[2 * idx] + sums[2 * idx + 1]
             assert sums[idx] == child_sum, \
                 f"parent-sum mismatch at node {idx}: {sums[idx]} vs {child_sum}"
-        for slot in range(self._padded):
-            assert sums[self._padded + slot] >= 0.0, f"negative leaf at slot {slot}"
-            if slot >= self.capacity:
-                assert sums[self._padded + slot] == 0.0, "padding slot has weight"
+        for slot, vertex in enumerate(self._leaf_vertex):
+            leaf = sums[self._padded + slot]
+            assert leaf >= 0.0, f"negative leaf at slot {slot}"
+            if vertex is None:
+                assert leaf == 0.0, f"unbound slot {slot} has weight {leaf}"

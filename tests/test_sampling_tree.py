@@ -68,7 +68,7 @@ class TestUpdate:
         t = small_tree()
         sums_before = list(t._sums)
         t.update_weight(2, 1.0)
-        assert t._sums == sums_before
+        assert list(t._sums) == sums_before
 
     def test_zero_weight_collapses_range(self):
         t = small_tree()
@@ -199,7 +199,7 @@ class TestProperties:
             weight = tree.weight_of(v)
             tree.update_weight(v, 0.0)
             tree.update_weight(v, weight)
-            assert tree._sums == before
+            assert list(tree._sums) == before
 
 
 class TestMergeLeaves:
@@ -239,6 +239,84 @@ class TestMergeLeaves:
             assert tree._free_slots == reference._free_slots
         tree.check_consistency()
 
+    @staticmethod
+    def merge_batches(size, batch, merges, seed):
+        """Like merge_sequence, for trees too large to merge half-way:
+        `merges` merges, each reweighing `batch` vertices to weights from
+        1e-6 to 1e6, some zero."""
+        rng = random.Random(seed)
+        alive = list(range(size))
+        for _ in range(merges):
+            a, b = rng.sample(alive, 2)
+            alive.remove(b)
+            others = [x for x in rng.sample(alive, batch + 1) if x != a][:batch]
+            weights = [rng.choice([0.0, 10.0 ** rng.uniform(-6, 6)])
+                       for _ in others]
+            yield a, b, 10.0 ** rng.uniform(-6, 6), others, weights
+
+    @pytest.mark.parametrize("batch, rebuilds", [(0, False), (1, False), (6, False),
+                                                 (200, True), (2000, True)])
+    def test_both_paths_equal_per_leaf_updates_bit_for_bit(self, batch, rebuilds,
+                                                           monkeypatch):
+        # At 2^13 leaves a batch of up to 9 changed leaves climbs and a
+        # larger one rebuilds; either must leave the per-leaf sums exactly
+        size = 1 << 13
+        rng = random.Random(batch)
+        items = [(v, rng.choice([0.0, 10.0 ** rng.uniform(-6, 6)]))
+                 for v in range(size)]
+        tree = SamplingTree.build(items)
+        reference = SamplingTree.build(items)
+        rebuild = SamplingTree._rebuild
+        calls = []
+        monkeypatch.setattr(tree, "_rebuild", lambda: (calls.append(1), rebuild(tree)))
+        merges = 0
+        for a, b, weight, others, weights in self.merge_batches(size, batch, 30, batch):
+            tree.merge_leaves(a, b, weight, others, weights)
+            reference.delete(b)
+            reference.update_weight(a, weight)
+            for x, leaf_weight in zip(others, weights):
+                reference.update_weight(x, leaf_weight)
+            merges += 1
+            assert bytes(tree._sums) == bytes(reference._sums)
+            assert tree.slot_of == reference.slot_of
+            assert tree._free_slots == reference._free_slots
+        assert len(calls) == (merges if rebuilds else 0)
+        tree.check_consistency()
+
+    @pytest.mark.parametrize("batch", [0, 1, 40])
+    def test_small_batch_on_large_tree_never_rebuilds(self, batch, monkeypatch):
+        # a rebuild costs O(padded leaves), so a batch this small against
+        # 2^16 leaves must climb to keep a merge O(m log n)
+        size = 1 << 16
+        tree = SamplingTree.build((v, 1.0) for v in range(size))
+
+        def rebuild():
+            raise AssertionError("whole-tree rebuild for a small batch")
+
+        monkeypatch.setattr(tree, "_rebuild", rebuild)
+        for a, b, weight, others, weights in self.merge_batches(size, batch, 20, batch):
+            tree.merge_leaves(a, b, weight, others, weights)
+        tree.check_consistency()
+
+    @pytest.mark.parametrize("others", [[2], [1], [3, 2]])
+    def test_others_naming_a_or_b_rejected(self, others):
+        # b in others used to put weight on b's freed, unbound slot, after
+        # which get_leaf could return None
+        tree = small_tree()
+        sums = list(tree._sums)
+        with pytest.raises(ValueError, match="must not name"):
+            tree.merge_leaves(1, 2, 1.0, others, [5.0] * len(others))
+        assert list(tree._sums) == sums and tree.slot_of == {1: 0, 2: 1, 3: 2}
+        assert tree._free_slots == []
+        tree.check_consistency()
+
+    def test_consistency_check_sees_weight_on_unbound_slot(self):
+        tree = small_tree()
+        tree.delete(2)
+        tree._set_slot(1, 5.0)  # parents stay exact sums
+        with pytest.raises(AssertionError, match="unbound slot 1"):
+            tree.check_consistency()
+
     def test_bad_batches_leave_tree_unchanged(self):
         tree = small_tree()
         sums = list(tree._sums)
@@ -253,7 +331,11 @@ class TestMergeLeaves:
         slots = dict(tree.slot_of)
         with pytest.raises(KeyError):
             tree.merge_leaves(1, 2, 1.0, [3, 9], [1.0, 1.0])  # 9 unbound
-        assert tree._sums == sums and tree.slot_of == slots and len(tree) == 3
+        with pytest.raises(ValueError, match="1 others but 0 weights"):
+            tree.merge_leaves(1, 2, 1.0, [3], [])
+        with pytest.raises(ValueError, match="0 others but 1 weights"):
+            tree.merge_leaves(1, 2, 1.0, [], [2.0])
+        assert list(tree._sums) == sums and tree.slot_of == slots and len(tree) == 3
         tree.merge_leaves(1, 2, 0.5, [3], [2.0])
         assert tree.total_weight == 2.5 and tree.slot_of == {1: 0, 3: 2}
         tree.insert(4, 1.0)  # b's freed slot

@@ -205,7 +205,7 @@ class TestSamplePairs:
             for a, b in sample_pairs(g, tree, 2000, random.Random(0)):
                 assert a != b
                 assert g.is_alive(a) and g.is_alive(b)
-            assert tree._sums == sums
+            assert list(tree._sums) == sums
 
     def test_zero_weight_draws_read_only_the_tree(self):
         # the uniform fallback draws from the tree's bound vertices, so it
