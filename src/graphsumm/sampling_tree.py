@@ -50,6 +50,9 @@ class SamplingTree:
         # vertex -> its leaf's slot; read-only for callers
         self.slot_of: dict[int, int] = {}
         self._free_slots: list[int] = list(range(capacity))
+        # Bound vertices for uniform_vertex, each once, plus any unbound
+        # since the list was made; None until a draw needs it
+        self._uniform_ids: list[int] | None = None
         # Nodes visited by every draw and update (one root-to-leaf path),
         # for cost assertions.
         self.last_op_visits = padded.bit_length()
@@ -144,6 +147,7 @@ class SamplingTree:
         if not self._free_slots:
             raise ValueError("tree full")
         slot = heapq.heappop(self._free_slots)
+        self._uniform_ids = None  # the list may hold vertex already
         self._leaf_vertex[slot] = vertex
         self.slot_of[vertex] = slot
         self._set_slot(slot, weight)
@@ -213,16 +217,28 @@ class SamplingTree:
 
     def uniform_vertex(self, rng, other_than: int | None = None) -> int:
         """A bound vertex other than other_than, drawn uniformly whatever
-        the weights: slots are drawn uniformly until one is bound to
-        another vertex, about capacity / len(self) draws. Raises
-        ValueError when there is no such vertex."""
-        if len(self.slot_of) - (other_than in self.slot_of) < 1:
+        the weights. Raises ValueError when there is no such vertex.
+
+        Draws come from a list of the bound vertices made from slot_of
+        (each once, in slot_of's order) and kept while vertices are
+        unbound, so it also holds some stale ids; a draw of one of those,
+        or of other_than, is drawn again. The list is made again once at
+        least half of it is stale, and insert() drops it. So a call takes
+        fewer than 2 index draws on average, at most 3 when other_than is
+        bound, and remaking the list is paid for by the vertices unbound
+        since it was made (at least as many as it then holds), except the
+        first one after an insert().
+        """
+        slot_of = self.slot_of
+        if len(slot_of) - (other_than in slot_of) < 1:
             raise ValueError("no other bound vertex to draw")
-        leaf_vertex = self._leaf_vertex
-        capacity = self.capacity
+        ids = self._uniform_ids
+        if ids is None or 2 * len(slot_of) <= len(ids):
+            ids = self._uniform_ids = list(slot_of)
+        count = len(ids)
         while True:
-            vertex = leaf_vertex[rng.randrange(capacity)]
-            if vertex is not None and vertex != other_than:
+            vertex = ids[rng.randrange(count)]
+            if vertex != other_than and vertex in slot_of:
                 return vertex
 
     def _set_slot(self, slot: int, new_weight: float) -> None:

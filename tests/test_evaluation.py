@@ -9,14 +9,16 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (constant_degree_edges, gnp_edges, merge_partition,
-                      random_partition)
-from graphsumm import (SummaryGraph, build_report, centrality_estimate,
-                       degree_estimate, evaluation, expected_adjacency,
-                       membership_index, re_brute, re_closed,
-                       triangle_count_exact, triangle_estimate)
+                      random_partition, re_walk)
+from graphsumm import (Summarizer, SummarizerConfig, SummaryGraph,
+                       build_report, centrality_estimate, degree_estimate,
+                       evaluation, expected_adjacency, membership_index,
+                       re_brute, re_closed, triangle_count_exact,
+                       triangle_estimate)
 from graphsumm.cli import read_summary, write_summary
 
 
@@ -437,3 +439,180 @@ class TestInputGraph:
                 tracemalloc.stop()
             del kept
         assert allocated["tuples"] < allocated["copy"] / 2
+
+
+# ----------------------------------------------------------------------
+# the O(k) forms against the walks over superedges they replace
+
+def assert_re_matches_walk(summary):
+    """re_closed reads the d_value cache; re_walk reads every superedge.
+    Both sum the same terms up to float rounding, so they agree to a tiny
+    fraction of 4m, the largest each could be."""
+    gap = abs(re_closed(summary) - re_walk(summary))
+    assert gap <= 1e-12 * 4 * summary.original_edge_count, gap
+
+
+def self_loop_graph(rng, n=40, p=0.15, loops=(97, 98, 99)):
+    """G(n, p) plus vertices that appear only in self-loops."""
+    return SummaryGraph.from_edge_list(
+        gnp_edges(n, p, rng) + [(v, v) for v in loops])
+
+
+class TestReClosedMatchesWalk:
+    def test_random_merges(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            g = SummaryGraph.from_edge_list(
+                gnp_edges(rng.randint(2, 40), rng.uniform(0.05, 0.7), rng))
+            assert_re_matches_walk(g)
+            while g.alive_count > 1:
+                g.merge(*rng.sample(list(g.alive_ids()), 2))
+                assert_re_matches_walk(g)
+
+    def test_self_loop_only_vertices(self):
+        rng = random.Random(32)
+        for _ in range(10):
+            g = self_loop_graph(rng)
+            assert re_closed(g) == 0.0
+            while g.alive_count > 1:
+                g.merge(*rng.sample(list(g.alive_ids()), 2))
+                assert_re_matches_walk(g)
+        edgeless_graph = edgeless()
+        edgeless_graph.merge(5, 7)
+        assert re_closed(edgeless_graph) == re_walk(edgeless_graph) == 0.0
+
+    @pytest.mark.parametrize("mode", ["exact", "sketch"])
+    def test_merge_loop(self, mode):
+        g = SummaryGraph.from_edge_list(
+            constant_degree_edges(600, 24, random.Random(33)))
+        loop = Summarizer(g, SummarizerConfig(
+            target_k=60, score_mode=mode, sketch_width=4, sketch_depth=2,
+            seed=33))
+        while g.alive_count > 60:
+            loop.step()
+            if g.alive_count % 20 == 0:
+                assert_re_matches_walk(g)
+
+    @pytest.mark.parametrize("members", [True, False])
+    def test_read_back_summaries(self, tmp_path, members):
+        rng = random.Random(34)
+        for trial in range(5):
+            original, summary = self_loop_vertex_summary(rng)
+            path = str(tmp_path / f"{trial}.summary")
+            write_summary(summary, path, members=members)
+            back = read_summary(path)
+            assert (back.member_ids is not None) == members
+            assert_re_matches_walk(back)
+            assert abs(re_closed(back) - re_walk(summary)) \
+                <= 1e-12 * 4 * summary.original_edge_count
+
+    # the library workload shapes of benchmark/workloads.py
+    SHAPES = {"sparse-exact": (1 << 14, 6, 1 << 13, "exact"),
+              "dense-exact": (4096, 40, 1024, "exact"),
+              "dense-sketch": (4096, 40, 1024, "sketch")}
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_library_shapes(self, shape, seed):
+        n, degree, k, mode = self.SHAPES[shape]
+        g = SummaryGraph.from_edge_list(
+            constant_degree_edges(n, degree, random.Random(seed)))
+        assert re_closed(g) == 0.0
+        Summarizer(g, SummarizerConfig(target_k=k, score_mode=mode,
+                                       seed=seed)).run()
+        assert_re_matches_walk(g)
+
+    def test_identity_graph_is_exactly_zero(self):
+        rng = random.Random(35)
+        graphs = [SummaryGraph.from_edge_list(
+            constant_degree_edges(2000, 10, rng))]
+        graphs += [self_loop_graph(rng, rng.randint(2, 60)) for _ in range(10)]
+        graphs.append(edgeless())
+        for g in graphs:
+            assert re_closed(g) == 0.0
+
+
+def walked_degree_errors(original, summary, vertices):
+    """Each vertex's degree error from the block degree walked over the
+    block's superedges, as degree_estimate computes it."""
+    index = membership_index(summary)
+    return np.array([abs(evaluation._block_degree(summary, index[v])
+                         - len(original.adj[v])) for v in vertices])
+
+
+def per_superedge_triangle_estimate(summary):
+    """triangle_estimate with its two-in-one-block terms taken one per
+    superedge, as before they were read from d_value."""
+    nodes = summary.nodes
+    adj = summary.adj
+    terms = []
+    for a, node in nodes.items():
+        if not node.internal_e:
+            continue
+        size_a = node.size_n
+        density = evaluation._internal_density(node)
+        terms.append(math.comb(size_a, 3) * density ** 3)
+        pairs = math.comb(size_a, 2)
+        for x, edge in adj[a].items():
+            size_x = nodes[x].size_n
+            pi_ax = edge.cross_e / (size_a * size_x)
+            terms.append(pi_ax * pi_ax * pairs * size_x * density)
+    forward = evaluation._forward_sets(adj)
+    for a, b in evaluation._triangle_edges(forward):
+        size_a = nodes[a].size_n
+        size_b = nodes[b].size_n
+        for c in forward[a] & forward[b]:
+            size_c = nodes[c].size_n
+            terms.append(size_a * size_b * size_c
+                         * (adj[a][b].cross_e / (size_a * size_b))
+                         * (adj[b][c].cross_e / (size_b * size_c))
+                         * (adj[a][c].cross_e / (size_a * size_c)))
+    return math.fsum(terms)
+
+
+class TestReportIdentities:
+    CASES = ([functools.partial(random_merged_summary, n=n, p=p)
+              for n, p in ((8, 0.5), (30, 0.2), (80, 0.1), (120, 0.3))]
+             + [self_loop_vertex_summary, edgeless_summary])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_degree_errors_equal_the_walk(self, case, seed):
+        original, summary = self.CASES[case](random.Random(seed))
+        rng = random.Random(seed)
+        everyone = list(original.nodes)
+        samples = [None, everyone[::3],
+                   [rng.choice(everyone) for _ in range(25)]]
+        two_m = 2.0 * original.original_edge_count
+        for sample in samples:
+            report = build_report(original, summary, sample_of_vertices=sample)
+            errors = walked_degree_errors(
+                original, summary,
+                summary.membership()[0] if sample is None else sample)
+            centrality = errors / two_m if two_m else np.zeros_like(errors)
+            assert report.degree_err_avg == float(errors.mean())
+            assert report.degree_err_std == float(errors.std())
+            assert report.centrality_err_avg == float(centrality.mean())
+            assert report.centrality_err_std == float(centrality.std())
+
+    def test_unknown_sample_vertex_without_the_oracle(self):
+        original = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValueError, match="unknown vertex 4"):
+            build_report(original, p3_twin_summary(), oracle_limit=0,
+                         sample_of_vertices=[1, 4])
+        with pytest.raises(ValueError, match="unknown vertex 42"):
+            build_report(p3(), p3_twin_summary(), oracle_limit=0,
+                         sample_of_vertices=[42])
+
+    def test_triangle_block_terms_equal_the_per_superedge_form(self):
+        rng = random.Random(36)
+        summaries = [self.CASES[case](rng)[1]
+                     for case in range(len(self.CASES)) for _ in range(5)]
+        g = SummaryGraph.from_edge_list(
+            constant_degree_edges(3000, 12, random.Random(37)))
+        Summarizer(g, SummarizerConfig(target_k=300, seed=37)).run()
+        summaries.append(g)
+        for summary in summaries:
+            assert math.isclose(triangle_estimate(summary),
+                                per_superedge_triangle_estimate(summary),
+                                rel_tol=1e-12)

@@ -353,6 +353,32 @@ class TestUniformVertex:
             counts[tree.uniform_vertex(rng, 3)] += 1
         assert stats.chisquare(list(counts.values())).pvalue > 0.001
 
+    def test_uniform_after_merges_and_a_reinsert(self):
+        stats = pytest.importorskip("scipy.stats")
+        tree = SamplingTree.build([(v, float(v)) for v in range(12)])
+        rng = random.Random(5)
+
+        def assert_uniform(expected, other_than=None):
+            counts = dict.fromkeys(expected, 0)
+            for _ in range(400 * len(expected)):
+                counts[tree.uniform_vertex(rng, other_than)] += 1
+            assert stats.chisquare(list(counts.values())).pvalue > 0.001
+
+        assert_uniform(range(12))
+        tree.merge_leaves(0, 1, 1.0, [2], [2.0])
+        tree.merge_leaves(4, 5, 1.0, [], [])
+        assert_uniform([0, 2, 4, 6, 7, 8, 9, 10, 11], other_than=3)
+        for b in (7, 8, 9, 10, 11):  # now at least half the list is stale
+            tree.merge_leaves(6, b, 1.0, [], [])
+        assert_uniform([0, 2, 3, 4, 6])
+        # a re-inserted id and a new id are drawn, each at the same rate
+        tree.insert(9, 1.0)
+        tree.insert(42, 1.0)
+        assert_uniform([2, 3, 4, 6, 9, 42], other_than=0)
+        tree.delete(9)
+        tree.insert(9, 3.0)
+        assert_uniform([0, 2, 3, 4, 6, 9, 42])
+
     def test_no_other_bound_vertex(self):
         tree = SamplingTree.build([(7, 0.0), (8, 0.0)])
         tree.delete(8)

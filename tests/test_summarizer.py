@@ -5,7 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import (constant_degree_edges, gnp_edges, l1_mass, member_sets,
-                      pair_sketches, scaled_vector, score_oracle, sketch_of)
+                      pair_sketches, re_walk, scaled_vector, score_oracle,
+                      sketch_of)
 from graphsumm import (CountMinSketch, SamplingTree, Summarizer,
                        SummarizerConfig, SummaryGraph, make_hash_seeds,
                        node_weight, re_brute, re_closed, sample_pairs,
@@ -110,7 +111,7 @@ class TestScoreExact:
             def post_re(ab):
                 trial = g.copy()
                 trial.merge(*ab)
-                return re_closed(trial)
+                return re_walk(trial)
             assert post_re(by_score) == pytest.approx(
                 min(post_re(ab) for ab in pairs), abs=1e-9)
 
@@ -227,6 +228,35 @@ class TestSamplePairs:
         pairs = sample_pairs(NoGraph(), tree, 200, random.Random(9))
         assert {a for a, _ in pairs} == {0}
         assert {b for _, b in pairs} == {1, 2}
+
+    def test_uniform_fallback_takes_few_index_draws(self, monkeypatch):
+        # one edge plus n - 2 self-loop-only vertices: once the edge is
+        # merged no node has mass, so every later draw is uniform, down to
+        # two bound vertices and a partner that must differ from the first
+        n = 8000
+        g = SummaryGraph.from_edge_list([(0, 1)] + [(v, v) for v in range(2, n)])
+        loop = Summarizer(g, SummarizerConfig(target_k=1, seed=3))
+
+        class CountingRandom(random.Random):
+            index_draws = 0
+
+            def randrange(self, *args):
+                CountingRandom.index_draws += 1
+                return super().randrange(*args)
+
+        calls = 0
+        uniform_vertex = SamplingTree.uniform_vertex
+
+        def counted(tree, rng, other_than=None):
+            nonlocal calls
+            calls += 1
+            return uniform_vertex(tree, rng, other_than)
+
+        monkeypatch.setattr(SamplingTree, "uniform_vertex", counted)
+        loop.rng = CountingRandom(3)
+        loop.run()
+        assert g.alive_count == 1 and calls > 2 * n
+        assert CountingRandom.index_draws <= 4 * calls
 
     def test_partner_excludes_first_mass(self):
         stats = pytest.importorskip("scipy.stats")
