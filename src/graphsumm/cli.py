@@ -1,7 +1,8 @@
 """Command-line pipeline: parse an edge list, summarize, report.
 
 Input is SNAP-style whitespace-separated vertex pairs with '#' comments.
-Vertex ids are remapped to a dense 0..n-1 range at ingest and restored in
+Vertex ids are remapped to a dense 0..n-1 range in order of first
+appearance at ingest, so the graph's labels are its ids, and restored in
 the output; the summary file format is a plain-text, line-oriented format
 that round-trips bit-exactly (see write_summary).
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import os
 import sys
 import time
 from array import array
@@ -18,7 +20,7 @@ from dataclasses import asdict
 from itertools import repeat
 
 from .evaluation import InputGraph, build_report, re_closed
-from .summary_graph import UNIT_EDGE, SuperEdge, SuperNode, SummaryGraph
+from .summary_graph import UNIT_EDGE, SuperEdge, SummaryGraph
 from .summarizer import SummarizerConfig, summarize
 
 
@@ -92,7 +94,8 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None,
     With ``members`` each "N" line lists its supernode's member labels
     (mapped through id_map if given) and supernodes are renumbered 0..k-1
     by their smallest label; without, the lines carry no labels and the
-    order is by internal id. Either way identical summaries serialize
+    order is by the label of each supernode's id. Either way identical
+    summaries serialize
     identically. Superedges follow as "E i j" lines with i < j, in (i, j)
     order. The membership replay and every label lookup happen before the
     file is opened, so a bad id_map, or ``members`` on a summary whose
@@ -100,9 +103,10 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None,
     are then streamed, so the memory beyond the labels does not grow with
     the number of superedges.
     """
-    nodes = summary.nodes
+    size_n = summary.size_n
+    internal_e = summary.internal_e
     adj = summary.adj
-    order = list(nodes)
+    order = list(adj)
     if members:
         # each block's sorted labels give both its sort key and its N line
         labels = {a: [] for a in order}
@@ -115,17 +119,17 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None,
             block_labels.sort()
         order.sort(key=lambda a: labels[a][0])
     else:
-        order.sort()
+        order.sort(key=summary.labels.__getitem__)
     file_id = {a: pos for pos, a in enumerate(order)}
     with open(path, "w") as out:
         out.write(f"SUMMARY v1 {summary.original_vertex_count} "
                   f"{summary.original_edge_count} {len(order)}\n")
         if members:
-            out.writelines(f"N {pos} {nodes[a].size_n} {nodes[a].internal_e} "
+            out.writelines(f"N {pos} {size_n[a]} {internal_e[a]} "
                            f"{' '.join(map(str, labels[a]))}\n"
                            for pos, a in enumerate(order))
         else:
-            out.writelines(f"N {pos} {nodes[a].size_n} {nodes[a].internal_e}\n"
+            out.writelines(f"N {pos} {size_n[a]} {internal_e[a]}\n"
                            for pos, a in enumerate(order))
         chunk = []
         for i, a in enumerate(order):
@@ -195,12 +199,18 @@ def read_summary(path: str) -> SummaryGraph:
             n, m, k = (int(tok) for tok in header[2:])
             if k < 1 or n < k or m < 0:
                 raise ValueError(f"inconsistent header counts n={n} m={m} k={k}")
+            # every "N" line takes 8 bytes at least; the check bounds the
+            # statistics arrays allocated for k supernodes by the file size
+            if k > os.fstat(stream.fileno()).st_size // 8:
+                raise ValueError(f"header says {k} supernodes, more than "
+                                 f"the file can hold")
 
-            g = SummaryGraph()
+            g = SummaryGraph(k)
             g.original_vertex_count = n
             g.original_edge_count = m
-            nodes = g.nodes
             adj = g.adj
+            size_n = g.size_n
+            d_value = g.d_value
             member_ids = array("q")
             member_start = array("q")
             members_seen: set[int] = set()
@@ -219,48 +229,46 @@ def read_summary(path: str) -> SummaryGraph:
                     i, j, cross_e = int(fields[1]), int(fields[2]), int(fields[3])
                     if i == j:
                         raise ValueError(f"self superedge at {i}")
-                    node_i = nodes.get(i)
-                    node_j = nodes.get(j)
-                    if node_i is None or node_j is None:
+                    adj_i = adj.get(i)
+                    adj_j = adj.get(j)
+                    if adj_i is None or adj_j is None:
                         raise ValueError(f"superedge {i}-{j} references unknown supernode")
-                    adj_i = adj[i]
                     if j in adj_i:
                         raise ValueError(f"duplicate superedge {i}-{j}")
-                    size_i = node_i.size_n
-                    size_j = node_j.size_n
+                    size_i = size_n[i]
+                    size_j = size_n[j]
                     limit = size_i * size_j
                     if not 1 <= cross_e <= limit:
                         raise ValueError(f"superedge {i}-{j}: count {cross_e} "
                                          f"outside [1, {limit}]")
                     edge = UNIT_EDGE if cross_e == 1 else SuperEdge(cross_e)
-                    adj_i[j] = edge
-                    adj[j][i] = edge
+                    adj_i[j] = adj_j[i] = edge
                     cross_total += cross_e
                     square = cross_e ** 2
-                    node_i.d_value += square / size_j
-                    node_j.d_value += square / size_i
+                    d_value[i] += square / size_j
+                    d_value[j] += square / size_i
                 elif tag == "N":
                     if len(fields) < 4:
                         raise ValueError("malformed supernode line: "
                                          + repr(line.rstrip("\n")))
-                    node_id, size_n, internal_e = (int(fields[1]), int(fields[2]),
-                                                   int(fields[3]))
-                    if node_id in nodes:
+                    node_id, size, internal = (int(fields[1]), int(fields[2]),
+                                               int(fields[3]))
+                    if node_id in adj:
                         raise ValueError(f"duplicate supernode id {node_id}")
                     if not 0 <= node_id < k:
                         raise ValueError(f"supernode id {node_id} out of range")
-                    if size_n < 1:
-                        raise ValueError(f"supernode {node_id} has size {size_n}")
-                    pairs = size_n * (size_n - 1) // 2
-                    if not 0 <= internal_e <= pairs:
+                    if size < 1:
+                        raise ValueError(f"supernode {node_id} has size {size}")
+                    pairs = size * (size - 1) // 2
+                    if not 0 <= internal <= pairs:
                         raise ValueError(f"supernode {node_id}: internal edge count "
-                                         f"{internal_e} exceeds {pairs}")
+                                         f"{internal} exceeds {pairs}")
                     if len(fields) > 4:
                         # a label repeated within the line counts once
                         members = dict.fromkeys(map(int, fields[4:]))
-                        if len(members) != size_n:
+                        if len(members) != size:
                             raise ValueError(f"supernode {node_id}: {len(members)} "
-                                             f"members listed but size is {size_n}")
+                                             f"members listed but size is {size}")
                         if not members_seen.isdisjoint(members):
                             overlap = members_seen.intersection(members)
                             raise ValueError(f"vertex {min(overlap)} in two supernodes")
@@ -270,17 +278,18 @@ def read_summary(path: str) -> SummaryGraph:
                         except OverflowError:
                             raise ValueError("member label outside the 64-bit "
                                              "integer range") from None
-                        member_start.extend(repeat(node_id, size_n))
-                    nodes[node_id] = SuperNode(size_n, internal_e)
+                        member_start.extend(repeat(node_id, size))
+                    size_n[node_id] = size
+                    g.internal_e[node_id] = internal
                     adj[node_id] = {}
-                    internal_total += internal_e
+                    internal_total += internal
                 else:
                     raise ValueError("unrecognized line: " + repr(line.rstrip("\n")))
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
-    if len(nodes) != k:
-        raise ValueError(f"header says {k} supernodes, file has {len(nodes)}")
-    if sum(node.size_n for node in nodes.values()) != n:
+    if len(adj) != k:
+        raise ValueError(f"header says {k} supernodes, file has {len(adj)}")
+    if sum(g.size_n) != n:
         raise ValueError("supernode sizes do not sum to the vertex count")
     if members_seen:
         if len(members_seen) != n:

@@ -15,15 +15,18 @@ O(k) for k supernodes, and the two-in-one-block terms of
 ``triangle_estimate`` cost one term per block. Both rely on the cache and
 conservation invariants that ``SummaryGraph.validate`` checks.
 
-All operations here are read-only over a frozen summary. The original
-graph they compare against is read only through its ``adj`` (iteration
-and ``len`` of a vertex's neighbours) and its two counts, so it may be a
-``SummaryGraph`` or the much smaller ``InputGraph``.
+All operations here are read-only over a frozen summary, and every
+vertex they take or compare is a label, the input's own vertex id. The
+original graph they compare against is an ``InputGraph``, read only
+through its label-keyed ``adj`` (iteration and ``len`` of a vertex's
+neighbours) and its two counts; an identity ``SummaryGraph`` passed in
+its place is turned into one first.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import not_
@@ -35,19 +38,32 @@ from .summary_graph import SummaryGraph
 
 class InputGraph:
     """Read-only input graph for the report: each vertex's neighbours as a
-    tuple, keyed in the graph's key order, plus the vertex and edge counts.
+    tuple of labels, keyed by label in the graph's key order, plus the
+    vertex and edge counts.
 
     Built from the identity graph before it is summarized, it takes about
     a quarter of the memory of ``SummaryGraph.copy`` (no adjacency dicts,
-    no supernodes)."""
+    no statistics)."""
 
     __slots__ = ("adj", "original_vertex_count", "original_edge_count")
 
     def __init__(self, graph: SummaryGraph):
-        self.adj: dict[int, tuple[int, ...]] = {
-            a: tuple(entries) for a, entries in graph.adj.items()}
+        labels = graph.labels
+        if labels == array("q", range(len(labels))):
+            # ids are labels (every CLI graph): the rows need no mapping
+            self.adj: dict[int, tuple[int, ...]] = {
+                a: tuple(entries) for a, entries in graph.adj.items()}
+        else:
+            # one int object per label, shared by every row that holds it
+            label = list(labels).__getitem__
+            self.adj = {label(a): tuple(map(label, entries))
+                        for a, entries in graph.adj.items()}
         self.original_vertex_count = graph.original_vertex_count
         self.original_edge_count = graph.original_edge_count
+
+
+def _input_graph(original: SummaryGraph | InputGraph) -> InputGraph:
+    return InputGraph(original) if isinstance(original, SummaryGraph) else original
 
 
 @dataclass
@@ -70,9 +86,10 @@ def membership_index(summary: SummaryGraph) -> dict[int, int]:
     return dict(zip(*summary.membership()))
 
 
-def _internal_density(node) -> float:
-    pairs = node.size_n * (node.size_n - 1) // 2
-    return node.internal_e / pairs if pairs else 0.0
+def _internal_density(summary: SummaryGraph, block: int) -> float:
+    size = summary.size_n[block]
+    pairs = size * (size - 1) // 2
+    return summary.internal_e[block] / pairs if pairs else 0.0
 
 
 def expected_adjacency(summary: SummaryGraph, u: int, v: int,
@@ -88,36 +105,37 @@ def expected_adjacency(summary: SummaryGraph, u: int, v: int,
     if u == v:
         return 0.0
     if block_u == block_v:
-        return _internal_density(summary.nodes[block_u])
+        return _internal_density(summary, block_u)
     edge = summary.adj[block_u].get(block_v)
     if edge is None:
         return 0.0
-    return edge.cross_e / (summary.nodes[block_u].size_n
-                           * summary.nodes[block_v].size_n)
+    return edge.cross_e / (summary.size_n[block_u] * summary.size_n[block_v])
 
 
 def re_brute(original: SummaryGraph | InputGraph, summary: SummaryGraph,
              oracle_limit: int = 4096) -> float:
     """l1 reconstruction error by direct double loop over ordered vertex
-    pairs. The independent oracle for re_closed; quadratic, keep it small.
-    An original vertex the summary lacks raises ValueError."""
+    pairs, matched to their blocks by label. The independent oracle for
+    re_closed; quadratic, keep it small. An original vertex the summary
+    lacks raises ValueError."""
     n = original.original_vertex_count
     if n > oracle_limit:
         raise ValueError(f"{n} vertices exceeds the brute-force oracle "
                          f"limit {oracle_limit}")
+    original = _input_graph(original)
     index = membership_index(summary)
     vertices = list(original.adj)
     try:
         blocks = [index[u] for u in vertices]
     except KeyError as missing:
         raise ValueError(f"unknown vertex {missing.args[0]}") from None
-    nodes = summary.nodes
+    size_n = summary.size_n
     adj = summary.adj
-    density = {i: _internal_density(nodes[i]) for i in adj}
+    density = {i: _internal_density(summary, i) for i in adj}
     total = 0.0
     for u, block_u in zip(vertices, blocks):
         row = set(original.adj[u])  # a tuple row would make each test linear
-        size_u = nodes[block_u].size_n
+        size_u = size_n[block_u]
         for v, block_v in zip(vertices, blocks):
             if u == v:
                 continue
@@ -125,7 +143,7 @@ def re_brute(original: SummaryGraph | InputGraph, summary: SummaryGraph,
                 abar = density[block_u]
             else:
                 edge = adj[block_u].get(block_v)
-                abar = edge.cross_e / (size_u * nodes[block_v].size_n) if edge else 0.0
+                abar = edge.cross_e / (size_u * size_n[block_v]) if edge else 0.0
             total += abs(abar - 1.0) if v in row else abar
     return total
 
@@ -143,18 +161,30 @@ def re_closed(summary: SummaryGraph) -> float:
     d_a/n_a and once in d_x/n_x, hence the factor 2 on that sum.
 
     Contract: every ``d_value`` equals the sum of its superedges'
-    e_ax^2/n_x, and the internal and crossing counts add up to
-    ``original_edge_count``; ``SummaryGraph.validate`` checks both, and
-    ``merge`` and ``read_summary`` keep both. The two sums are added with
+    e_ax^2/n_x, the internal and crossing counts add up to
+    ``original_edge_count``, and a merged-away id has ``internal_e`` and
+    ``d_value`` 0, so the sums run over the whole arrays;
+    ``SummaryGraph.validate`` checks all three, and ``merge`` and
+    ``read_summary`` keep them. The two sums are added with
     math.fsum: a plain running sum over the k terms was off by up to 5e-13
     relative on a 28,672-block summary, fsum by under 1e-15, at the same
     cost.
     """
-    nodes = summary.nodes.values()
-    internal = math.fsum(
-        node.internal_e ** 2 / (node.size_n * (node.size_n - 1) / 2.0)
-        for node in nodes if node.internal_e)
-    scaled_d = math.fsum(node.d_value / node.size_n for node in nodes)
+    # A merged-away id has internal_e and d_value 0, and so has a term of
+    # 0 in each sum, as has a live one with no edges; fsum is the same
+    # without them.
+    size = np.asarray(summary.size_n)
+    internal = np.asarray(summary.internal_e)
+    d_value = np.asarray(summary.d_value)
+    has_edges = internal != 0
+    internal = internal[has_edges].astype(np.float64)
+    pairs = size[has_edges].astype(np.float64)
+    # every integer here is below 2^53, so each float operation rounds
+    # once, as in the same expression over Python ints
+    internal = math.fsum((internal * internal
+                          / (pairs * (pairs - 1.0) / 2.0)).tolist())
+    has_d = d_value != 0.0
+    scaled_d = math.fsum((d_value[has_d] / size[has_d]).tolist())
     return 4.0 * summary.original_edge_count - 4.0 * internal - 2.0 * scaled_d
 
 
@@ -162,9 +192,8 @@ def re_closed(summary: SummaryGraph) -> float:
 # structural queries
 
 def _block_degree(summary: SummaryGraph, block: int) -> float:
-    node = summary.nodes[block]
     cross = sum(edge.cross_e for edge in summary.adj[block].values())
-    return (2.0 * node.internal_e + cross) / node.size_n
+    return (2.0 * summary.internal_e[block] + cross) / summary.size_n[block]
 
 
 def degree_estimate(summary: SummaryGraph, v: int,
@@ -230,25 +259,26 @@ def triangle_estimate(summary: SummaryGraph) -> float:
     are added with math.fsum, so the total does not depend on iteration
     order.
     """
-    nodes = summary.nodes
+    size_n = summary.size_n
+    internal_e = summary.internal_e
     adj = summary.adj
     terms = []
-    for node in nodes.values():
-        if not node.internal_e:
+    for a in adj:
+        if not internal_e[a]:
             continue
-        size_a = node.size_n
-        density = _internal_density(node)
+        size_a = size_n[a]
+        density = _internal_density(summary, a)
         terms.append(math.comb(size_a, 3) * density ** 3)
-        terms.append(math.comb(size_a, 2) * density * node.d_value
+        terms.append(math.comb(size_a, 2) * density * summary.d_value[a]
                      / (size_a * size_a))
     forward = _forward_sets(adj)
     for a, b in _triangle_edges(forward):
         adj_a = adj[a]
-        size_a = nodes[a].size_n
-        size_b = nodes[b].size_n
+        size_a = size_n[a]
+        size_b = size_n[b]
         pi_ab = adj_a[b].cross_e / (size_a * size_b)
         for c in forward[a] & forward[b]:
-            size_c = nodes[c].size_n
+            size_c = size_n[c]
             terms.append(size_a * size_b * size_c * pi_ab
                          * (adj[b][c].cross_e / (size_b * size_c))
                          * (adj_a[c].cross_e / (size_a * size_c)))
@@ -303,6 +333,7 @@ def build_report(original: SummaryGraph | InputGraph, summary: SummaryGraph,
     ``degree_estimate`` gives bit for bit. RE is ``re_closed``, O(k); the
     whole report is O(n) plus the two triangle counts.
     """
+    original = _input_graph(original)
     re1 = re_closed(summary)
     vertices, blocks = summary.membership()
     sample = None

@@ -14,6 +14,10 @@ merge_leaves climbed or rebuilt (each parent is left + right in IEEE double
 either way). There is no drift to repair, and zeroing a leaf and
 restoring it leaves every sum bit-identical.
 
+A vertex is its own leaf slot: the tree serves vertices 0..capacity-1
+(the dense ids of ``SummaryGraph``), so it keeps no id map, only one bound
+flag per slot. Slot order is therefore id order.
+
 Drawing a leaf with probability proportional to its weight is a single
 root-to-leaf descent steered by a uniform number in [0, total). Rounding in
 the running subtraction of left-subtree weights can still carry the number
@@ -23,8 +27,8 @@ sibling, so every draw ends on a bound leaf with positive weight.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterable
+from itertools import compress
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -36,6 +40,10 @@ _REBUILD_FACTOR = 64
 
 
 class SamplingTree:
+    """Leaves indexed by vertex: vertex v's leaf is slot v, so a tree of
+    capacity c holds vertices 0..c-1. A slot is bound while its vertex is
+    in the tree; an unbound slot weighs 0.0."""
+
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
@@ -46,10 +54,9 @@ class SamplingTree:
         self._padded = padded
         self._sum_array = np.zeros(2 * padded)
         self._sums = memoryview(self._sum_array)
-        self._leaf_vertex: list[int | None] = [None] * padded
-        # vertex -> its leaf's slot; read-only for callers
-        self.slot_of: dict[int, int] = {}
-        self._free_slots: list[int] = list(range(capacity))
+        # 1 at each bound slot; padding slots are never bound
+        self._bound = bytearray(padded)
+        self._bound_count = 0
         # Bound vertices for uniform_vertex, each once, plus any unbound
         # since the list was made; None until a draw needs it
         self._uniform_ids: list[int] | None = None
@@ -59,22 +66,27 @@ class SamplingTree:
 
     @classmethod
     def build(cls, weights: Iterable[tuple[int, float]]) -> "SamplingTree":
-        """Populate a fresh tree from (vertex id, weight) pairs, in order."""
+        """A fresh tree of capacity max vertex + 1 from (vertex, weight)
+        pairs, each vertex bound at its own slot; every other slot is
+        unbound."""
         items = list(weights)
         if not items:
             raise ValueError("cannot build an empty sampling tree")
-        tree = cls(len(items))
+        lowest = min(vertex for vertex, _ in items)
+        if lowest < 0:
+            raise ValueError(f"negative vertex {lowest}")
+        tree = cls(max(vertex for vertex, _ in items) + 1)
         sums = tree._sums
+        bound = tree._bound
         padded = tree._padded
-        for slot, (vertex, weight) in enumerate(items):
+        for vertex, weight in items:
             if weight < 0:
                 raise ValueError(f"negative weight {weight} for vertex {vertex}")
-            if vertex in tree.slot_of:
+            if bound[vertex]:
                 raise ValueError(f"duplicate vertex {vertex}")
-            sums[padded + slot] = float(weight)
-            tree._leaf_vertex[slot] = vertex
-            tree.slot_of[vertex] = slot
-        tree._free_slots = []
+            sums[padded + vertex] = float(weight)
+            bound[vertex] = 1
+        tree._bound_count = len(items)
         tree._rebuild()
         return tree
 
@@ -85,16 +97,19 @@ class SamplingTree:
         return self._sums[1]
 
     def __contains__(self, vertex: int) -> bool:
-        return vertex in self.slot_of
+        return 0 <= vertex < self.capacity and self._bound[vertex] == 1
 
     def __len__(self) -> int:
-        return len(self.slot_of)
+        return self._bound_count
 
-    def vertices(self):
-        return self.slot_of.keys()
+    def vertices(self) -> list[int]:
+        """The bound vertices, in slot order."""
+        return list(compress(range(self.capacity), self._bound))
 
     def weight_of(self, vertex: int) -> float:
-        return self._sums[self._padded + self.slot_of[vertex]]
+        if vertex not in self:
+            raise KeyError(f"vertex {vertex} has no leaf")
+        return self._sums[self._padded + vertex]
 
     # ------------------------------------------------------------------
 
@@ -123,44 +138,41 @@ class SamplingTree:
             if r >= left_weight and sums[idx | 1] > 0.0:
                 r -= left_weight
                 idx |= 1
-        return self._leaf_vertex[idx - padded]
+        return idx - padded
 
     def update_weight(self, vertex: int, new_weight: float) -> None:
-        slot = self.slot_of.get(vertex)
-        if slot is None:
+        if vertex not in self:
             raise KeyError(f"vertex {vertex} has no leaf")
-        self._set_slot(slot, new_weight)
+        self._set_slot(vertex, new_weight)
 
     def delete(self, vertex: int) -> None:
-        """Zero the leaf and release its slot for reuse by insert()."""
-        slot = self.slot_of.pop(vertex, None)
-        if slot is None:
+        """Zero the leaf and unbind it; insert() can bind it again."""
+        if vertex not in self:
             raise KeyError(f"vertex {vertex} has no leaf")
-        self._set_slot(slot, 0.0)
-        self._leaf_vertex[slot] = None
-        heapq.heappush(self._free_slots, slot)
+        self._set_slot(vertex, 0.0)
+        self._bound[vertex] = 0
+        self._bound_count -= 1
 
     def insert(self, vertex: int, weight: float) -> None:
-        """Bind the lowest-index free slot to a new vertex."""
-        if vertex in self.slot_of:
+        """Bind vertex's own slot, which must be unbound, with weight."""
+        if vertex in self:
             raise ValueError(f"vertex {vertex} already present")
-        if not self._free_slots:
-            raise ValueError("tree full")
-        slot = heapq.heappop(self._free_slots)
+        if not 0 <= vertex < self.capacity:
+            raise ValueError(f"vertex {vertex} outside the tree's "
+                             f"{self.capacity} slots")
         self._uniform_ids = None  # the list may hold vertex already
-        self._leaf_vertex[slot] = vertex
-        self.slot_of[vertex] = slot
-        self._set_slot(slot, weight)
+        self._set_slot(vertex, weight)
+        self._bound[vertex] = 1
+        self._bound_count += 1
 
     def merge_leaves(self, a: int, b: int, weight: float,
-                     others: Iterable[int], weights: list[float]) -> None:
+                     others: Collection[int], weights: list[float]) -> None:
         """Fold b's leaf into a's and reweigh other leaves, in one batch.
 
-        a's leaf takes the given weight, b's leaf is zeroed and unbound and
-        its slot freed for insert(), and the leaf of each vertex in others,
-        all bound and none of them a or b, takes the matching entry of
-        weights (one per vertex). A bad batch raises before anything
-        changes.
+        a's leaf takes the given weight, b's leaf is zeroed and unbound,
+        and the leaf of each vertex in others, all bound and none of them a
+        or b, takes the matching entry of weights (one per vertex). A bad
+        batch raises before anything changes.
 
         Every changed leaf is written first. Then the ancestors are
         recomputed one of two ways, chosen by the batch's size m (changed
@@ -173,36 +185,38 @@ class SamplingTree:
         Each parent is left + right in IEEE double on both paths, so every
         sum is bit for bit the one a leaf-by-leaf update would give.
         """
-        slot_of = self.slot_of
-        if a == b or a not in slot_of or b not in slot_of:
+        if a == b or a not in self or b not in self:
             raise KeyError(f"vertices {a} and {b} need distinct leaves")
         if weight < 0 or min(weights, default=0.0) < 0:
             raise ValueError("negative weight")
-        slots = [slot_of[x] for x in others]
-        slot_a = slot_of[a]
-        slot_b = slot_of[b]
-        if slot_a in slots or slot_b in slots:
+        bound = self._bound
+        try:
+            unbound = not all(map(bound.__getitem__, others))
+        except IndexError:
+            unbound = True
+        if unbound:
+            raise KeyError("others name a vertex without a leaf")
+        if a in others or b in others:
             raise ValueError(f"others must not name {a} or {b}")
-        if len(slots) != len(weights):
-            raise ValueError(f"{len(slots)} others but {len(weights)} weights")
-        del slot_of[b]
-        self._leaf_vertex[slot_b] = None
-        heapq.heappush(self._free_slots, slot_b)
+        if len(others) != len(weights):
+            raise ValueError(f"{len(others)} others but {len(weights)} weights")
+        bound[b] = 0
+        self._bound_count -= 1
 
         sums = self._sums
         padded = self._padded
-        sums[padded + slot_a] = weight
-        sums[padded + slot_b] = 0.0
-        for slot, leaf_weight in zip(slots, weights):
-            sums[padded + slot] = leaf_weight
-        if (len(slots) + 2) * padded.bit_length() * _REBUILD_FACTOR >= padded:
+        sums[padded + a] = weight
+        sums[padded + b] = 0.0
+        for x, leaf_weight in zip(others, weights):
+            sums[padded + x] = leaf_weight
+        if (len(others) + 2) * padded.bit_length() * _REBUILD_FACTOR >= padded:
             self._rebuild()
             return
         # Walked in slot order, a leaf stops below its lowest common
         # ancestor with the next changed leaf: that leaf's walk passes the
         # shared ancestors later, with all of their changed leaves written,
         # so each ancestor is computed once.
-        changed = [slot_a, slot_b, *slots]
+        changed = [a, b, *others]
         changed.sort()
         heights = [(slot ^ after).bit_length() - 1
                    for slot, after in zip(changed, changed[1:])]
@@ -219,8 +233,8 @@ class SamplingTree:
         """A bound vertex other than other_than, drawn uniformly whatever
         the weights. Raises ValueError when there is no such vertex.
 
-        Draws come from a list of the bound vertices made from slot_of
-        (each once, in slot_of's order) and kept while vertices are
+        Draws come from a list of the bound vertices (each once, in slot
+        order) kept while vertices are
         unbound, so it also holds some stale ids; a draw of one of those,
         or of other_than, is drawn again. The list is made again once at
         least half of it is stale, and insert() drops it. So a call takes
@@ -229,16 +243,16 @@ class SamplingTree:
         since it was made (at least as many as it then holds), except the
         first one after an insert().
         """
-        slot_of = self.slot_of
-        if len(slot_of) - (other_than in slot_of) < 1:
+        bound = self._bound
+        if self._bound_count - (other_than is not None and other_than in self) < 1:
             raise ValueError("no other bound vertex to draw")
         ids = self._uniform_ids
-        if ids is None or 2 * len(slot_of) <= len(ids):
-            ids = self._uniform_ids = list(slot_of)
+        if ids is None or 2 * self._bound_count <= len(ids):
+            ids = self._uniform_ids = self.vertices()
         count = len(ids)
         while True:
             vertex = ids[rng.randrange(count)]
-            if vertex != other_than and vertex in slot_of:
+            if vertex != other_than and bound[vertex]:
                 return vertex
 
     def _set_slot(self, slot: int, new_weight: float) -> None:
@@ -273,8 +287,9 @@ class SamplingTree:
             child_sum = sums[2 * idx] + sums[2 * idx + 1]
             assert sums[idx] == child_sum, \
                 f"parent-sum mismatch at node {idx}: {sums[idx]} vs {child_sum}"
-        for slot, vertex in enumerate(self._leaf_vertex):
+        for slot, bound in enumerate(self._bound):
             leaf = sums[self._padded + slot]
             assert leaf >= 0.0, f"negative leaf at slot {slot}"
-            if vertex is None:
+            if not bound:
                 assert leaf == 0.0, f"unbound slot {slot} has weight {leaf}"
+        assert self._bound_count == sum(self._bound), "bound count drifted"

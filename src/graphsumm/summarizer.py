@@ -18,9 +18,11 @@ would need patching at every merge of a neighbor, and were almost never read
 twice: on the benchmark's dense-sketch graph nearly every sketch score had
 to build both of its sketches anyway.
 
-A merge of a and b keeps a. After it, one walk over a's neighbors gathers
-each neighbor's new weight, and the tree takes all leaf changes in one
-batch: a's leaf keeps its slot and b's is freed.
+Nodes are the graph's dense ids, which are also the tree's leaf slots, and
+the loop reads node statistics from the graph's arrays. A merge of a and b
+keeps a. After it, one walk over a's neighbors gathers each neighbor's new
+weight, and the tree takes all leaf changes in one batch: a's leaf takes
+the merged weight and b's is unbound.
 Every tree sum gets the same float operations, in the same order, as
 patching one leaf at a time would give.
 
@@ -117,9 +119,8 @@ def _internal_sq_term(internal_e: int, size_n: int) -> float:
 def node_weight(g: SummaryGraph, a: int) -> float:
     """Sampling mass of a node: the negated reciprocal of its (non-positive)
     error-contribution value, or 0 for a node with no edges at all."""
-    node = g.nodes[a]
-    f = -_internal_sq_term(node.internal_e, node.size_n) \
-        - 4.0 * node.d_value / node.size_n
+    size = g.size_n[a]
+    f = -_internal_sq_term(g.internal_e[a], size) - 4.0 * g.d_value[a] / size
     if f == 0.0:
         return 0.0
     return -1.0 / f
@@ -127,22 +128,27 @@ def node_weight(g: SummaryGraph, a: int) -> float:
 
 def _score_from_cross(g: SummaryGraph, a: int, b: int, cross: float) -> float:
     """Assemble the score given the cross term sum_{i != a,b} e_ai*e_bi/n_i."""
-    node_a = g.nodes[a]
-    node_b = g.nodes[b]
-    size_a = node_a.size_n
-    size_b = node_b.size_n
+    size_n = g.size_n
+    internal_e = g.internal_e
+    d_value = g.d_value
+    size_a = size_n[a]
+    size_b = size_n[b]
     size_z = size_a + size_b
+    d_a = d_value[a]
+    d_b = d_value[b]
+    internal_a = internal_e[a]
+    internal_b = internal_e[b]
     e_ab = g.cross_count(a, b)
     pair_sq = 4.0 * e_ab * e_ab / (size_a * size_b) if e_ab else 0.0
     # sum over i != a,b of e_ai^2/n_i, from the cached full sums
-    sum_sq_a = node_a.d_value - (e_ab * e_ab / size_b if e_ab else 0.0)
-    sum_sq_b = node_b.d_value - (e_ab * e_ab / size_a if e_ab else 0.0)
-    merged_internal = node_a.internal_e + node_b.internal_e + e_ab
-    return (-_internal_sq_term(node_a.internal_e, size_a)
-            - 4.0 * node_a.d_value / size_a
+    sum_sq_a = d_a - (e_ab * e_ab / size_b if e_ab else 0.0)
+    sum_sq_b = d_b - (e_ab * e_ab / size_a if e_ab else 0.0)
+    merged_internal = internal_a + internal_b + e_ab
+    return (-_internal_sq_term(internal_a, size_a)
+            - 4.0 * d_a / size_a
             + pair_sq
-            - _internal_sq_term(node_b.internal_e, size_b)
-            - 4.0 * node_b.d_value / size_b
+            - _internal_sq_term(internal_b, size_b)
+            - 4.0 * d_b / size_b
             + _internal_sq_term(merged_internal, size_z)
             + 4.0 / size_z * (sum_sq_a + sum_sq_b + 2.0 * cross))
 
@@ -156,23 +162,21 @@ def score_exact(g: SummaryGraph, a: int, b: int) -> float:
     """Drop in l1 reconstruction error caused by merging a and b, exactly.
 
     Cost is O(min(deg a, deg b)) on top of constant-time terms: the cross
-    term walks the shorter adjacency map and probes the longer one.
+    term walks the shorter adjacency map and probes the longer one. Neither
+    a nor b is a key of the other's map, so the probe alone leaves out the
+    pair's own superedge.
     """
     _check_pair(g, a, b)
     adj_a = g.adj[a]
     adj_b = g.adj[b]
     if len(adj_b) < len(adj_a):
-        shorter, longer, skip = adj_b, adj_a, a
+        shorter, longer = adj_b, adj_a
     else:
-        shorter, longer, skip = adj_a, adj_b, b
-    nodes = g.nodes
+        shorter, longer = adj_a, adj_b
+    size_n = g.size_n
     cross = 0.0
-    for x, edge in shorter.items():
-        if x == skip:
-            continue
-        other = longer.get(x)
-        if other is not None:
-            cross += edge.cross_e * other.cross_e / nodes[x].size_n
+    for x in filter(longer.__contains__, shorter):
+        cross += shorter[x].cross_e * longer[x].cross_e / size_n[x]
     return _score_from_cross(g, a, b, cross)
 
 
@@ -208,14 +212,16 @@ def sample_pairs(g: SummaryGraph, tree: SamplingTree, s: int,
     yield a pair. The tree alone is read; g is not.
     """
     total = tree.total_weight
-    if total > 0.0:
-        draw = lambda: tree.get_leaf(rng.random() * total)
-    else:
-        draw = lambda: tree.uniform_vertex(rng)
+    get_leaf = tree.get_leaf
+    random = rng.random
     pairs = []
     for _ in range(s):
-        first = draw()
-        partner = draw()
+        if total > 0.0:
+            first = get_leaf(random() * total)
+            partner = get_leaf(random() * total)
+        else:
+            first = tree.uniform_vertex(rng)
+            partner = tree.uniform_vertex(rng)
         if partner == first:
             partner = _draw_other(tree, first, rng)
         pairs.append((first, partner))
@@ -243,10 +249,13 @@ def _draw_other(tree: SamplingTree, first: int, rng: random.Random) -> int:
 def build_sketches(g: SummaryGraph, ids, width: int, depth: int,
                    seeds: tuple[tuple[int, int], ...]) -> dict[int, CountMinSketch]:
     """The sketch of each alive node in ids: its current neighbor vector,
-    cross_e(a,x)/sqrt(size_n(x)) at coordinate x, with the coordinates of
-    the other ids left out. A left-out neighbor gets the value 0, and adding
-    0.0 leaves every cell as omitting the coordinate would."""
-    nodes = g.nodes
+    cross_e(a,x)/sqrt(size_n(x)) at the coordinate of x's label, with the
+    coordinates of the other ids left out. A left-out neighbor gets the
+    value 0, and adding 0.0 leaves every cell as omitting the coordinate
+    would. Hashing labels, not ids, gives every sketch the cells it would
+    have with the input's own vertex ids as ids."""
+    size_n = g.size_n
+    label = g.labels.__getitem__
     ids = dict.fromkeys(ids)  # in order, with constant-time membership
     sketches = {}
     for a in ids:
@@ -256,9 +265,10 @@ def build_sketches(g: SummaryGraph, ids, width: int, depth: int,
         count = len(entries)
         values = np.fromiter([0 if x in ids else edge.cross_e
                               for x, edge in entries.items()], np.float64, count)
-        values /= np.sqrt(np.fromiter([nodes[x].size_n for x in entries],
+        values /= np.sqrt(np.fromiter(map(size_n.__getitem__, entries),
                                       np.float64, count))
-        sketches[a] = CountMinSketch.from_vector(width, depth, seeds, entries, values)
+        sketches[a] = CountMinSketch.from_vector(width, depth, seeds,
+                                                 map(label, entries), values)
     return sketches
 
 
@@ -320,14 +330,15 @@ class Summarizer:
         # The one walk over a's neighbors (see the module docstring). The
         # weight is node_weight's, inlined: -(4d/n) - sq equals -sq - 4d/n
         # bit for bit.
-        nodes = g.nodes
+        size_n = g.size_n
+        internal_e = g.internal_e
+        d_value = g.d_value
         neighbors = g.adj[a]
         weights = []
         for x in neighbors:
-            node = nodes[x]
-            size = node.size_n
-            f = -(4.0 * node.d_value / size)
-            internal = node.internal_e
+            size = size_n[x]
+            f = -(4.0 * d_value[x] / size)
+            internal = internal_e[x]
             if internal:
                 f -= 4.0 * internal * internal / (size * (size - 1) / 2.0)
             weights.append(-1.0 / f if f else 0.0)

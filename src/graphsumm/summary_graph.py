@@ -1,13 +1,22 @@
 """Mutable supergraph over a partition of an undirected graph's vertices.
 
-The live supernodes are exactly the keys of ``nodes``, and ``adj`` has the
-same keys in the same order; a supernode's id is its key. Every supernode
-knows how many original vertices it holds (``size_n``), how many original
-edges lie entirely inside it (``internal_e``), and a cached real number
-``d_value`` = sum over neighbors i of cross_e(a,i)^2 / size_n(i). The cache
-is what makes per-pair scoring and per-node weighting constant time; it is
-maintained incrementally on every merge and only ever recomputed from
-scratch by the validation helpers.
+Every vertex of the input has a dense index 0..n-1, given in order of
+first appearance in the edge list, and a supernode's id is the index of a
+vertex it holds. The live supernodes are exactly the keys of ``adj``. Every
+supernode knows how many original vertices it holds (``size_n``), how many
+original edges lie entirely inside it (``internal_e``), and a cached real
+number ``d_value`` = sum over neighbors i of cross_e(a,i)^2 / size_n(i).
+The three statistics live in three numpy arrays indexed by id, read and
+written through the ``memoryview``s of the same names, so a read gives a
+plain Python int or float and a write stores in place. An id merged away
+keeps a stale ``size_n``, but its ``internal_e`` and ``d_value`` are
+zeroed, so a whole-array sum of either counts only live supernodes (as
+``evaluation.re_closed`` takes them). The cache is what makes
+per-pair scoring and per-node weighting constant time; it is maintained
+incrementally on every merge and only ever recomputed from scratch by the
+validation helpers. ``nodes`` is a read-only mapping view of the live
+statistics for callers, one ``SuperNode`` per live id; the package's own
+loops read the arrays.
 
 A superedge is just its crossing edge count; its endpoints are the two
 adjacency keys under which it is stored. It is stored once and shared by
@@ -19,43 +28,83 @@ the original and the copy, and every count-1 superedge of the graph is the
 one shared ``UNIT_EDGE``.
 
 A merge of a and b keeps a: the merged supernode takes a's id, its
-``SuperNode`` and its adjacency map, so no id is ever made up and every
-live id is one the graph started with.
+statistics and its adjacency map, so no id is ever made up and every live
+id is one the graph started with.
 
+Vertices face callers by label. ``labels[i]`` is the label of id i: the
+input's vertex id for a graph ``from_edge_list`` builds, and i itself for
+a summary read back from a file, whose supernodes are numbered 0..k-1.
 Vertex membership is not stored per supernode. The graph keeps each
-original vertex with its block at the start (``member_ids``,
+original vertex's label with its block at the start (``member_ids``,
 ``member_start``) and a flat log of its merges (``merge_log``, one (a, b)
-pair per merge); ``membership`` replays the log to give every vertex its
-current block. Every graph ``from_edge_list`` builds knows its
-vertices; only a summary read back from a file without member lists does
-not (``member_ids`` is None), and its log then records the merges since.
+id pair per merge); ``membership`` replays the log to give every vertex
+its current block. A built graph's ``member_ids`` is its ``labels``
+array, each vertex its own start block. Only a summary read back from a
+file without member lists does not know its vertices (``member_ids`` is
+None), and its log then records the merges since.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import Counter
+from collections.abc import Mapping
 from itertools import chain
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 class SuperNode:
-    """One class of the vertex partition; its id is its key in
-    ``SummaryGraph.nodes``. A merge updates the kept node in place and
-    turns ``alive`` False on the removed one, for callers still holding
-    the object."""
+    """Read view of one supernode's statistics in its graph's arrays. It
+    reads them when asked, so it follows later merges; ``alive`` turns
+    False once the supernode is merged away."""
 
-    __slots__ = ("size_n", "internal_e", "d_value", "alive")
+    __slots__ = ("_graph", "_id")
 
-    def __init__(self, size_n: int = 1, internal_e: int = 0,
-                 d_value: float = 0.0):
-        self.size_n = size_n
-        self.internal_e = internal_e
-        self.d_value = d_value
-        self.alive = True
+    def __init__(self, graph: "SummaryGraph", node_id: int):
+        self._graph = graph
+        self._id = node_id
+
+    @property
+    def size_n(self) -> int:
+        return self._graph.size_n[self._id]
+
+    @property
+    def internal_e(self) -> int:
+        return self._graph.internal_e[self._id]
+
+    @property
+    def d_value(self) -> float:
+        return self._graph.d_value[self._id]
+
+    @property
+    def alive(self) -> bool:
+        return self._id in self._graph.adj
 
     def __repr__(self):
         return f"SuperNode(n={self.size_n}, e={self.internal_e}, alive={self.alive})"
+
+
+class NodeView(Mapping):
+    """The live supernodes as a read-only mapping id -> ``SuperNode``, in
+    the order of ``adj``."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "SummaryGraph"):
+        self._graph = graph
+
+    def __getitem__(self, node_id: int) -> SuperNode:
+        if node_id not in self._graph.adj:
+            raise KeyError(node_id)
+        return SuperNode(self._graph, node_id)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._graph.adj)
+
+    def __len__(self) -> int:
+        return len(self._graph.adj)
 
 
 class SuperEdge:
@@ -86,23 +135,29 @@ UNIT_EDGE = SuperEdge(1)
 
 
 class SummaryGraph:
-    """The evolving supergraph.
+    """The evolving supergraph. ``SummaryGraph(capacity)`` has statistics
+    storage for ids 0..capacity-1, each a singleton without edges, and no
+    live supernode until its id becomes a key of ``adj``.
 
     Thread contract: ``merge`` is the only mutator and requires exclusive
-    access; read-only operations (``adj`` and ``nodes`` lookups, score
+    access; read-only operations (``adj`` lookups, statistics reads, score
     inputs) may run concurrently in between merges.
     """
 
-    def __init__(self):
-        self.nodes: dict[int, SuperNode] = {}
+    def __init__(self, capacity: int = 0):
         self.adj: dict[int, dict[int, SuperEdge]] = {}
+        self.size_n = memoryview(np.ones(capacity, np.int64))
+        self.internal_e = memoryview(np.zeros(capacity, np.int64))
+        self.d_value = memoryview(np.zeros(capacity))
+        self.nodes = NodeView(self)
+        self.labels = range(capacity)
         self.original_vertex_count = 0
         self.original_edge_count = 0
-        # The original vertex ids and each one's block when the log starts
+        # Each original vertex's label and its block when the log starts
         # (both None while membership is unknown), and the merges since, as
         # flat (kept, removed) pairs.
         self.member_ids: array | None = None
-        self.member_start: array | None = None
+        self.member_start: array | range | None = None
         self.merge_log = array("q")
         # Adjacency entries read or removed by the most recent merge; the
         # count excludes creation of the merged node's new entries so that
@@ -111,7 +166,7 @@ class SummaryGraph:
 
     @property
     def alive_count(self) -> int:
-        return len(self.nodes)
+        return len(self.adj)
 
     # ------------------------------------------------------------------
     # construction
@@ -120,45 +175,57 @@ class SummaryGraph:
     def from_edge_list(cls, edges: Iterable[tuple[int, int]]) -> "SummaryGraph":
         """Build the identity summary: one singleton supernode per vertex.
 
-        Duplicate edges (in either orientation) and self-loops are dropped.
-        The graph keeps the vertex ids, and every merge is logged, so that
-        ``membership`` can say which supernode holds each vertex. Ids must
-        fit the int64 log, so an id of 2^63 or more raises ValueError.
+        Vertex labels are relabelled once to ids 0..n-1 in order of first
+        appearance, and ``labels`` keeps them. Duplicate edges (in either
+        orientation) and self-loops are dropped. Every merge is logged, so
+        that ``membership`` can say which supernode holds each label. A
+        negative label, or one of 2^63 or more (beyond the int64 label
+        array), raises ValueError.
         """
         edges = list(edges)
         if not edges:
             raise ValueError("empty graph")
-        ids = dict.fromkeys(chain.from_iterable(edges))  # first-appearance order
-        if min(ids) < 0:
+        labels = dict.fromkeys(chain.from_iterable(edges))  # first-appearance order
+        if min(labels) < 0:
             u, v = next((u, v) for u, v in edges if u < 0 or v < 0)
             raise ValueError(f"negative vertex id in edge ({u}, {v})")
-        g = cls()
-        adj = g.adj = {w: {} for w in ids}
+        if max(labels) >= 2 ** 63:
+            raise ValueError("vertex ids too large for the int64 label array")
+        n = len(labels)
+        label_array = array("q", labels)
+        # input that is already dense (the CLI's) needs no relabelling; the
+        # rest is relabelled edge by edge, with no second edge list
+        index = (None if label_array == array("q", range(n))
+                 else dict(zip(labels, range(n))))
+        rows = [{} for _ in range(n)]
         for u, v in edges:
+            if index is not None:
+                u = index[u]
+                v = index[v]
             # a repeated edge re-stores the same object under keys it
             # already has, which keeps their positions
             if u != v:
-                adj[u][v] = UNIT_EDGE
-                adj[v][u] = UNIT_EDGE
+                rows[u][v] = UNIT_EDGE
+                rows[v][u] = UNIT_EDGE
+        g = cls(n)
+        g.adj = dict(enumerate(rows))
         # singleton d_value terms are 1^2/1 each
-        g.nodes = {w: SuperNode(1, 0, float(len(entries)))
-                   for w, entries in adj.items()}
-        g.original_vertex_count = len(ids)
-        g.original_edge_count = sum(map(len, adj.values())) // 2
-        if max(ids) >= 2 ** 63:
-            raise ValueError("vertex ids too large for the int64 merge log")
-        # each vertex starts as its own block, so one array serves both
-        g.member_ids = g.member_start = array("q", ids)
+        g.d_value = memoryview(np.fromiter(map(len, rows), np.float64, n))
+        g.original_vertex_count = n
+        g.original_edge_count = sum(map(len, rows)) // 2
+        # each vertex starts as its own block
+        g.labels = g.member_ids = label_array
+        g.member_start = range(n)
         return g
 
     # ------------------------------------------------------------------
     # queries
 
     def is_alive(self, a: int) -> bool:
-        return a in self.nodes
+        return a in self.adj
 
     def alive_ids(self) -> Iterator[int]:
-        return iter(self.nodes)
+        return iter(self.adj)
 
     def degree(self, a: int) -> int:
         return len(self.adj[a])
@@ -169,9 +236,10 @@ class SummaryGraph:
         return edge.cross_e if edge is not None else 0
 
     def membership(self) -> tuple[array, array]:
-        """Aligned arrays (vertices, blocks): blocks[i] is the live
-        supernode holding original vertex vertices[i]. ``vertices`` is the
-        graph's own ``member_ids``; ``blocks`` is new on every call.
+        """Aligned arrays (vertices, blocks): blocks[i] is the id of the
+        live supernode holding the vertex labelled vertices[i].
+        ``vertices`` is the graph's own ``member_ids``; ``blocks`` is new
+        on every call.
 
         Replays the merge log with union-find in O(n α(n)): each merge
         links b under a, path compression then points every merged id at
@@ -210,19 +278,18 @@ class SummaryGraph:
         other neighbors in b's order. A neighbor of a keeps key a where it
         was; a neighbor of b alone gets it at the end of its map.
 
-        a's ``SuperNode`` is updated in place; b leaves ``nodes`` and
-        ``adj``, and its ``SuperNode`` has ``alive`` cleared.
+        a's statistics are updated in place; b leaves ``adj``, and its
+        ``internal_e`` and ``d_value`` are zeroed.
         """
-        nodes = self.nodes
-        node_a = nodes.get(a)
-        node_b = nodes.get(b)
-        if a == b or node_a is None or node_b is None:
-            raise ValueError("invalid merge pair")
         adj = self.adj
-        adj_a = adj[a]
+        adj_a = adj.get(a)
+        if a == b or adj_a is None or b not in adj:
+            raise ValueError("invalid merge pair")
         adj_b = adj.pop(b)
-        size_a = node_a.size_n
-        size_b = node_b.size_n
+        size_n = self.size_n
+        d_value = self.d_value
+        size_a = size_n[a]
+        size_b = size_n[b]
         size_ab = size_a + size_b
         pair_edge = adj_a.pop(b, None)
         e_ab = pair_edge.cross_e if pair_edge is not None else 0
@@ -230,35 +297,46 @@ class SummaryGraph:
         # a and b is also patched in the neighbour's map; with b's entry
         # already popped from a's map, that is twice the two lengths
         self.last_merge_touched = 2 * (len(adj_a) + len(adj_b))
+        adj_b.pop(a, None)
 
-        for x, edge in adj_a.items():
-            e_ax = edge.cross_e
-            nodes[x].d_value -= e_ax * e_ax / size_a
-        for x, edge in adj_b.items():
-            if x == a:
-                continue
-            e_bx = edge.cross_e
-            nodes[x].d_value -= e_bx * e_bx / size_b
-            adj_x = adj[x]
-            del adj_x[b]
-            edge_a = adj_a.get(x)
-            if edge_a is not None:
-                edge = SuperEdge(edge_a.cross_e + e_bx)
-            adj_a[x] = adj_x[a] = edge
-
-        self.merge_log.extend((a, b))
+        # One pass over a's neighbours, then one over b's other neighbours,
+        # in the order the merged map keeps them. A neighbour's d_value
+        # loses its old terms, a's then b's, and gains the merged one, in
+        # that order; d_ab adds the merged terms in map order.
         d_ab = 0.0
         for x, edge in adj_a.items():
             e_ax = edge.cross_e
-            node = nodes[x]
-            node.d_value += e_ax * e_ax / size_ab
-            d_ab += e_ax * e_ax / node.size_n
-        node_a.size_n = size_ab
-        node_a.internal_e += node_b.internal_e + e_ab
-        node_a.d_value = d_ab
+            edge_b = adj_b.pop(x, None)
+            if edge_b is None:
+                square = e_ax * e_ax
+                d_value[x] = d_value[x] - square / size_a + square / size_ab
+            else:
+                e_bx = edge_b.cross_e
+                e_x = e_ax + e_bx
+                adj_x = adj[x]
+                del adj_x[b]
+                # a value changes, no key: safe while iterating
+                adj_a[x] = adj_x[a] = SuperEdge(e_x)
+                square = e_x * e_x
+                d_value[x] = (d_value[x] - e_ax * e_ax / size_a
+                              - e_bx * e_bx / size_b + square / size_ab)
+            d_ab += square / size_n[x]
+        for x, edge in adj_b.items():
+            e_bx = edge.cross_e
+            adj_x = adj[x]
+            del adj_x[b]
+            adj_a[x] = adj_x[a] = edge
+            square = e_bx * e_bx
+            d_value[x] = d_value[x] - square / size_b + square / size_ab
+            d_ab += square / size_n[x]
 
-        node_b.alive = False
-        del nodes[b]
+        self.merge_log.extend((a, b))
+        size_n[a] = size_ab
+        internal_e = self.internal_e
+        internal_e[a] += internal_e[b] + e_ab
+        internal_e[b] = 0
+        d_value[a] = d_ab
+        d_value[b] = 0.0
         return a
 
     # ------------------------------------------------------------------
@@ -266,20 +344,22 @@ class SummaryGraph:
 
     def copy(self) -> "SummaryGraph":
         """Independent copy of the live supernodes, preserving ids: new
-        supernodes and adjacency maps that share the never-changed
+        statistics arrays and adjacency maps that share the never-changed
         superedges, and a copy of the merge log that shares the
-        never-changed vertex arrays. For a caller that goes on merging one
-        of the two; a report on the input graph needs only
+        never-changed label and vertex arrays. For a caller that goes on
+        merging one of the two; a report on the input graph needs only
         ``evaluation.InputGraph``, which takes about a quarter of the
         memory."""
         g = SummaryGraph()
         g.original_vertex_count = self.original_vertex_count
         g.original_edge_count = self.original_edge_count
+        g.labels = self.labels
         g.member_ids = self.member_ids
         g.member_start = self.member_start
         g.merge_log = array("q", self.merge_log)
-        g.nodes = {i: SuperNode(node.size_n, node.internal_e, node.d_value)
-                   for i, node in self.nodes.items()}
+        g.size_n = memoryview(np.array(self.size_n))
+        g.internal_e = memoryview(np.array(self.internal_e))
+        g.d_value = memoryview(np.array(self.d_value))
         g.adj = {a: entries.copy() for a, entries in self.adj.items()}
         return g
 
@@ -290,39 +370,46 @@ class SummaryGraph:
         ``read_summary`` accumulates it (``sum`` compensates float sums
         from Python 3.12 on, which would not match bit for bit).
         """
+        size_n = self.size_n
         total = 0.0
         for x, edge in self.adj[a].items():
-            total += edge.cross_e ** 2 / self.nodes[x].size_n
+            total += edge.cross_e ** 2 / size_n[x]
         return total
 
     def validate(self, rel_tol: float = 1e-9) -> None:
         """Check every structural invariant; raises AssertionError on failure."""
-        nodes = self.nodes
         adj = self.adj
-        assert list(nodes) == list(adj), "nodes and adjacency keys differ"
-        assert sum(node.size_n for node in nodes.values()) \
-            == self.original_vertex_count, \
+        size_n = self.size_n
+        internal_e = self.internal_e
+        d_value = self.d_value
+        assert sum(size_n[a] for a in adj) == self.original_vertex_count, \
             "supernode sizes do not partition the vertex set"
         internal_total = 0
         cross_total = 0
-        for a, node in nodes.items():
-            pairs = node.size_n * (node.size_n - 1) // 2
-            assert 0 <= node.internal_e <= pairs, f"internal_e bound violated at {a}"
-            internal_total += node.internal_e
-            for x, edge in adj[a].items():
-                other = nodes.get(x)
-                assert other is not None, f"edge {a}-{x} points at a dead node"
+        for a, entries in adj.items():
+            size_a = size_n[a]
+            assert size_a >= 1, f"empty supernode {a}"
+            assert 0 <= internal_e[a] <= size_a * (size_a - 1) // 2, \
+                f"internal_e bound violated at {a}"
+            internal_total += internal_e[a]
+            for x, edge in entries.items():
+                assert x in adj, f"edge {a}-{x} points at a dead node"
                 assert adj[x].get(a) is edge, f"mirror broken for {a}-{x}"
-                assert 1 <= edge.cross_e <= node.size_n * other.size_n, \
+                assert 1 <= edge.cross_e <= size_a * size_n[x], \
                     f"cross_e bound violated for {a}-{x}"
                 if x > a:
                     cross_total += edge.cross_e
             expect = self.recomputed_d_value(a)
-            assert abs(node.d_value - expect) <= rel_tol * max(1.0, abs(expect)), \
-                f"d_value drift at {a}: stored {node.d_value}, recomputed {expect}"
+            assert abs(d_value[a] - expect) <= rel_tol * max(1.0, abs(expect)), \
+                f"d_value drift at {a}: stored {d_value[a]}, recomputed {expect}"
         assert internal_total + cross_total == self.original_edge_count, \
             "edge conservation violated"
+        dead = np.ones(len(size_n), bool)
+        dead[list(adj)] = False
+        assert not np.asarray(internal_e)[dead].any() \
+            and not np.asarray(d_value)[dead].any(), \
+            "a dead supernode keeps internal edges or a d_value"
         if self.member_ids is not None:
             assert Counter(self.membership()[1]) \
-                == {a: node.size_n for a, node in nodes.items()}, \
+                == {a: size_n[a] for a in adj}, \
                 "replayed membership disagrees with supernode sizes"

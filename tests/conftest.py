@@ -95,6 +95,18 @@ def re_walk(summary: SummaryGraph) -> float:
     return total
 
 
+def re_closed_loop(summary: SummaryGraph) -> float:
+    """re_closed's formula added up by a Python loop over Python ints and
+    floats, as re_closed did before it read the statistics arrays with
+    numpy; the two must agree bit for bit."""
+    internal = math.fsum(
+        node.internal_e ** 2 / (node.size_n * (node.size_n - 1) / 2.0)
+        for node in summary.nodes.values() if node.internal_e)
+    scaled_d = math.fsum(node.d_value / node.size_n
+                         for node in summary.nodes.values())
+    return 4.0 * summary.original_edge_count - 4.0 * internal - 2.0 * scaled_d
+
+
 def score_oracle(g: SummaryGraph, a: int, b: int) -> float:
     """RE drop from merging (a, b), by actually merging a copy; RE is
     re_walk's, so the oracle does not depend on the d_value cache that
@@ -142,9 +154,10 @@ def l1_mass(sketch: CountMinSketch) -> float:
 
 
 def scaled_vector(g: SummaryGraph, a: int, without=()) -> dict[int, float]:
-    """a's sketched vector: cross_e(a,x)/sqrt(size_n(x)) per neighbor x not
-    in without, in adjacency order."""
-    return {x: edge.cross_e / math.sqrt(g.nodes[x].size_n)
+    """a's sketched vector: cross_e(a,x)/sqrt(size_n(x)) at the label of
+    each neighbor x not in without, in adjacency order (sketches hash
+    labels, not ids)."""
+    return {g.labels[x]: edge.cross_e / math.sqrt(g.size_n[x])
             for x, edge in g.adj[a].items() if x not in without}
 
 

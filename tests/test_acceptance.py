@@ -110,8 +110,8 @@ def test_criterion_4_sampling_tree_distribution_and_cost():
             [(v, rng.uniform(0.05, 1.0)) for v in range(size)])
         visit_bound = 2 * math.ceil(math.log2(size))
         if trial % 2:
-            # interleave updates, deletes and inserts before measuring
-            next_vertex = size
+            # interleave updates, deletes and inserts before measuring; a
+            # vertex is its own slot, so an insert binds a deleted vertex
             for _ in range(rng.randint(10, 80)):
                 choice = rng.random()
                 present = sorted(tree.vertices())
@@ -121,8 +121,8 @@ def test_criterion_4_sampling_tree_distribution_and_cost():
                 elif choice < 0.8 and len(present) > 2:
                     tree.delete(rng.choice(present))
                 elif len(present) < size:
-                    tree.insert(next_vertex, rng.uniform(0.05, 1.0))
-                    next_vertex += 1
+                    tree.insert(min(set(range(size)) - set(present)),
+                                rng.uniform(0.05, 1.0))
                 assert tree.last_op_visits <= visit_bound
         weights = {v: tree.weight_of(v) for v in tree.vertices()}
         total = sum(weights.values())

@@ -79,7 +79,7 @@ class TestParseEdgeList:
 class TestSummaryRoundTrip:
     def test_exact_file_format(self, tmp_path):
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
-        g.merge(1, 3)
+        g.merge(0, 2)  # labels 1 and 3
         path = tmp_path / "p3.summary"
         write_summary(g, path)
         assert path.read_text() == ("SUMMARY v1 3 2 2\n"
@@ -232,6 +232,15 @@ class TestSummaryRoundTrip:
                         "N 1 1 0 2\n"
                         "E 0 1 2\n")
         with pytest.raises(ValueError, match="conservation"):
+            read_summary(path)
+
+    def test_header_count_beyond_the_file_rejected(self, tmp_path):
+        # k supernode lines take 8 bytes each at least, so a header that
+        # claims more than the file can hold fails before any allocation
+        path = tmp_path / "huge.summary"
+        path.write_text("SUMMARY v1 1000000000000 0 1000000000000\nN 0 1 0\n")
+        with pytest.raises(ValueError, match="^line 1: header says 1000000000000 "
+                                             "supernodes, more than the file"):
             read_summary(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
@@ -401,7 +410,7 @@ def reference_write_summary(summary, path, id_map=None, members=True):
                   for a, vertices in member_sets(summary).items()}
         blocks.sort(key=lambda block: labels[block[0]][0])
     else:
-        blocks.sort(key=lambda block: block[0])
+        blocks.sort(key=lambda block: summary.labels[block[0]])
     file_id = {a: pos for pos, (a, _) in enumerate(blocks)}
     lines = [f"SUMMARY v1 {summary.original_vertex_count} "
              f"{summary.original_edge_count} {len(blocks)}"]

@@ -64,13 +64,13 @@ class TestUpdate:
     def test_path_center_sketch(self):
         # a sketch holds the node's scaled vector, and only the ids asked
         # for get one
-        g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
-        sketches = build_sketches(g, [2], 1, 1, make_hash_seeds(1, 99))
-        assert set(sketches) == {2}
-        np.testing.assert_allclose(sketches[2].cells.sum(axis=1), 2.0, rtol=1e-12)
+        g = SummaryGraph.from_edge_list([(0, 1), (1, 2)])
+        sketches = build_sketches(g, [1], 1, 1, make_hash_seeds(1, 99))
+        assert set(sketches) == {1}
+        np.testing.assert_allclose(sketches[1].cells.sum(axis=1), 2.0, rtol=1e-12)
 
     def test_build_matches_per_coordinate_updates(self):
-        # huge sparse ids, hashed by the build itself, and merged blocks,
+        # huge sparse labels, hashed by the build itself, and merged blocks,
         # whose scaled coordinates cross_e / sqrt(size) are not integers;
         # each built sketch equals one update per coordinate, the other
         # chosen ids' coordinates left out, on a fresh sketch, bit for bit

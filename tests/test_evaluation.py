@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (constant_degree_edges, gnp_edges, merge_partition,
-                      random_partition, re_walk)
+                      random_partition, re_closed_loop, re_walk)
 from graphsumm import (Summarizer, SummarizerConfig, SummaryGraph,
                        build_report, centrality_estimate, degree_estimate,
                        evaluation, expected_adjacency, membership_index,
@@ -23,13 +23,13 @@ from graphsumm.cli import read_summary, write_summary
 
 
 def p3():
-    return SummaryGraph.from_edge_list([(1, 2), (2, 3)])
+    return SummaryGraph.from_edge_list([(0, 1), (1, 2)])
 
 
 def p3_twin_summary():
-    """P3 grouped as {1,3},{2}."""
+    """P3 grouped as {0,2},{1}."""
     g = p3()
-    g.merge(1, 3)
+    g.merge(0, 2)
     return g
 
 
@@ -44,30 +44,31 @@ def random_merged_summary(rng, n, p):
 
 
 def edgeless():
-    """Two vertices that appear only in self-loops, so |E| = 0."""
+    """Two vertices, labelled 5 and 7 (ids 0 and 1), that appear only in
+    self-loops, so |E| = 0."""
     return SummaryGraph.from_edge_list([(5, 5), (7, 7)])
 
 
 class TestExpectedAdjacency:
     def test_diagonal_zero(self):
-        assert expected_adjacency(p3(), 1, 1) == 0.0
+        assert expected_adjacency(p3(), 0, 0) == 0.0
 
     def test_cross_block_density(self):
-        assert expected_adjacency(p3_twin_summary(), 1, 2) == pytest.approx(1.0)
+        assert expected_adjacency(p3_twin_summary(), 0, 1) == pytest.approx(1.0)
 
     def test_within_block_density(self):
-        assert expected_adjacency(p3_twin_summary(), 1, 3) == 0.0
+        assert expected_adjacency(p3_twin_summary(), 0, 2) == 0.0
 
     def test_unknown_vertex(self):
         with pytest.raises(ValueError, match="unknown vertex"):
-            expected_adjacency(p3(), 1, 9)
+            expected_adjacency(p3(), 0, 9)
 
     def test_membership_required(self, tmp_path):
         # only a summary read back without member lists lacks membership
         path = tmp_path / "plain.summary"
         write_summary(p3(), path, members=False)
         with pytest.raises(ValueError, match="membership"):
-            expected_adjacency(read_summary(path), 1, 2)
+            expected_adjacency(read_summary(path), 0, 1)
 
 
 class TestReBrute:
@@ -78,13 +79,13 @@ class TestReBrute:
     def test_adjacent_merge(self):
         original = p3()
         summary = original.copy()
-        summary.merge(1, 2)
+        summary.merge(0, 1)
         assert re_brute(original, summary) == pytest.approx(2.0)
 
     def test_single_block(self):
         original = p3()
         summary = original.copy()
-        summary.merge(summary.merge(1, 2), 3)
+        summary.merge(summary.merge(0, 1), 2)
         assert re_brute(original, summary) == pytest.approx(8.0 / 3.0)
 
     def test_memory_guard(self):
@@ -93,8 +94,8 @@ class TestReBrute:
             re_brute(g, g, oracle_limit=2)
 
     def test_vertex_missing_from_summary(self):
-        original = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
-        with pytest.raises(ValueError, match="unknown vertex 4"):
+        original = SummaryGraph.from_edge_list([(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="unknown vertex 3"):
             re_brute(original, p3_twin_summary())
 
 
@@ -105,14 +106,14 @@ class TestReClosed:
         assert re_closed(g) == 0.0
 
     def test_complete_block_exact(self):
-        g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (1, 3)])
-        g.merge(g.merge(1, 2), 3)
+        g = SummaryGraph.from_edge_list([(0, 1), (1, 2), (0, 2)])
+        g.merge(g.merge(0, 1), 2)
         assert re_closed(g) == pytest.approx(0.0, abs=1e-12)
 
     def test_path_single_block_matches_oracle(self):
         original = p3()
         summary = original.copy()
-        summary.merge(summary.merge(1, 2), 3)
+        summary.merge(summary.merge(0, 1), 2)
         assert re_closed(summary) == pytest.approx(8.0 / 3.0)
         assert re_closed(summary) == pytest.approx(re_brute(original, summary),
                                                    abs=1e-9)
@@ -140,14 +141,15 @@ class TestReClosed:
                 random_partition(original.alive_ids(),
                                  rng.randint(1, original.alive_count), rng))
             index = membership_index(summary)
-            vertices = sorted(original.nodes)
+            rows = evaluation.InputGraph(original).adj  # keyed by label
+            vertices = sorted(rows)
             sq = 0.0
             for u in vertices:
                 for v in vertices:
                     if u == v:
                         continue
                     abar = expected_adjacency(summary, u, v, index)
-                    a = 1.0 if v in original.adj[u] else 0.0
+                    a = 1.0 if v in rows[u] else 0.0
                     sq += (abar - a) ** 2
             assert sq == pytest.approx(re_closed(summary) / 2.0, abs=1e-9)
 
@@ -158,12 +160,13 @@ class TestDegreeAndCentrality:
         g = SummaryGraph.from_edge_list(gnp_edges(10, 0.4, rng))
         index = membership_index(g)
         for v in g.nodes:
-            assert degree_estimate(g, v, index) == pytest.approx(len(g.adj[v]))
+            assert degree_estimate(g, g.labels[v], index) \
+                == pytest.approx(len(g.adj[v]))
 
     def test_path_center(self):
         summary = p3_twin_summary()
-        assert degree_estimate(summary, 2) == pytest.approx(2.0)
-        assert centrality_estimate(summary, 2) == pytest.approx(0.5)
+        assert degree_estimate(summary, 1) == pytest.approx(2.0)
+        assert centrality_estimate(summary, 1) == pytest.approx(0.5)
 
     def test_total_degree_mass_preserved(self):
         rng = random.Random(8)
@@ -171,10 +174,10 @@ class TestDegreeAndCentrality:
         summary = merge_partition(
             original.copy(), random_partition(original.alive_ids(), 4, rng))
         index = membership_index(summary)
-        total = sum(degree_estimate(summary, v, index) for v in original.nodes)
+        total = sum(degree_estimate(summary, v, index) for v in original.labels)
         assert total == pytest.approx(2.0 * original.original_edge_count, rel=1e-9)
         centrality = sum(centrality_estimate(summary, v, index)
-                         for v in original.nodes)
+                         for v in original.labels)
         assert centrality == pytest.approx(1.0, rel=1e-9)
 
     def test_unknown_vertex(self):
@@ -183,7 +186,7 @@ class TestDegreeAndCentrality:
 
     def test_edgeless_graph_centrality_zero(self):
         summary = edgeless()
-        summary.merge(5, 7)
+        summary.merge(0, 1)
         assert centrality_estimate(summary, 5) == 0.0
         assert centrality_estimate(summary, 7) == 0.0
 
@@ -222,13 +225,13 @@ class TestTriangles:
                 expected_adjacency(summary, u, v, index)
                 * expected_adjacency(summary, v, w, index)
                 * expected_adjacency(summary, u, w, index)
-                for u, v, w in itertools.combinations(sorted(original.nodes), 3))
+                for u, v, w in itertools.combinations(sorted(original.labels), 3))
             assert math.isclose(triangle_estimate(summary), expected,
                                 rel_tol=1e-12)
 
     def test_complete_blocks_exact(self):
-        g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (1, 3)])
-        g.merge(g.merge(1, 2), 3)
+        g = SummaryGraph.from_edge_list([(0, 1), (1, 2), (0, 2)])
+        g.merge(g.merge(0, 1), 2)
         assert triangle_estimate(g) == pytest.approx(1.0)
         k4 = SummaryGraph.from_edge_list(
             [(a, b) for a in range(4) for b in range(a + 1, 4)])
@@ -289,7 +292,7 @@ class TestBuildReport:
             original.copy(), random_partition(original.alive_ids(), 2, rng))
         full = build_report(original, summary)
         sampled = build_report(original, summary,
-                               sample_of_vertices=list(original.nodes)[:4])
+                               sample_of_vertices=list(original.labels)[:4])
         assert sampled.re_l1 == full.re_l1
         assert math.isfinite(sampled.degree_err_avg)
 
@@ -300,29 +303,29 @@ class TestBuildReport:
         for _ in range(20):
             original, summary = random_merged_summary(
                 rng, rng.randint(2, 30), rng.uniform(0.1, 0.6))
-            sets = {a: {a} for a in original.nodes}
+            sets = {a: {original.labels[a]} for a in original.nodes}
             for a, b in zip(*[iter(summary.merge_log)] * 2):
                 sets[a] |= sets.pop(b)
             assert membership_index(summary) == {
                 v: block for block, members in sets.items() for v in members}
             assert build_report(original, summary) == build_report(
-                original, summary, sample_of_vertices=list(original.nodes))
+                original, summary, sample_of_vertices=list(original.labels))
 
     def test_vertex_count_mismatch(self):
-        original = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
+        original = SummaryGraph.from_edge_list([(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match="summary holds 3 vertices, the "
                                              "original graph 4"):
             build_report(original, p3_twin_summary(), oracle_limit=0)
 
     def test_vertex_count_mismatch_at_default_oracle_limit(self):
         # the count check runs before the brute-force oracle, which would
-        # meet vertex 4 without a block
-        original = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
+        # meet vertex 3 without a block
+        original = SummaryGraph.from_edge_list([(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match="summary holds 3 vertices, the "
                                              "original graph 4"):
             build_report(original, p3_twin_summary())
-        with pytest.raises(ValueError, match="unknown vertex 4"):
-            build_report(original, p3_twin_summary(), sample_of_vertices=[1, 2])
+        with pytest.raises(ValueError, match="unknown vertex 3"):
+            build_report(original, p3_twin_summary(), sample_of_vertices=[0, 1])
 
     def test_unknown_sample_vertex(self):
         original = p3()
@@ -332,7 +335,7 @@ class TestBuildReport:
     def test_edgeless_graph(self):
         original = edgeless()
         summary = original.copy()
-        summary.merge(5, 7)
+        summary.merge(0, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = build_report(original, summary)
@@ -386,7 +389,7 @@ def self_loop_vertex_summary(rng):
 def edgeless_summary(rng):
     original = edgeless()
     summary = original.copy()
-    summary.merge(5, 7)
+    summary.merge(0, 1)
     return original, summary
 
 
@@ -407,14 +410,15 @@ class TestInputGraph:
     def test_same_values_as_the_graph(self, case, seed, view):
         original, summary = self.CASES[case](random.Random(seed))
         other = self.VIEWS[view](original)
-        assert list(other.adj) == list(original.nodes)
+        # vertices face the report by label, in the graph's id order
+        assert list(evaluation._input_graph(other).adj) == list(original.labels)
         assert re_brute(other, summary) == re_brute(original, summary)
         assert triangle_count_exact(other) == triangle_count_exact(original)
         # the default limit takes the brute-force cross-check, 0 skips it
         for limit in (1024, 0):
             assert build_report(other, summary, oracle_limit=limit) \
                 == build_report(original, summary, oracle_limit=limit)
-        sample = list(original.nodes)[::2]
+        sample = list(original.labels)[::2]
         assert build_report(other, summary, sample_of_vertices=sample) \
             == build_report(original, summary, sample_of_vertices=sample)
 
@@ -447,9 +451,11 @@ class TestInputGraph:
 def assert_re_matches_walk(summary):
     """re_closed reads the d_value cache; re_walk reads every superedge.
     Both sum the same terms up to float rounding, so they agree to a tiny
-    fraction of 4m, the largest each could be."""
+    fraction of 4m, the largest each could be. The numpy terms of
+    re_closed equal those of a Python loop exactly."""
     gap = abs(re_closed(summary) - re_walk(summary))
     assert gap <= 1e-12 * 4 * summary.original_edge_count, gap
+    assert re_closed(summary) == re_closed_loop(summary)
 
 
 def self_loop_graph(rng, n=40, p=0.15, loops=(97, 98, 99)):
@@ -478,7 +484,7 @@ class TestReClosedMatchesWalk:
                 g.merge(*rng.sample(list(g.alive_ids()), 2))
                 assert_re_matches_walk(g)
         edgeless_graph = edgeless()
-        edgeless_graph.merge(5, 7)
+        edgeless_graph.merge(0, 1)
         assert re_closed(edgeless_graph) == re_walk(edgeless_graph) == 0.0
 
     @pytest.mark.parametrize("mode", ["exact", "sketch"])
@@ -536,8 +542,9 @@ def walked_degree_errors(original, summary, vertices):
     """Each vertex's degree error from the block degree walked over the
     block's superedges, as degree_estimate computes it."""
     index = membership_index(summary)
+    rows = evaluation.InputGraph(original).adj  # keyed by label
     return np.array([abs(evaluation._block_degree(summary, index[v])
-                         - len(original.adj[v])) for v in vertices])
+                         - len(rows[v])) for v in vertices])
 
 
 def per_superedge_triangle_estimate(summary):
@@ -550,7 +557,7 @@ def per_superedge_triangle_estimate(summary):
         if not node.internal_e:
             continue
         size_a = node.size_n
-        density = evaluation._internal_density(node)
+        density = evaluation._internal_density(summary, a)
         terms.append(math.comb(size_a, 3) * density ** 3)
         pairs = math.comb(size_a, 2)
         for x, edge in adj[a].items():
@@ -580,7 +587,7 @@ class TestReportIdentities:
     def test_degree_errors_equal_the_walk(self, case, seed):
         original, summary = self.CASES[case](random.Random(seed))
         rng = random.Random(seed)
-        everyone = list(original.nodes)
+        everyone = list(original.labels)
         samples = [None, everyone[::3],
                    [rng.choice(everyone) for _ in range(25)]]
         two_m = 2.0 * original.original_edge_count
@@ -596,10 +603,10 @@ class TestReportIdentities:
             assert report.centrality_err_std == float(centrality.std())
 
     def test_unknown_sample_vertex_without_the_oracle(self):
-        original = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
-        with pytest.raises(ValueError, match="unknown vertex 4"):
+        original = SummaryGraph.from_edge_list([(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="unknown vertex 3"):
             build_report(original, p3_twin_summary(), oracle_limit=0,
-                         sample_of_vertices=[1, 4])
+                         sample_of_vertices=[1, 3])
         with pytest.raises(ValueError, match="unknown vertex 42"):
             build_report(p3(), p3_twin_summary(), oracle_limit=0,
                          sample_of_vertices=[42])

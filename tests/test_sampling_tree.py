@@ -8,15 +8,28 @@ from graphsumm import SamplingTree
 
 
 def small_tree():
-    return SamplingTree.build([(1, 2.0), (2, 1.0), (3, 1.0)])
+    return SamplingTree.build([(0, 2.0), (1, 1.0), (2, 1.0)])
 
 
 class TestBuild:
     def test_three_leaves(self):
         t = small_tree()
         assert t.total_weight == 4.0
-        # leaves v1, v2 share the left subtree of the root
+        # leaves v0, v1 share the left subtree of the root
         assert t._sums[2] == 3.0
+
+    def test_vertex_is_its_slot(self):
+        # unnamed slots are unbound and weigh nothing
+        t = SamplingTree.build([(3, 1.0), (1, 2.0)])
+        assert t.capacity == 4 and len(t) == 2
+        assert t.vertices() == [1, 3]
+        assert 0 not in t and 2 not in t and 4 not in t
+        assert t.get_leaf(0.5) == 1 and t.get_leaf(2.5) == 3
+        with pytest.raises(ValueError, match="duplicate vertex 1"):
+            SamplingTree.build([(1, 1.0), (1, 2.0)])
+        with pytest.raises(ValueError, match="negative vertex"):
+            SamplingTree.build([(0, 1.0), (-1, 2.0)])
+        t.check_consistency()
 
     def test_single_leaf(self):
         t = SamplingTree.build([(1, 5.0)])
@@ -39,9 +52,9 @@ class TestBuild:
 class TestGetLeaf:
     def test_ranges(self):
         t = small_tree()
-        assert t.get_leaf(2.5) == 2      # [0,2) v1, [2,3) v2, [3,4) v3
-        assert t.get_leaf(0.0) == 1
-        assert t.get_leaf(3.999) == 3
+        assert t.get_leaf(2.5) == 1      # [0,2) v0, [2,3) v1, [3,4) v2
+        assert t.get_leaf(0.0) == 0
+        assert t.get_leaf(3.999) == 2
 
     def test_out_of_range(self):
         t = small_tree()
@@ -61,19 +74,19 @@ class TestGetLeaf:
 class TestUpdate:
     def test_update_changes_root(self):
         t = small_tree()
-        t.update_weight(2, 5.0)
+        t.update_weight(1, 5.0)
         assert t.total_weight == 8.0
 
     def test_identity_update(self):
         t = small_tree()
         sums_before = list(t._sums)
-        t.update_weight(2, 1.0)
+        t.update_weight(1, 1.0)
         assert list(t._sums) == sums_before
 
     def test_zero_weight_collapses_range(self):
         t = small_tree()
-        t.update_weight(1, 0.0)
-        assert t.get_leaf(0.5) == 2
+        t.update_weight(0, 0.0)
+        assert t.get_leaf(0.5) == 1
 
     def test_unknown_vertex(self):
         with pytest.raises(KeyError):
@@ -83,41 +96,45 @@ class TestUpdate:
 class TestDeleteInsert:
     def test_delete(self):
         t = small_tree()
-        t.delete(3)
+        t.delete(2)
         assert t.total_weight == 3.0
-        assert 3 not in t
+        assert 2 not in t
 
     def test_insert_reuses_slot(self):
         t = small_tree()
-        t.delete(3)
-        t.insert(4, 4.0)
+        t.delete(2)
+        t.insert(2, 4.0)
         assert t.total_weight == 7.0
-        assert t.get_leaf(6.9) == 4  # v4 occupies v3's slot, range [3, 7)
+        assert t.get_leaf(6.9) == 2  # v2 is back in its own slot, range [3, 7)
 
     def test_delete_reinsert_preserves_distribution(self):
         t = small_tree()
         reference = [t.get_leaf(r / 8) for r in range(32)]
-        t.delete(2)
-        t.insert(2, 1.0)
+        t.delete(1)
+        t.insert(1, 1.0)
         assert [t.get_leaf(r / 8) for r in range(32)] == reference
 
     def test_tree_full(self):
+        # a vertex can only take its own slot: one beyond the capacity, or
+        # one already bound, is refused
         t = small_tree()
-        with pytest.raises(ValueError, match="tree full"):
-            t.insert(4, 1.0)
-        t.delete(1)
-        t.insert(4, 1.0)  # now there is a slot
+        with pytest.raises(ValueError, match="outside the tree's 3 slots"):
+            t.insert(3, 1.0)
+        with pytest.raises(ValueError, match="already present"):
+            t.insert(0, 1.0)
+        t.delete(0)
+        t.insert(0, 1.0)  # now its slot is free
 
 
 class TestStatistics:
     def test_empirical_frequencies(self):
         t = small_tree()
         rng = random.Random(2024)
-        counts = {1: 0, 2: 0, 3: 0}
+        counts = {0: 0, 1: 0, 2: 0}
         draws = 100_000
         for _ in range(draws):
             counts[t.get_leaf(rng.random() * t.total_weight)] += 1
-        for vertex, expected in [(1, 0.5), (2, 0.25), (3, 0.25)]:
+        for vertex, expected in [(0, 0.5), (1, 0.25), (2, 0.25)]:
             assert abs(counts[vertex] / draws - expected) < 0.015
 
 
@@ -130,8 +147,6 @@ class TestProperties:
             # tree descent and prefix scan agree even at range boundaries
             weights = {v: float(rng.randint(0, 9)) for v in range(size)}
             tree = SamplingTree.build(sorted(weights.items()))
-            slots = {v: i for i, v in enumerate(sorted(weights))}
-            next_vertex = size
             for _ in range(rng.randint(5, 60)):
                 op = rng.random()
                 if op < 0.5 and weights:
@@ -140,21 +155,19 @@ class TestProperties:
                     tree.update_weight(v, weights[v])
                 elif op < 0.75 and len(weights) > 1:
                     v = rng.choice(sorted(weights))
-                    slots.pop(v)
                     del weights[v]
                     tree.delete(v)
                 elif len(weights) < size:
-                    v = next_vertex
-                    next_vertex += 1
+                    # a deleted vertex comes back to its own slot
+                    v = min(set(range(size)) - set(weights))
                     weights[v] = float(rng.randint(0, 9))
                     tree.insert(v, weights[v])
-                    free = sorted(set(range(size)) - set(slots.values()))
-                    slots[v] = free[0]  # insert reuses the lowest free slot
                 tree.check_consistency()
+                assert tree.vertices() == sorted(weights)
                 total = sum(weights.values())
                 assert tree.total_weight == pytest.approx(total, abs=1e-9)
                 if total > 0:
-                    ordered = sorted(weights.items(), key=lambda kv: slots[kv[0]])
+                    ordered = sorted(weights.items())  # slot order is id order
                     for _ in range(5):
                         r = float(rng.randint(0, int(total) - 1)) + rng.choice([0.0, 0.5])
                         if r >= total:
@@ -177,7 +190,6 @@ class TestProperties:
         size = 13
         tree = SamplingTree.build([(v, rng.random()) for v in range(size)])
         present = set(range(size))
-        next_vertex = size
         for _ in range(2000):
             op = rng.random()
             weight = rng.random() * 10.0 ** rng.randint(-6, 6)
@@ -188,9 +200,9 @@ class TestProperties:
                 present.discard(v)
                 tree.delete(v)
             elif len(present) < size:
-                tree.insert(next_vertex, weight)
-                present.add(next_vertex)
-                next_vertex += 1
+                v = min(set(range(size)) - present)
+                tree.insert(v, weight)
+                present.add(v)
             tree.check_consistency()
         # the sums depend only on the leaves, so a zeroed and restored leaf
         # leaves every sum bit-identical
@@ -226,17 +238,15 @@ class TestMergeLeaves:
         tree = SamplingTree.build(items)
         reference = SamplingTree.build(items)
         for a, b, weight, others, weights in self.merge_sequence(size, batch, batch):
-            slot_a = tree.slot_of[a]
             tree.merge_leaves(a, b, weight, others, weights)
             reference.delete(b)
             reference.update_weight(a, weight)
             for x, leaf_weight in zip(others, weights):
                 reference.update_weight(x, leaf_weight)
-            assert tree.slot_of[a] == slot_a
+            assert a in tree and b not in tree
             assert tree._sums == reference._sums
-            assert tree.slot_of == reference.slot_of
-            assert tree._leaf_vertex == reference._leaf_vertex
-            assert tree._free_slots == reference._free_slots
+            assert tree._bound == reference._bound
+            assert len(tree) == len(reference)
         tree.check_consistency()
 
     @staticmethod
@@ -278,8 +288,7 @@ class TestMergeLeaves:
                 reference.update_weight(x, leaf_weight)
             merges += 1
             assert bytes(tree._sums) == bytes(reference._sums)
-            assert tree.slot_of == reference.slot_of
-            assert tree._free_slots == reference._free_slots
+            assert tree._bound == reference._bound
         assert len(calls) == (merges if rebuilds else 0)
         tree.check_consistency()
 
@@ -298,21 +307,21 @@ class TestMergeLeaves:
             tree.merge_leaves(a, b, weight, others, weights)
         tree.check_consistency()
 
-    @pytest.mark.parametrize("others", [[2], [1], [3, 2]])
+    @pytest.mark.parametrize("others", [[1], [0], [2, 1]])
     def test_others_naming_a_or_b_rejected(self, others):
         # b in others used to put weight on b's freed, unbound slot, after
         # which get_leaf could return None
         tree = small_tree()
         sums = list(tree._sums)
         with pytest.raises(ValueError, match="must not name"):
-            tree.merge_leaves(1, 2, 1.0, others, [5.0] * len(others))
-        assert list(tree._sums) == sums and tree.slot_of == {1: 0, 2: 1, 3: 2}
-        assert tree._free_slots == []
+            tree.merge_leaves(0, 1, 1.0, others, [5.0] * len(others))
+        assert list(tree._sums) == sums and tree.vertices() == [0, 1, 2]
+        assert len(tree) == 3
         tree.check_consistency()
 
     def test_consistency_check_sees_weight_on_unbound_slot(self):
         tree = small_tree()
-        tree.delete(2)
+        tree.delete(1)
         tree._set_slot(1, 5.0)  # parents stay exact sums
         with pytest.raises(AssertionError, match="unbound slot 1"):
             tree.check_consistency()
@@ -321,25 +330,27 @@ class TestMergeLeaves:
         tree = small_tree()
         sums = list(tree._sums)
         with pytest.raises(KeyError):
-            tree.merge_leaves(1, 9, 1.0, [], [])
+            tree.merge_leaves(0, 9, 1.0, [], [])
         with pytest.raises(KeyError):
-            tree.merge_leaves(1, 1, 1.0, [], [])
+            tree.merge_leaves(0, 0, 1.0, [], [])
         with pytest.raises(ValueError, match="negative"):
-            tree.merge_leaves(1, 2, -1.0, [], [])
+            tree.merge_leaves(0, 1, -1.0, [], [])
         with pytest.raises(ValueError, match="negative"):
-            tree.merge_leaves(1, 2, 1.0, [3], [-1.0])
-        slots = dict(tree.slot_of)
+            tree.merge_leaves(0, 1, 1.0, [2], [-1.0])
         with pytest.raises(KeyError):
-            tree.merge_leaves(1, 2, 1.0, [3, 9], [1.0, 1.0])  # 9 unbound
+            tree.merge_leaves(0, 1, 1.0, [2, 9], [1.0, 1.0])  # 9 unbound
+        with pytest.raises(KeyError):
+            tree.merge_leaves(0, 1, 1.0, [2, 3], [1.0, 1.0])  # 3 is padding
         with pytest.raises(ValueError, match="1 others but 0 weights"):
-            tree.merge_leaves(1, 2, 1.0, [3], [])
+            tree.merge_leaves(0, 1, 1.0, [2], [])
         with pytest.raises(ValueError, match="0 others but 1 weights"):
-            tree.merge_leaves(1, 2, 1.0, [], [2.0])
-        assert list(tree._sums) == sums and tree.slot_of == slots and len(tree) == 3
-        tree.merge_leaves(1, 2, 0.5, [3], [2.0])
-        assert tree.total_weight == 2.5 and tree.slot_of == {1: 0, 3: 2}
-        tree.insert(4, 1.0)  # b's freed slot
-        assert tree.slot_of[4] == 1
+            tree.merge_leaves(0, 1, 1.0, [], [2.0])
+        assert list(tree._sums) == sums and tree.vertices() == [0, 1, 2]
+        assert len(tree) == 3
+        tree.merge_leaves(0, 1, 0.5, [2], [2.0])
+        assert tree.total_weight == 2.5 and tree.vertices() == [0, 2]
+        tree.insert(1, 1.0)  # b's unbound slot
+        assert 1 in tree and tree.total_weight == 3.5
 
 
 class TestUniformVertex:
@@ -371,13 +382,13 @@ class TestUniformVertex:
         for b in (7, 8, 9, 10, 11):  # now at least half the list is stale
             tree.merge_leaves(6, b, 1.0, [], [])
         assert_uniform([0, 2, 3, 4, 6])
-        # a re-inserted id and a new id are drawn, each at the same rate
+        # two re-inserted ids are drawn, each at the same rate
         tree.insert(9, 1.0)
-        tree.insert(42, 1.0)
-        assert_uniform([2, 3, 4, 6, 9, 42], other_than=0)
+        tree.insert(7, 1.0)
+        assert_uniform([2, 3, 4, 6, 7, 9], other_than=0)
         tree.delete(9)
         tree.insert(9, 3.0)
-        assert_uniform([0, 2, 3, 4, 6, 9, 42])
+        assert_uniform([0, 2, 3, 4, 6, 7, 9])
 
     def test_no_other_bound_vertex(self):
         tree = SamplingTree.build([(7, 0.0), (8, 0.0)])

@@ -17,7 +17,7 @@ from graphsumm.summarizer import parse_sample_rule, sample_size
 
 
 def p3():
-    return SummaryGraph.from_edge_list([(1, 2), (2, 3)])
+    return SummaryGraph.from_edge_list([(0, 1), (1, 2)])
 
 
 def star3():
@@ -45,15 +45,16 @@ class TestConfig:
 
 class TestNodeWeight:
     def test_isolated_singleton_zero(self):
+        # vertex 7 is id 2
         g = SummaryGraph.from_edge_list([(1, 2), (7, 7)])
-        assert node_weight(g, 7) == 0.0
+        assert node_weight(g, 2) == 0.0
 
     def test_path_weights(self):
         g = p3()
-        assert node_weight(g, 1) == pytest.approx(0.25)
-        assert node_weight(g, 2) == pytest.approx(0.125)
+        assert node_weight(g, 0) == pytest.approx(0.25)
+        assert node_weight(g, 1) == pytest.approx(0.125)
         total = sum(node_weight(g, a) for a in g.alive_ids())
-        assert node_weight(g, 2) / total == pytest.approx(0.2)
+        assert node_weight(g, 1) / total == pytest.approx(0.2)
 
     def test_nonnegative_on_random_graphs(self):
         rng = random.Random(17)
@@ -69,24 +70,24 @@ class TestNodeWeight:
 class TestScoreExact:
     def test_single_edge_zero(self):
         g = SummaryGraph.from_edge_list([(1, 2)])
-        assert score_exact(g, 1, 2) == pytest.approx(0.0, abs=1e-12)
+        assert score_exact(g, 0, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_path_twins_zero(self):
-        assert score_exact(p3(), 1, 3) == pytest.approx(0.0, abs=1e-12)
+        assert score_exact(p3(), 0, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_path_adjacent_negative(self):
-        assert score_exact(p3(), 1, 2) == pytest.approx(-2.0)
+        assert score_exact(p3(), 0, 1) == pytest.approx(-2.0)
 
     def test_invalid_pair(self):
         g = p3()
         with pytest.raises(ValueError):
-            score_exact(g, 1, 1)
-        g.merge(1, 2)
+            score_exact(g, 0, 0)
+        g.merge(0, 1)
         with pytest.raises(ValueError):
-            score_exact(g, 2, 3)  # 2 is merged into 1
+            score_exact(g, 1, 2)  # 1 is merged into 0
         with pytest.raises(ValueError):
-            score_exact(g, 3, 2)
-        assert score_exact(g, 1, 3) == pytest.approx(score_oracle(g, 1, 3), abs=1e-9)
+            score_exact(g, 2, 1)
+        assert score_exact(g, 0, 2) == pytest.approx(score_oracle(g, 0, 2), abs=1e-9)
 
     def test_matches_re_delta_oracle(self):
         rng = random.Random(23)
@@ -126,10 +127,10 @@ class TestScoreApprox:
 
     def test_path_twins_within_bound(self):
         g = p3()
-        sketches = pair_sketches(g, 1, 3, 8, 2, make_hash_seeds(2, 2))
+        sketches = pair_sketches(g, 0, 2, 8, 2, make_hash_seeds(2, 2))
         epsilon = 1.0 / 8
-        mass_bound = epsilon * l1_mass(sketches[1]) * l1_mass(sketches[3])
-        approx = score_approx(g, 1, 3, sketches)
+        mass_bound = epsilon * l1_mass(sketches[0]) * l1_mass(sketches[2])
+        approx = score_approx(g, 0, 2, sketches)
         assert 0.0 - 1e-12 <= approx <= (8.0 / 2) * mass_bound + 1e-12
 
     def test_random_graph_overestimates_within_bound(self):
@@ -157,10 +158,10 @@ class TestScoreApprox:
 
     def test_incompatible_sketches(self):
         g = p3()
-        sketches = pair_sketches(g, 1, 3, 8, 2, make_hash_seeds(2, 2))
-        sketches[3] = pair_sketches(g, 1, 3, 8, 2, make_hash_seeds(2, 3))[3]
+        sketches = pair_sketches(g, 0, 2, 8, 2, make_hash_seeds(2, 2))
+        sketches[2] = pair_sketches(g, 0, 2, 8, 2, make_hash_seeds(2, 3))[2]
         with pytest.raises(ValueError, match="incompatible"):
-            score_approx(g, 1, 3, sketches)
+            score_approx(g, 0, 2, sketches)
 
 
 class TestSamplePairs:
@@ -173,17 +174,17 @@ class TestSamplePairs:
         for _ in range(5000):
             for a, _b in sample_pairs(g, tree, 1, rng):
                 draws += 1
-                hits += a == 1
-        # endpoint 1 carries weight 0.25 of 0.625 = 0.4 per unconditioned draw
+                hits += a == 0
+        # endpoint 0 carries weight 0.25 of 0.625 = 0.4 per unconditioned draw
         assert abs(hits / draws - 0.4) < 0.02
 
     def test_two_alive_always_the_pair(self):
         g = p3()
-        z = g.merge(1, 2)
+        z = g.merge(0, 1)
         tree = SamplingTree.build([(a, node_weight(g, a)) for a in g.alive_ids()])
         rng = random.Random(5)
         for a, b in sample_pairs(g, tree, 20, rng):
-            assert {a, b} == {z, 3}
+            assert {a, b} == {z, 2}
 
     def test_zero_weight_fallback_uniform(self):
         g = p3()
@@ -198,8 +199,8 @@ class TestSamplePairs:
         assert seen == set(g.alive_ids())
 
     def test_concentrated_mass_still_yields_distinct_pairs(self):
-        for weights in ([(1, 1.0), (2, 0.0), (3, 0.0)],
-                        [(1, 1e9), (2, 1.0), (3, 1.0)]):
+        for weights in ([(0, 1.0), (1, 0.0), (2, 0.0)],
+                        [(0, 1e9), (1, 1.0), (2, 1.0)]):
             g = p3()
             tree = SamplingTree.build(weights)
             sums = list(tree._sums)
@@ -339,12 +340,15 @@ class TestSummarize:
 
     @pytest.mark.parametrize("mode", ["exact", "sketch"])
     def test_live_ids_are_input_ids(self, mode):
-        # a merge keeps one of its two ids, so no live id is ever made up
+        # ids are the dense indices of the labels, and a merge keeps one of
+        # its two ids, so no live or logged id is ever made up
         rng = random.Random(27)
         edges = [(3 * u + 5, 3 * v + 5)
                  for u, v in constant_degree_edges(120, 8, rng)]
         g = SummaryGraph.from_edge_list(edges)
         inputs = set(g.alive_ids())
+        assert inputs == set(range(g.original_vertex_count))
+        assert set(g.labels) == {u for edge in edges for u in edge}
         summarize(g, SummarizerConfig(target_k=1, seed=5, score_mode=mode,
                                       sketch_width=2))
         assert set(g.alive_ids()) <= inputs
@@ -568,15 +572,15 @@ class TestSummarize:
             for x in g.adj[a]:
                 reference.update_weight(x, node_weight(g, x))
             assert loop.tree._sums == reference._sums
-            assert loop.tree.slot_of == reference.slot_of
+            assert loop.tree._bound == reference._bound
             for x in g.alive_ids():
                 assert loop.tree.weight_of(x) == node_weight(g, x)
 
-    # Merged pairs recorded when the merged node began keeping a's id and
-    # leaf, with validate() and re_closed == re_brute checked after every
-    # step; the loop must keep merging the same pairs. Width 2 puts the
-    # sketch threshold at 4, so about a third of the sketch-mode candidates
-    # are sketch-scored; exact mode ignores the width.
+    # Merged pairs, as labels, recorded when the merged node began keeping
+    # a's id and leaf, with validate() and re_closed == re_brute checked
+    # after every step; the loop must keep merging the same pairs. Width 2
+    # puts the sketch threshold at 4, so about a third of the sketch-mode
+    # candidates are sketch-scored; exact mode ignores the width.
     GOLDEN = [
         (lambda: gnp_edges(36, 0.2, random.Random(61)), 9, "exact", 71,
          [(9, 31), (22, 4), (15, 17), (3, 10), (24, 22), (26, 27), (21, 9),
@@ -604,17 +608,30 @@ class TestSummarize:
           (47, 2)]),
     ]
 
+    # By seed, float.hex of the final re_closed and of the fsum of the
+    # merged pairs' scores, recorded before ids became dense indices.
+    GOLDEN_FLOATS = {
+        71: ("0x1.5abfdee6a8992p+8", "-0x1.5abfdee6a8992p+8"),
+        72: ("0x1.6473673673674p+8", "0x1.627b80d78ea08p+10"),
+        73: ("0x1.f33a488164f32p+8", "-0x1.f33a488164f33p+8"),
+        74: ("0x1.148a3d70a3d71p+9", "0x1.0228623e5632fp+11"),
+    }
+
     @pytest.mark.parametrize("make_edges, k, mode, seed, expected", GOLDEN)
     def test_golden_merge_sequence(self, make_edges, k, mode, seed, expected):
         g = SummaryGraph.from_edge_list(make_edges())
         loop = Summarizer(g, SummarizerConfig(target_k=k, score_mode=mode,
                                               sketch_width=2, seed=seed))
         merged = []
+        scores = []
         while g.alive_count > k:
             loop.step()
             best = max(loop.last_candidates, key=lambda c: c.score)
-            merged.append((best.a, best.b))
+            merged.append((g.labels[best.a], g.labels[best.b]))
+            scores.append(best.score)
         assert merged == expected
+        assert (float.hex(re_closed(g)), float.hex(math.fsum(scores))) \
+            == self.GOLDEN_FLOATS[seed]
 
     def test_concurrent_scoring_matches_serial(self):
         rng = random.Random(3)

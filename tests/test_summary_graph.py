@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_degree_edges, gnp_edges, member_sets
-from graphsumm import SummaryGraph, SuperEdge, SuperNode
+from graphsumm import (SummarizerConfig, SummaryGraph, SuperEdge, re_brute,
+                       re_closed, summarize)
 from graphsumm.cli import read_summary, write_summary
 
 
 def p3():
-    return SummaryGraph.from_edge_list([(1, 2), (2, 3)])
+    return SummaryGraph.from_edge_list([(0, 1), (1, 2)])
 
 
 def k3():
-    return SummaryGraph.from_edge_list([(1, 2), (2, 3), (1, 3)])
+    return SummaryGraph.from_edge_list([(0, 1), (1, 2), (0, 2)])
 
 
 class TestFromEdgeList:
@@ -24,24 +25,26 @@ class TestFromEdgeList:
         g = p3()
         assert g.alive_count == 3
         assert g.original_edge_count == 2
-        assert {x: g.cross_count(2, x) for x in g.adj[2]} == {1: 1, 3: 1}
+        assert {x: g.cross_count(1, x) for x in g.adj[1]} == {0: 1, 2: 1}
         # center's cached sum: 1^2/1 + 1^2/1
-        assert g.nodes[2].d_value == pytest.approx(2.0, rel=1e-12)
+        assert g.nodes[1].d_value == pytest.approx(2.0, rel=1e-12)
 
     def test_duplicates_and_self_loops_dropped(self):
         g = SummaryGraph.from_edge_list([(1, 2), (2, 1), (1, 1)])
         assert g.alive_count == 2
         assert g.original_edge_count == 1
-        assert g.cross_count(1, 2) == 1
+        assert g.cross_count(0, 1) == 1
+        # labels 3, 1, 2, 5, 0, 4 get ids 0..5 in order of first appearance
         g = SummaryGraph.from_edge_list(
             [(3, 1), (1, 3), (2, 2), (5, 3), (3, 5), (1, 5), (0, 4)])
-        assert list(g.nodes) == list(g.adj) == [3, 1, 2, 5, 0, 4]
+        assert list(g.nodes) == list(g.adj) == [0, 1, 2, 3, 4, 5]
+        assert list(g.labels) == [3, 1, 2, 5, 0, 4]
         assert g.original_edge_count == 4
-        assert list(g.adj[3]) == [1, 5]
+        assert list(g.adj[0]) == [1, 3]
         entries = {(a, x): edge.cross_e for a, adj_a in g.adj.items()
                    for x, edge in adj_a.items() if g.adj[x][a] is edge}
-        assert entries == {(3, 1): 1, (1, 3): 1, (3, 5): 1, (5, 3): 1,
-                           (1, 5): 1, (5, 1): 1, (0, 4): 1, (4, 0): 1}
+        assert entries == {(0, 1): 1, (1, 0): 1, (0, 3): 1, (3, 0): 1,
+                           (1, 3): 1, (3, 1): 1, (4, 5): 1, (5, 4): 1}
         g.validate()
 
     def test_triangle_edge_conservation(self):
@@ -85,16 +88,20 @@ class TestFromEdgeList:
                 rows[v].append(u)
                 edge_count += 1
         g = SummaryGraph.from_edge_list(edges)
-        assert list(g.nodes) == list(g.adj) == order
-        assert {a: list(entries) for a, entries in g.adj.items()} == rows
+        ids = range(len(order))
+        assert list(g.nodes) == list(g.adj) == list(ids)
+        assert list(g.labels) == order
+        assert {order[a]: [order[x] for x in entries]
+                for a, entries in g.adj.items()} == rows
         assert g.original_vertex_count == len(order)
         assert g.original_edge_count == edge_count
         vertices, blocks = g.membership()
-        assert list(vertices) == list(blocks) == order
+        assert list(vertices) == order
+        assert list(blocks) == list(ids)
         assert len(g.merge_log) == 0
         for a, node in g.nodes.items():
             assert (node.size_n, node.internal_e) == (1, 0)
-            assert node.d_value == float(len(rows[a]))
+            assert node.d_value == float(len(rows[order[a]]))
         g.validate()
 
     def test_count_one_superedges_are_one_object(self):
@@ -107,7 +114,7 @@ class TestFromEdgeList:
         # every built graph knows its members; a summary read back from a
         # file without member lists does not, but still logs its merges
         g = SummaryGraph.from_edge_list([(1, 2)])
-        assert member_sets(g) == {1: {1}, 2: {2}}
+        assert member_sets(g) == {0: {1}, 1: {2}}
         path = tmp_path / "plain.summary"
         write_summary(p3(), path, members=False)
         g = read_summary(path)
@@ -120,16 +127,17 @@ class TestFromEdgeList:
         g.validate()
 
     def test_retained_ids_must_fit_int64(self):
-        # a merge makes up no id, so every id the int64 log holds is a
-        # vertex id, and the largest one it can hold is accepted
-        with pytest.raises(ValueError, match="too large for the int64 merge log"):
+        # labels are kept in an int64 array, so the largest label it can
+        # hold is accepted; the log holds ids, which a merge never makes up
+        with pytest.raises(ValueError, match="too large for the int64 label array"):
             SummaryGraph.from_edge_list([(0, 2 ** 63), (1, 2)])
         top = 2 ** 63 - 1
         g = SummaryGraph.from_edge_list([(0, top), (1, 2)])
-        assert g.merge(top, 1) == top
+        assert list(g.labels) == [0, top, 1, 2]
+        assert g.merge(1, 2) == 1
         while g.alive_count > 1:
             g.merge(*list(g.alive_ids())[:2])
-        assert list(g.merge_log) == [top, 1, 0, top, 0, 2]
+        assert list(g.merge_log) == [1, 2, 0, 1, 0, 3]
         assert member_sets(g) == {0: {0, 1, 2, top}}
         g.validate()
 
@@ -137,54 +145,57 @@ class TestFromEdgeList:
 class TestMerge:
     def test_path_merge_adjacent(self):
         g = p3()
-        kept, removed = g.nodes[1], g.nodes[2]
-        assert g.merge(1, 2) == 1
-        assert g.nodes[1] is kept and kept.alive
+        kept, removed = g.nodes[0], g.nodes[1]
+        assert g.merge(0, 1) == 0
+        assert kept.alive and kept.size_n == 2
         assert not removed.alive
-        assert list(g.nodes) == list(g.adj) == [1, 3]
-        assert g.nodes[1].size_n == 2
-        assert g.nodes[1].internal_e == 1
-        assert list(g.adj[1]) == [3]
-        assert g.cross_count(1, 3) == 1
+        with pytest.raises(KeyError):
+            g.nodes[1]
+        assert list(g.nodes) == list(g.adj) == [0, 2]
+        assert g.nodes[0].size_n == 2
+        assert g.nodes[0].internal_e == 1
+        assert list(g.adj[0]) == [2]
+        assert g.cross_count(0, 2) == 1
         # neighbor's cached sum moves from 1^2/1 to 1^2/2
-        assert g.nodes[3].d_value == pytest.approx(0.5, rel=1e-12)
+        assert g.nodes[2].d_value == pytest.approx(0.5, rel=1e-12)
         g.validate()
 
     def test_path_merge_twins(self):
         g = p3()
-        z = g.merge(1, 3)
+        z = g.merge(0, 2)
         assert g.nodes[z].size_n == 2
         assert g.nodes[z].internal_e == 0
-        assert g.cross_count(z, 2) == 2
-        assert g.nodes[2].d_value == pytest.approx(2.0, rel=1e-12)
+        assert g.cross_count(z, 1) == 2
+        assert g.nodes[1].d_value == pytest.approx(2.0, rel=1e-12)
         g.validate()
 
     def test_triangle_merge(self):
         g = k3()
-        z = g.merge(1, 2)
+        z = g.merge(0, 1)
         assert g.nodes[z].size_n == 2
         assert g.nodes[z].internal_e == 1
-        assert g.cross_count(z, 3) == 2
+        assert g.cross_count(z, 2) == 2
         g.validate()
 
     def test_merge_members_union(self):
+        # labels 1, 2, 3 are ids 0, 1, 2; membership speaks labels
         g = SummaryGraph.from_edge_list([(1, 2), (2, 3)])
-        assert g.merge(1, 3) == 1
-        assert member_sets(g) == {1: {1, 3}, 2: {2}}
-        assert list(g.merge_log) == [1, 3]
+        assert g.merge(0, 2) == 0
+        assert member_sets(g) == {0: {1, 3}, 1: {2}}
+        assert list(g.merge_log) == [0, 2]
 
     def test_invalid_pairs(self):
         g = p3()
         with pytest.raises(ValueError, match="invalid merge pair"):
-            g.merge(1, 1)
+            g.merge(0, 0)
         with pytest.raises(ValueError, match="invalid merge pair"):
-            g.merge(1, 99)
-        g.merge(1, 2)
+            g.merge(0, 99)
+        g.merge(0, 1)
         with pytest.raises(ValueError, match="invalid merge pair"):
-            g.merge(2, 3)  # 2 is dead
+            g.merge(1, 2)  # 1 is dead
         with pytest.raises(ValueError, match="invalid merge pair"):
-            g.merge(3, 2)
-        assert g.merge(3, 1) == 3
+            g.merge(2, 1)
+        assert g.merge(2, 0) == 2
         assert g.alive_count == 1
 
     def test_neighbour_maps_keep_key_a_in_place(self):
@@ -211,18 +222,19 @@ class TestMerge:
 
 class TestNeighbors:
     def test_initial_adjacency(self):
-        assert sorted(p3().adj[2]) == [1, 3]
+        assert sorted(p3().adj[1]) == [0, 2]
 
     def test_after_twin_merge(self):
         g = p3()
-        z = g.merge(1, 3)
-        assert list(g.adj[2]) == [z]
-        assert g.cross_count(2, z) == 2
+        z = g.merge(0, 2)
+        assert list(g.adj[1]) == [z]
+        assert g.cross_count(1, z) == 2
 
     def test_isolated_vertex_empty(self):
-        # vertex 7 appears only in a dropped self-loop
+        # vertex 7 (id 2) appears only in a dropped self-loop
         g = SummaryGraph.from_edge_list([(1, 2), (7, 7)])
-        assert g.adj[7] == {}
+        assert g.labels[2] == 7
+        assert g.adj[2] == {}
 
 
 class TestInvariantsUnderRandomMerges:
@@ -296,8 +308,8 @@ class TestInvariantsUnderRandomMerges:
             for x, edge in entries.items():
                 assert clone.adj[a][x] is edge
                 assert clone.adj[x][a] is edge
-        for i, node in g.nodes.items():
-            assert clone.nodes[i] is not node
+        for name in ("size_n", "internal_e", "d_value"):
+            assert getattr(clone, name).obj is not getattr(g, name).obj
         # the vertex arrays never change and are shared; the log is copied
         assert clone.member_ids is g.member_ids
         assert clone.member_start is g.member_start
@@ -347,7 +359,7 @@ class TestMembershipLog:
     def test_replay_matches_set_union(self, case):
         edges, picks = case
         g = SummaryGraph.from_edge_list(edges)
-        sets = {a: {a} for a in g.nodes}
+        sets = {a: {g.labels[a]} for a in g.nodes}
         apply_picks(g, picks, sets)
         assert member_sets(g) == sets
         assert len(g.merge_log) == 2 * (g.original_vertex_count - g.alive_count)
@@ -374,16 +386,16 @@ class TestMembershipLog:
 
     @pytest.mark.parametrize("tamper", ["relink", "drop", "extra"])
     def test_validate_rejects_a_log_that_disagrees_with_sizes(self, tamper):
-        g = SummaryGraph.from_edge_list([(1, 2), (2, 3), (3, 4)])
-        g.merge(1, 3)
-        g.merge(1, 4)
+        g = SummaryGraph.from_edge_list([(0, 1), (1, 2), (2, 3)])
+        g.merge(0, 2)
+        g.merge(0, 3)
         g.validate()
         if tamper == "relink":
-            g.merge_log[1] = 2  # the first merge now takes 2 in place of 3
+            g.merge_log[1] = 1  # the first merge now takes 1 in place of 2
         elif tamper == "drop":
             del g.merge_log[2:]  # the second merge is forgotten
         else:
-            g.merge_log.extend((2, 1))  # a merge that never happened
+            g.merge_log.extend((1, 0))  # a merge that never happened
         with pytest.raises(AssertionError, match="replayed membership"):
             g.validate()
 
@@ -398,7 +410,10 @@ class TestMembershipLog:
             traced = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert g.member_start is g.member_ids
+        # the label array is the vertex array, and each vertex starts as
+        # its own block, so the start blocks are a range
+        assert g.member_ids is g.labels
+        assert g.member_start == range(g.original_vertex_count)
         arrays = sys.getsizeof(g.member_ids) + sys.getsizeof(g.merge_log)
         assert arrays >= 8 * g.original_vertex_count
         assert arrays <= 0.1 * (traced - arrays)
@@ -407,14 +422,93 @@ class TestMembershipLog:
 class TestValidate:
     def test_fresh_unit_edge_breaks_mirror(self):
         g = p3()
-        assert g.adj[1][2] is g.adj[2][3]
-        g.adj[1][2] = SuperEdge(1)
-        with pytest.raises(AssertionError, match="mirror broken for 1-2"):
+        assert g.adj[0][1] is g.adj[1][2]
+        g.adj[0][1] = SuperEdge(1)
+        with pytest.raises(AssertionError, match="mirror broken for 0-1"):
             g.validate()
 
     def test_node_without_adjacency_entry(self):
-        g = p3()
-        g.nodes[9] = SuperNode()
-        g.original_vertex_count += 1
-        with pytest.raises(AssertionError, match="adjacency keys"):
+        # liveness is a key of adj: a supernode whose entry is dropped is
+        # gone, and the live sizes no longer partition the vertices
+        g = SummaryGraph.from_edge_list([(0, 1), (2, 2)])
+        del g.adj[2]
+        with pytest.raises(AssertionError, match="do not partition"):
+            g.validate()
+        with pytest.raises(KeyError):
+            g.nodes[2]
+
+
+class TestRelabeling:
+    """Ids are the dense first-appearance indices; labels only name the
+    vertices. The same graph under two labelings therefore runs the same
+    exact-mode merge loop, and every vertex-facing output differs only by
+    the labels."""
+
+    @staticmethod
+    def spread(label):
+        return 7919 * label + 11
+
+    def test_two_labelings_give_one_run(self, tmp_path):
+        rng = random.Random(71)
+        n = 150
+        names = rng.sample(range(1 << 38), n)  # sparse, some of them huge
+        named = [(names[u], names[v]) for u, v in gnp_edges(n, 0.08, rng)]
+        order = list(dict.fromkeys(u for edge in named for u in edge))
+        index = {label: i for i, label in enumerate(order)}
+        dense = [(index[u], index[v]) for u, v in named]
+        spread = [(self.spread(u), self.spread(v)) for u, v in named]
+        assert max(map(max, spread)) >= 2 ** 40
+        graphs = {}
+        for name, edges in (("dense", dense), ("spread", spread)):
+            g = SummaryGraph.from_edge_list(edges)
+            summarize(g, SummarizerConfig(target_k=20, seed=7))
+            g.validate()
+            graphs[name] = g
+        g_dense, g_spread = graphs["dense"], graphs["spread"]
+        relabel = [self.spread(label) for label in order]
+        assert list(g_dense.labels) == list(range(len(order)))
+        assert list(g_spread.labels) == relabel
+        # the same merges, in id space
+        assert len(g_dense.merge_log) > 0
+        assert g_dense.merge_log == g_spread.merge_log
+        # membership speaks labels, with the same blocks
+        vertices_dense, blocks_dense = g_dense.membership()
+        vertices_spread, blocks_spread = g_spread.membership()
+        assert blocks_dense == blocks_spread
+        assert list(vertices_spread) == [relabel[v] for v in vertices_dense]
+        # the same summary file once the dense labels are mapped
+        paths = [tmp_path / "dense.summary", tmp_path / "spread.summary"]
+        write_summary(g_dense, paths[0], id_map=relabel)
+        write_summary(g_spread, paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        # the brute-force oracle matches vertices to blocks by label
+        original = SummaryGraph.from_edge_list(spread)
+        assert re_brute(original, g_spread) == re_brute(
+            SummaryGraph.from_edge_list(dense), g_dense)
+        assert re_brute(original, g_spread) == pytest.approx(
+            re_closed(g_spread), abs=1e-9)
+        with pytest.raises(ValueError, match="unknown vertex"):
+            re_brute(original, g_dense)
+
+    def test_label_checks_see_labels_not_ids(self):
+        # the ids are 0 and 1 either way; only the labels can be refused
+        top = 7919 * 2 ** 50
+        assert list(SummaryGraph.from_edge_list([(top, 11)]).labels) == [top, 11]
+        with pytest.raises(ValueError, match="too large for the int64 label array"):
+            SummaryGraph.from_edge_list([(7919 * 2 ** 51, 11)])
+        with pytest.raises(ValueError, match=r"negative vertex id in edge \(11, -7908\)"):
+            SummaryGraph.from_edge_list([(11, self.spread(-1))])
+
+
+class TestStatisticsArrays:
+    def test_merged_away_ids_are_zeroed(self):
+        # whole-array sums of internal_e and d_value count live nodes only
+        g = k3()
+        g.merge(0, 1)
+        assert (g.internal_e[1], g.d_value[1]) == (0, 0.0)
+        assert sum(g.internal_e) == g.internal_e[0] == 1
+        assert sum(g.d_value) == g.d_value[0] + g.d_value[2]
+        g.validate()
+        g.d_value[1] = 0.5
+        with pytest.raises(AssertionError, match="dead supernode"):
             g.validate()
