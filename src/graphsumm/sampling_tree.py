@@ -7,12 +7,13 @@ is a memoryview of that array, so the scalar paths (the draw's descent, a
 single leaf's climb, `weight_of`, `total_weight`) read and write plain Python
 floats at list-like cost, while a whole-tree rebuild runs one numpy addition
 per level. Each internal node holds exactly the float sum of its two
-children: an update rewrites the leaf and then recomputes every ancestor from
-its two children instead of adding a delta, so the sums depend only on the
-current leaf weights, never on the history of updates or on whether
-merge_leaves climbed or rebuilt (each parent is left + right in IEEE double
-either way). There is no drift to repair, and zeroing a leaf and
-restoring it leaves every sum bit-identical.
+children: every change of leaves (build, update, insert, delete, a merge's
+batch) goes through one write, which checks the weights, rewrites the leaves
+and then recomputes every ancestor from its two children instead of adding a
+delta, so the sums depend only on the current leaf weights, never on the
+history of updates or on whether a write climbed or rebuilt (each parent is
+left + right in IEEE double either way). There is no drift to repair, and
+zeroing a leaf and restoring it leaves every sum bit-identical.
 
 A vertex is its own leaf slot: the tree serves vertices 0..capacity-1
 (the dense ids of ``SummaryGraph``), so it keeps no id map, only one bound
@@ -27,12 +28,13 @@ sibling, so every draw ends on a bound leaf with positive weight.
 
 from __future__ import annotations
 
+import math
 from itertools import compress
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
-# Bounds the cost of merge_leaves' whole-tree rebuild against its climbs
+# Bounds the cost of _write's whole-tree rebuild against its climbs
 # (see its docstring). On `sparse-exact` (a shared 2-core VM), tree time over
 # merge time read 1.20, 1.11, 1.20 and 1.38 with the factor at 32, 64, 128
 # and 256, against 2.12 with climbs only.
@@ -72,22 +74,18 @@ class SamplingTree:
         items = list(weights)
         if not items:
             raise ValueError("cannot build an empty sampling tree")
-        lowest = min(vertex for vertex, _ in items)
+        vertices = [vertex for vertex, _ in items]
+        lowest = min(vertices)
         if lowest < 0:
             raise ValueError(f"negative vertex {lowest}")
-        tree = cls(max(vertex for vertex, _ in items) + 1)
-        sums = tree._sums
+        tree = cls(max(vertices) + 1)
         bound = tree._bound
-        padded = tree._padded
-        for vertex, weight in items:
-            if weight < 0:
-                raise ValueError(f"negative weight {weight} for vertex {vertex}")
+        for vertex in vertices:
             if bound[vertex]:
                 raise ValueError(f"duplicate vertex {vertex}")
-            sums[padded + vertex] = float(weight)
             bound[vertex] = 1
         tree._bound_count = len(items)
-        tree._rebuild()
+        tree._write(vertices, [weight for _, weight in items])
         return tree
 
     # ------------------------------------------------------------------
@@ -143,13 +141,13 @@ class SamplingTree:
     def update_weight(self, vertex: int, new_weight: float) -> None:
         if vertex not in self:
             raise KeyError(f"vertex {vertex} has no leaf")
-        self._set_slot(vertex, new_weight)
+        self._write((vertex,), (new_weight,))
 
     def delete(self, vertex: int) -> None:
         """Zero the leaf and unbind it; insert() can bind it again."""
         if vertex not in self:
             raise KeyError(f"vertex {vertex} has no leaf")
-        self._set_slot(vertex, 0.0)
+        self._write((vertex,), (0.0,))
         self._bound[vertex] = 0
         self._bound_count -= 1
 
@@ -160,8 +158,8 @@ class SamplingTree:
         if not 0 <= vertex < self.capacity:
             raise ValueError(f"vertex {vertex} outside the tree's "
                              f"{self.capacity} slots")
+        self._write((vertex,), (weight,))
         self._uniform_ids = None  # the list may hold vertex already
-        self._set_slot(vertex, weight)
         self._bound[vertex] = 1
         self._bound_count += 1
 
@@ -173,25 +171,14 @@ class SamplingTree:
         and the leaf of each vertex in others, all bound and none of them a
         or b, takes the matching entry of weights (one per vertex). A bad
         batch raises before anything changes.
-
-        Every changed leaf is written first. Then the ancestors are
-        recomputed one of two ways, chosen by the batch's size m (changed
-        leaves) against the P padded leaves:
-        - climb, when m * (log2 P + 1) * _REBUILD_FACTOR < P: each changed
-          ancestor is recomputed once from its two children, O(m log P);
-        - rebuild, otherwise: every internal node, bottom-up, one numpy
-          addition per level, O(P), which the rule bounds by
-          O(m log P) * _REBUILD_FACTOR.
-        Each parent is left + right in IEEE double on both paths, so every
-        sum is bit for bit the one a leaf-by-leaf update would give.
         """
         if a == b or a not in self or b not in self:
             raise KeyError(f"vertices {a} and {b} need distinct leaves")
-        if weight < 0 or min(weights, default=0.0) < 0:
-            raise ValueError("negative weight")
         bound = self._bound
         try:
-            unbound = not all(map(bound.__getitem__, others))
+            # a negative id would index the flags from the end
+            unbound = (min(others, default=0) < 0
+                       or not all(map(bound.__getitem__, others)))
         except IndexError:
             unbound = True
         if unbound:
@@ -200,34 +187,9 @@ class SamplingTree:
             raise ValueError(f"others must not name {a} or {b}")
         if len(others) != len(weights):
             raise ValueError(f"{len(others)} others but {len(weights)} weights")
+        self._write([a, b, *others], [weight, 0.0, *weights])
         bound[b] = 0
         self._bound_count -= 1
-
-        sums = self._sums
-        padded = self._padded
-        sums[padded + a] = weight
-        sums[padded + b] = 0.0
-        for x, leaf_weight in zip(others, weights):
-            sums[padded + x] = leaf_weight
-        if (len(others) + 2) * padded.bit_length() * _REBUILD_FACTOR >= padded:
-            self._rebuild()
-            return
-        # Walked in slot order, a leaf stops below its lowest common
-        # ancestor with the next changed leaf: that leaf's walk passes the
-        # shared ancestors later, with all of their changed leaves written,
-        # so each ancestor is computed once.
-        changed = [a, b, *others]
-        changed.sort()
-        heights = [(slot ^ after).bit_length() - 1
-                   for slot, after in zip(changed, changed[1:])]
-        heights.append(padded.bit_length() - 1)
-        for slot, height in zip(changed, heights):
-            idx = padded + slot
-            total = sums[idx]
-            for _ in range(height):
-                total += sums[idx ^ 1]
-                idx >>= 1
-                sums[idx] = total
 
     def uniform_vertex(self, rng, other_than: int | None = None) -> int:
         """A bound vertex other than other_than, drawn uniformly whatever
@@ -255,16 +217,47 @@ class SamplingTree:
             if vertex != other_than and bound[vertex]:
                 return vertex
 
-    def _set_slot(self, slot: int, new_weight: float) -> None:
-        if new_weight < 0:
-            raise ValueError(f"negative weight {new_weight}")
+    def _write(self, slots: Sequence[int], weights: Sequence[float]) -> None:
+        """Set the leaf of each slot (valid, none twice) to the matching
+        weight and recompute the ancestors. Raises ValueError before any
+        write unless every weight is finite and non-negative.
+
+        The ancestors are recomputed one of two ways, chosen by the m
+        written leaves against the P padded leaves:
+        - climb, when m * (log2 P + 1) * _REBUILD_FACTOR < P: each changed
+          ancestor is recomputed once from its two children, O(m log P);
+        - rebuild, otherwise: every internal node, bottom-up, one numpy
+          addition per level, O(P), which the rule bounds by
+          O(m log P) * _REBUILD_FACTOR.
+        Each parent is left + right in IEEE double on both paths, so every
+        sum is bit for bit the one a leaf-by-leaf update would give.
+        """
+        # a NaN or infinite weight makes the sum non-finite, and with
+        # neither present min is exact
+        if not (math.isfinite(sum(weights)) and min(weights, default=0.0) >= 0.0):
+            raise ValueError("negative weight, NaN or infinity")
         sums = self._sums
-        idx = self._padded + slot
-        sums[idx] = weight = new_weight
-        while idx > 1:
-            weight += sums[idx ^ 1]
-            idx >>= 1
-            sums[idx] = weight
+        padded = self._padded
+        for slot, weight in zip(slots, weights):
+            sums[padded + slot] = weight
+        if len(slots) * padded.bit_length() * _REBUILD_FACTOR >= padded:
+            self._rebuild()
+            return
+        # Walked in slot order, a leaf stops below its lowest common
+        # ancestor with the next changed leaf: that leaf's walk passes the
+        # shared ancestors later, with all of their changed leaves written,
+        # so each ancestor is computed once.
+        changed = sorted(slots)
+        heights = [(slot ^ after).bit_length() - 1
+                   for slot, after in zip(changed, changed[1:])]
+        heights.append(padded.bit_length() - 1)
+        for slot, height in zip(changed, heights):
+            idx = padded + slot
+            total = sums[idx]
+            for _ in range(height):
+                total += sums[idx ^ 1]
+                idx >>= 1
+                sums[idx] = total
 
     def _rebuild(self) -> None:
         """Recompute every internal node from the leaves up, one level

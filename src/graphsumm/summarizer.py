@@ -19,12 +19,13 @@ twice: on the benchmark's dense-sketch graph nearly every sketch score had
 to build both of its sketches anyway.
 
 Nodes are the graph's dense ids, which are also the tree's leaf slots, and
-the loop reads node statistics from the graph's arrays. A merge of a and b
-keeps a. After it, one walk over a's neighbors gathers each neighbor's new
-weight, and the tree takes all leaf changes in one batch: a's leaf takes
-the merged weight and b's is unbound.
-Every tree sum gets the same float operations, in the same order, as
-patching one leaf at a time would give.
+the loop reads node statistics from the graph's arrays. ``node_weights``
+is the only definition of a node's sampling mass: the tree is built from it,
+and after a merge of a and b, which keeps a, one pass of it over a's
+neighbors gives their new weights. The tree takes all leaf changes in one
+batch: a's leaf takes the merged weight and b's is unbound. Every tree sum
+gets the same float operations, in the same order, as patching one leaf at
+a time would give.
 
 Scoring is read-only, as each sketch it builds is its own: the candidate
 scorings of one iteration may safely run concurrently. Sampling, merging
@@ -43,9 +44,6 @@ import numpy as np
 from .cm_sketch import CountMinSketch, make_hash_seeds
 from .sampling_tree import SamplingTree
 from .summary_graph import SummaryGraph
-
-SAMPLE_RULES = ("logn", "5logn", "log2n")  # plus "fixed:N"
-
 
 @dataclass
 class ScoredPair:
@@ -71,39 +69,30 @@ class SummarizerConfig:
             raise ValueError(f"unknown score mode {self.score_mode!r}")
         if self.score_mode == "sketch" and (self.sketch_width < 1 or self.sketch_depth < 1):
             raise ValueError("sketch width and depth must be positive")
-        parse_sample_rule(self.sample_rule)  # validates
-
-
-def parse_sample_rule(rule: str):
-    """Split a sample-size rule into (kind, fixed size or None)."""
-    if rule in SAMPLE_RULES:
-        return rule, None
-    if rule.startswith("fixed:"):
-        try:
-            size = int(rule.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad fixed sample rule {rule!r}") from None
-        if size < 1:
-            raise ValueError("fixed sample size must be at least 1")
-        return "fixed", size
-    raise ValueError(f"unknown sample rule {rule!r}")
+        sample_size(self.sample_rule, 1)  # validates
 
 
 def sample_size(rule: str, n_alive: int) -> int:
-    """Candidate pairs to draw this iteration, as a function of n(t)."""
-    return _parsed_sample_size(parse_sample_rule(rule), n_alive)
-
-
-def _parsed_sample_size(parsed_rule, n_alive: int) -> int:
-    kind, fixed = parsed_rule
-    if kind == "fixed":
-        return fixed
+    """Candidate pairs to draw this iteration, as a function of n(t): at
+    least one, else ceil(log2 n) for "logn", ceil(5 log2 n) for "5logn",
+    ceil(log2(n)^2) for "log2n", and N for "fixed:N". Raises ValueError for
+    any other rule."""
     log_n = math.log2(n_alive) if n_alive > 1 else 0.0
-    if kind == "logn":
+    if rule == "logn":
         return max(1, math.ceil(log_n))
-    if kind == "5logn":
+    if rule == "5logn":
         return max(1, math.ceil(5.0 * log_n))
-    return max(1, math.ceil(log_n * log_n))  # log2n
+    if rule == "log2n":
+        return max(1, math.ceil(log_n * log_n))
+    if not rule.startswith("fixed:"):
+        raise ValueError(f"unknown sample rule {rule!r}")
+    try:
+        size = int(rule[len("fixed:"):])
+    except ValueError:
+        raise ValueError(f"bad fixed sample rule {rule!r}") from None
+    if size < 1:
+        raise ValueError("fixed sample size must be at least 1")
+    return size
 
 
 # ----------------------------------------------------------------------
@@ -116,14 +105,28 @@ def _internal_sq_term(internal_e: int, size_n: int) -> float:
     return 4.0 * internal_e * internal_e / (size_n * (size_n - 1) / 2.0)
 
 
+def node_weights(g: SummaryGraph, ids) -> list[float]:
+    """Sampling mass of each node in ids: the negated reciprocal of its
+    (non-positive) error-contribution value, or 0 for a node with no edges
+    at all. The only definition of the mass; the merge loop takes every
+    weight from here."""
+    size_n = g.size_n
+    internal_e = g.internal_e
+    d_value = g.d_value
+    weights = []
+    for x in ids:
+        size = size_n[x]
+        f = -(4.0 * d_value[x] / size)
+        internal = internal_e[x]
+        if internal:
+            f -= 4.0 * internal * internal / (size * (size - 1) / 2.0)
+        weights.append(-1.0 / f if f else 0.0)
+    return weights
+
+
 def node_weight(g: SummaryGraph, a: int) -> float:
-    """Sampling mass of a node: the negated reciprocal of its (non-positive)
-    error-contribution value, or 0 for a node with no edges at all."""
-    size = g.size_n[a]
-    f = -_internal_sq_term(g.internal_e[a], size) - 4.0 * g.d_value[a] / size
-    if f == 0.0:
-        return 0.0
-    return -1.0 / f
+    """Sampling mass of one node (see node_weights)."""
+    return node_weights(g, (a,))[0]
 
 
 def _score_from_cross(g: SummaryGraph, a: int, b: int, cross: float) -> float:
@@ -282,8 +285,8 @@ class Summarizer:
         self.graph = g
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        self.tree = SamplingTree.build(
-            [(a, node_weight(g, a)) for a in g.alive_ids()])
+        ids = list(g.alive_ids())
+        self.tree = SamplingTree.build(zip(ids, node_weights(g, ids)))
         self.heavy_degree = self.hash_seeds = None
         # A degree is at most alive_count - 1, and alive_count only falls:
         # at or above that no pair is ever heavy, so no seeds are drawn.
@@ -291,7 +294,6 @@ class Summarizer:
                 and cfg.sketch_width * cfg.sketch_depth < g.alive_count - 1):
             self.heavy_degree = cfg.sketch_width * cfg.sketch_depth
             self.hash_seeds = make_hash_seeds(cfg.sketch_depth, cfg.seed)
-        self._sample_rule = parse_sample_rule(cfg.sample_rule)
         self.iterations = 0
         self.last_candidates: list[ScoredPair] = []
 
@@ -314,7 +316,7 @@ class Summarizer:
         (first encountered wins ties), patch weights. Returns a, the
         merged node's id."""
         g = self.graph
-        s = _parsed_sample_size(self._sample_rule, g.alive_count)
+        s = sample_size(self.cfg.sample_rule, g.alive_count)
         pairs = sample_pairs(g, self.tree, s, self.rng)
         best = None
         candidates = []
@@ -327,22 +329,9 @@ class Summarizer:
         a, b = best.a, best.b
         g.merge(a, b)
 
-        # The one walk over a's neighbors (see the module docstring). The
-        # weight is node_weight's, inlined: -(4d/n) - sq equals -sq - 4d/n
-        # bit for bit.
-        size_n = g.size_n
-        internal_e = g.internal_e
-        d_value = g.d_value
         neighbors = g.adj[a]
-        weights = []
-        for x in neighbors:
-            size = size_n[x]
-            f = -(4.0 * d_value[x] / size)
-            internal = internal_e[x]
-            if internal:
-                f -= 4.0 * internal * internal / (size * (size - 1) / 2.0)
-            weights.append(-1.0 / f if f else 0.0)
-        self.tree.merge_leaves(a, b, node_weight(g, a), neighbors, weights)
+        self.tree.merge_leaves(a, b, node_weight(g, a), neighbors,
+                               node_weights(g, neighbors))
         self.iterations += 1
         return a
 

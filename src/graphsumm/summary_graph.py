@@ -241,27 +241,19 @@ class SummaryGraph:
         ``vertices`` is the graph's own ``member_ids``; ``blocks`` is new
         on every call.
 
-        Replays the merge log with union-find in O(n α(n)): each merge
-        links b under a, path compression then points every merged id at
-        its root, and a start block that no merge touched is its own root.
-        Raises ValueError when membership is unknown: the graph was read
-        from a summary file without member lists.
+        Replays the merge log once, last merge first, in O(n): when merge
+        (a, b) is reached, a's entry already holds the block a ends in, and
+        b ends in the same one; an id that no merge removed is its own
+        block. Raises ValueError when membership is unknown: the graph was
+        read from a summary file without member lists.
         """
         if self.member_ids is None:
             raise ValueError("membership not retained on this summary")
-        parent: dict[int, int] = {}
-        pairs = iter(self.merge_log)
-        for a, b in zip(pairs, pairs):
-            parent[b] = a
-        for merged in parent:  # only values change, never keys
-            root = parent[merged]
-            while root in parent:
-                root = parent[root]
-            x = merged
-            while x != root:
-                parent[x], x = root, parent[x]
-        start = self.member_start
-        return self.member_ids, array("q", map(parent.get, start, start))
+        root = array("q", range(len(self.size_n)))
+        log = self.merge_log
+        for a, b in zip(log[-2::-2], log[::-2]):
+            root[b] = root[a]
+        return self.member_ids, array("q", map(root.__getitem__, self.member_start))
 
     # ------------------------------------------------------------------
     # mutation

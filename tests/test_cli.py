@@ -552,6 +552,26 @@ class TestMain:
         assert code == 0
         assert "re_l1=" in capsys.readouterr().out
 
+    def test_sketches_hash_first_appearance_ids(self, tmp_path):
+        # the parser relabels to first-appearance indices before the graph
+        # is built, so the CLI's sketches hash those and not the input's
+        # labels: renaming every vertex leaves the summary unchanged
+        rng = random.Random(5)
+        edges = [(u, v) for u in range(200) for v in range(u + 1, 200)
+                 if rng.random() < 0.05]
+        summaries = []
+        for name, label in (("plain", lambda v: v),
+                            ("spread", lambda v: 7919 * v + 11)):
+            graph = tmp_path / f"{name}.txt"
+            graph.write_text("".join(f"{label(u)} {label(v)}\n" for u, v in edges))
+            out = tmp_path / f"{name}.summary"
+            assert main(["--input", str(graph), "--k", "50", "--seed", "3",
+                         "--score", "sketch", "--width", "4", "--depth", "2",
+                         "--summary-out", str(out),
+                         "--report", str(tmp_path / f"{name}.report")]) == 0
+            summaries.append(out.read_bytes())
+        assert summaries[0] == summaries[1]
+
     def test_report_and_summary_files(self, tmp_path):
         graph = self.write_p3(tmp_path)
         report = tmp_path / "report.txt"

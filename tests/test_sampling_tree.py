@@ -322,7 +322,7 @@ class TestMergeLeaves:
     def test_consistency_check_sees_weight_on_unbound_slot(self):
         tree = small_tree()
         tree.delete(1)
-        tree._set_slot(1, 5.0)  # parents stay exact sums
+        tree._write([1], [5.0])  # parents stay exact sums
         with pytest.raises(AssertionError, match="unbound slot 1"):
             tree.check_consistency()
 
@@ -351,6 +351,36 @@ class TestMergeLeaves:
         assert tree.total_weight == 2.5 and tree.vertices() == [0, 2]
         tree.insert(1, 1.0)  # b's unbound slot
         assert 1 in tree and tree.total_weight == 3.5
+
+
+class TestBadWrites:
+    @pytest.mark.parametrize("size", [8, 1 << 14])
+    def test_negative_other_rejected(self, size):
+        # -1 would index the last slot's flag, bound at a power-of-two
+        # capacity; 8 slots take the rebuild path, 2^14 the climb
+        tree = SamplingTree.build((v, 1.0) for v in range(size))
+        sums, bound = bytes(tree._sums), bytes(tree._bound)
+        with pytest.raises(KeyError, match="without a leaf"):
+            tree.merge_leaves(0, 1, 2.0, [-1], [5.0])
+        assert bytes(tree._sums) == sums and bytes(tree._bound) == bound
+        tree.check_consistency()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected_at_every_entry(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            SamplingTree.build([(0, 1.0), (1, bad)])
+        tree = SamplingTree.build((v, 1.0) for v in range(4))
+        tree.delete(3)
+        before = bytes(tree._sums), bytes(tree._bound), len(tree)
+        writes = [lambda: tree.update_weight(0, bad),
+                  lambda: tree.insert(3, bad),
+                  lambda: tree.merge_leaves(0, 1, bad, [2], [1.0]),
+                  lambda: tree.merge_leaves(0, 1, 1.0, [2], [bad])]
+        for write in writes:
+            with pytest.raises(ValueError, match="NaN or infinity"):
+                write()
+            assert (bytes(tree._sums), bytes(tree._bound), len(tree)) == before
+        tree.check_consistency()
 
 
 class TestUniformVertex:

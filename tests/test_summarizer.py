@@ -13,7 +13,7 @@ from graphsumm import (CountMinSketch, SamplingTree, Summarizer,
                        score_approx, score_exact, summarize)
 from graphsumm import summarizer as summarizer_module
 from graphsumm.cli import main
-from graphsumm.summarizer import parse_sample_rule, sample_size
+from graphsumm.summarizer import sample_size
 
 
 def p3():
@@ -34,9 +34,9 @@ class TestConfig:
 
     def test_bad_rules(self):
         with pytest.raises(ValueError):
-            parse_sample_rule("fixed:zero")
+            sample_size("fixed:zero", 8)
         with pytest.raises(ValueError):
-            parse_sample_rule("nlogn")
+            sample_size("nlogn", 8)
         with pytest.raises(ValueError):
             SummarizerConfig(target_k=0)
         with pytest.raises(ValueError):
@@ -65,6 +65,22 @@ class TestNodeWeight:
                 g.merge(a, b)
             for a in g.alive_ids():
                 assert node_weight(g, a) >= 0.0
+
+    @pytest.mark.parametrize("mode", ["exact", "sketch"])
+    def test_node_weights_is_the_one_patch_point(self, mode, monkeypatch):
+        # a uniform-sampling ablation patches node_weights alone: every
+        # leaf, the tree's first ones and every merge's, must take it
+        monkeypatch.setattr(summarizer_module, "node_weights",
+                            lambda g, ids: [1.0] * len(ids))
+        g = SummaryGraph.from_edge_list(gnp_edges(60, 0.3, random.Random(13)))
+        loop = Summarizer(g, SummarizerConfig(target_k=6, seed=2, score_mode=mode,
+                                              sketch_width=8))
+        tree = loop.tree
+        assert {tree.weight_of(v) for v in tree.vertices()} == {1.0}
+        while g.alive_count > 6:
+            loop.step()
+            assert tree.vertices() == sorted(g.alive_ids())
+            assert {tree.weight_of(v) for v in tree.vertices()} == {1.0}
 
 
 class TestScoreExact:
