@@ -6,13 +6,14 @@ leaf count is padded to a power of two with permanently-zero slots). `_sums`
 is a memoryview of that array, so the scalar paths (the draw's descent, a
 single leaf's climb, `weight_of`, `total_weight`) read and write plain Python
 floats at list-like cost, while a whole-tree rebuild runs one numpy addition
-per level. Each internal node holds exactly the float sum of its two
-children: every change of leaves (build, update, insert, delete, a merge's
-batch) goes through one write, which checks the weights, rewrites the leaves
-and then recomputes every ancestor from its two children instead of adding a
-delta, so the sums depend only on the current leaf weights, never on the
-history of updates or on whether a write climbed or rebuilt (each parent is
-left + right in IEEE double either way). There is no drift to repair, and
+per level, over (left children, right children, parents) views of the array
+made once with the tree. Each internal node holds exactly the float sum of
+its two children: every change of leaves (build, update, insert, delete, a
+merge's batch) goes through one write, which checks the weights, rewrites
+the leaves and then recomputes every ancestor from its two children instead
+of adding a delta, so the sums depend only on the current leaf weights, never
+on the history of updates or on whether a write climbed or rebuilt (each
+parent is left + right in IEEE double either way). There is no drift to repair, and
 zeroing a leaf and restoring it leaves every sum bit-identical.
 
 A vertex is its own leaf slot: the tree serves vertices 0..capacity-1
@@ -20,7 +21,8 @@ A vertex is its own leaf slot: the tree serves vertices 0..capacity-1
 flag per slot. Slot order is therefore id order.
 
 Drawing a leaf with probability proportional to its weight is a single
-root-to-leaf descent steered by a uniform number in [0, total). Rounding in
+root-to-leaf descent steered by a uniform number in [0, total), one step for
+each of the log2 P levels below the root (P padded leaves). Rounding in
 the running subtraction of left-subtree weights can still carry the number
 onto a right subtree whose sum is zero; the descent then takes the left
 sibling, so every draw ends on a bound leaf with positive weight.
@@ -30,14 +32,19 @@ from __future__ import annotations
 
 import math
 from itertools import compress
+from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
 # Bounds the cost of _write's whole-tree rebuild against its climbs
-# (see its docstring). On `sparse-exact` (a shared 2-core VM), tree time over
-# merge time read 1.20, 1.11, 1.20 and 1.38 with the factor at 32, 64, 128
-# and 256, against 2.12 with climbs only.
+# (see its docstring). On `sparse-exact` (Python 3.11, a shared 2-core VM),
+# merge_leaves time over SummaryGraph.merge time read (medians of 6 runs)
+# 1.43, 1.24, 1.14 and 1.18 with the factor at 32, 64, 128 and 256, against
+# 2.13 with climbs only; on `dense-exact` 0.34-0.35 at all four. At 2^17
+# leaves a rebuild took 88 us and a climb of 57 leaves (128's split) 104 us.
+# 128 would save about 2% of a sparse merge, under what the benchmark
+# resolves; the tree tests pin 64's split between the two paths.
 _REBUILD_FACTOR = 64
 
 
@@ -54,8 +61,19 @@ class SamplingTree:
         while padded < capacity:
             padded <<= 1
         self._padded = padded
-        self._sum_array = np.zeros(2 * padded)
-        self._sums = memoryview(self._sum_array)
+        array = np.zeros(2 * padded)
+        self._sums = memoryview(array)
+        # _rebuild's (left children, right children, parents) views, one
+        # per level from the bottom: nodes lo..2lo-1, children 2lo..4lo-1
+        self._level_views = []
+        lo = padded >> 1
+        while lo:
+            self._level_views.append((array[2 * lo:4 * lo:2],
+                                      array[2 * lo + 1:4 * lo:2],
+                                      array[lo:2 * lo]))
+            lo >>= 1
+        # one step per level of a root-to-leaf descent
+        self._descent = range(len(self._level_views))
         # 1 at each bound slot; padding slots are never bound
         self._bound = bytearray(padded)
         self._bound_count = 0
@@ -126,17 +144,16 @@ class SamplingTree:
             raise ValueError("empty distribution")
         if not 0.0 <= r < total:
             raise ValueError(f"r={r} outside [0, {total})")
-        padded = self._padded
         idx = 1
-        while idx < padded:
-            idx <<= 1
+        for _ in self._descent:
+            idx += idx
             left_weight = sums[idx]
             # r can reach a massless right subtree only through rounding in
             # "r -= left_weight"; the left sibling then holds all the mass
-            if r >= left_weight and sums[idx | 1] > 0.0:
+            if r >= left_weight and sums[idx + 1] > 0.0:
                 r -= left_weight
-                idx |= 1
-        return idx - padded
+                idx += 1
+        return idx - self._padded
 
     def update_weight(self, vertex: int, new_weight: float) -> None:
         if vertex not in self:
@@ -176,9 +193,10 @@ class SamplingTree:
             raise KeyError(f"vertices {a} and {b} need distinct leaves")
         bound = self._bound
         try:
-            # a negative id would index the flags from the end
+            # a negative id would index the flags from the end; a and b,
+            # both bound, make the gather a tuple for any number of others
             unbound = (min(others, default=0) < 0
-                       or not all(map(bound.__getitem__, others)))
+                       or 0 in itemgetter(a, b, *others)(bound))
         except IndexError:
             unbound = True
         if unbound:
@@ -260,14 +278,10 @@ class SamplingTree:
                 sums[idx] = total
 
     def _rebuild(self) -> None:
-        """Recompute every internal node from the leaves up, one level
-        (nodes lo..2lo-1, children 2lo..4lo-1) per numpy addition."""
-        array = self._sum_array
-        lo = self._padded >> 1
-        while lo:
-            np.add(array[2 * lo:4 * lo:2], array[2 * lo + 1:4 * lo:2],
-                   out=array[lo:2 * lo])
-            lo >>= 1
+        """Recompute every internal node from the leaves up, one numpy
+        addition per level over views made once in __init__."""
+        for left, right, parents in self._level_views:
+            np.add(left, right, out=parents)
 
     # ------------------------------------------------------------------
 

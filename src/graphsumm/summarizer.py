@@ -6,10 +6,12 @@ the two coincide), scores every candidate by how much the l1 reconstruction
 error would drop if the pair were merged, merges the best one, and patches
 the sampling weights of the merged node and its neighbors. The score of a
 pair has a closed form whose only non-constant part is a cross term over
-common neighbors, which the exact score computes in O(min(deg a, deg b)).
-In sketch mode a count-min inner-product estimate replaces that term, but
-only for a pair whose two degrees both exceed width * depth; every other
-pair is scored exactly.
+common neighbors, which the exact score computes in O(min(deg a, deg b)),
+checking the pair and assembling the closed form in two Python frames (its
+own and the term assembly it shares with the sketch score); when no pair can
+be sketch-scored the loop calls it directly. In sketch mode a count-min
+inner-product estimate replaces that term, but only for a pair whose two
+degrees both exceed width * depth; every other pair is scored exactly.
 
 Sketch mode keeps no sketch between scores: it builds a heavy pair's two
 sketches from the current adjacency when it scores the pair, so a sketch
@@ -38,6 +40,7 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -98,13 +101,6 @@ def sample_size(rule: str, n_alive: int) -> int:
 # ----------------------------------------------------------------------
 # per-node weight and per-pair score
 
-def _internal_sq_term(internal_e: int, size_n: int) -> float:
-    """4*e^2 / C(n,2), with the n<2 case defined as 0 (e is 0 then)."""
-    if size_n < 2 or internal_e == 0:
-        return 0.0
-    return 4.0 * internal_e * internal_e / (size_n * (size_n - 1) / 2.0)
-
-
 def node_weights(g: SummaryGraph, ids) -> list[float]:
     """Sampling mass of each node in ids: the negated reciprocal of its
     (non-positive) error-contribution value, or 0 for a node with no edges
@@ -130,7 +126,11 @@ def node_weight(g: SummaryGraph, a: int) -> float:
 
 
 def _score_from_cross(g: SummaryGraph, a: int, b: int, cross: float) -> float:
-    """Assemble the score given the cross term sum_{i != a,b} e_ai*e_bi/n_i."""
+    """Assemble the score of alive a != b given the cross term
+    sum_{i != a,b} e_ai*e_bi/n_i. Each 4*e^2/C(n,2) term is 0 when e is 0,
+    which covers n < 2 (e <= C(n,2))."""
+    edge = g.adj[a].get(b)
+    e_ab = 0 if edge is None else edge.cross_e
     size_n = g.size_n
     internal_e = g.internal_e
     d_value = g.d_value
@@ -141,37 +141,45 @@ def _score_from_cross(g: SummaryGraph, a: int, b: int, cross: float) -> float:
     d_b = d_value[b]
     internal_a = internal_e[a]
     internal_b = internal_e[b]
-    e_ab = g.cross_count(a, b)
-    pair_sq = 4.0 * e_ab * e_ab / (size_a * size_b) if e_ab else 0.0
-    # sum over i != a,b of e_ai^2/n_i, from the cached full sums
-    sum_sq_a = d_a - (e_ab * e_ab / size_b if e_ab else 0.0)
-    sum_sq_b = d_b - (e_ab * e_ab / size_a if e_ab else 0.0)
     merged_internal = internal_a + internal_b + e_ab
-    return (-_internal_sq_term(internal_a, size_a)
+    if e_ab:
+        pair_sq = 4.0 * e_ab * e_ab / (size_a * size_b)
+        # sum over i != a,b of e_ai^2/n_i, from the cached full sums
+        sum_sq_a = d_a - e_ab * e_ab / size_b
+        sum_sq_b = d_b - e_ab * e_ab / size_a
+    else:
+        pair_sq = 0.0
+        sum_sq_a = d_a
+        sum_sq_b = d_b
+    internal_sq_a = (4.0 * internal_a * internal_a / (size_a * (size_a - 1) / 2.0)
+                     if internal_a else 0.0)
+    internal_sq_b = (4.0 * internal_b * internal_b / (size_b * (size_b - 1) / 2.0)
+                     if internal_b else 0.0)
+    internal_sq_z = (4.0 * merged_internal * merged_internal
+                     / (size_z * (size_z - 1) / 2.0) if merged_internal else 0.0)
+    return (-internal_sq_a
             - 4.0 * d_a / size_a
             + pair_sq
-            - _internal_sq_term(internal_b, size_b)
+            - internal_sq_b
             - 4.0 * d_b / size_b
-            + _internal_sq_term(merged_internal, size_z)
+            + internal_sq_z
             + 4.0 / size_z * (sum_sq_a + sum_sq_b + 2.0 * cross))
-
-
-def _check_pair(g: SummaryGraph, a: int, b: int) -> None:
-    if a == b or not g.is_alive(a) or not g.is_alive(b):
-        raise ValueError("invalid pair")
 
 
 def score_exact(g: SummaryGraph, a: int, b: int) -> float:
     """Drop in l1 reconstruction error caused by merging a and b, exactly.
+    Raises ValueError unless a and b are distinct alive nodes.
 
     Cost is O(min(deg a, deg b)) on top of constant-time terms: the cross
     term walks the shorter adjacency map and probes the longer one. Neither
     a nor b is a key of the other's map, so the probe alone leaves out the
     pair's own superedge.
     """
-    _check_pair(g, a, b)
-    adj_a = g.adj[a]
-    adj_b = g.adj[b]
+    adj = g.adj
+    adj_a = adj.get(a)
+    adj_b = adj.get(b)
+    if a == b or adj_a is None or adj_b is None:
+        raise ValueError("invalid pair")
     if len(adj_b) < len(adj_a):
         shorter, longer = adj_b, adj_a
     else:
@@ -194,7 +202,9 @@ def score_approx(g: SummaryGraph, a: int, b: int,
     never underestimates it, and the cross term enters the score positively,
     hence score_approx >= score_exact up to float rounding.
     """
-    _check_pair(g, a, b)
+    adj = g.adj
+    if a == b or a not in adj or b not in adj:
+        raise ValueError("invalid pair")
     cross = sketches[a].inner_product_estimate(sketches[b])
     return _score_from_cross(g, a, b, cross)
 
@@ -318,14 +328,14 @@ class Summarizer:
         g = self.graph
         s = sample_size(self.cfg.sample_rule, g.alive_count)
         pairs = sample_pairs(g, self.tree, s, self.rng)
-        best = None
-        candidates = []
-        for a, b in pairs:
-            candidate = ScoredPair(a, b, self.score(a, b))
-            candidates.append(candidate)
-            if best is None or candidate.score > best.score:
-                best = candidate
+        if self.heavy_degree is None:
+            # no pair is ever heavy: score exactly, without self.score
+            candidates = [ScoredPair(a, b, score_exact(g, a, b)) for a, b in pairs]
+        else:
+            score = self.score
+            candidates = [ScoredPair(a, b, score(a, b)) for a, b in pairs]
         self.last_candidates = candidates
+        best = max(candidates, key=attrgetter("score"))
         a, b = best.a, best.b
         g.merge(a, b)
 

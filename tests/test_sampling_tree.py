@@ -365,6 +365,22 @@ class TestBadWrites:
         assert bytes(tree._sums) == sums and bytes(tree._bound) == bound
         tree.check_consistency()
 
+    @pytest.mark.parametrize("padded", [8, 1 << 14])
+    def test_one_neighbour_batches(self, padded):
+        # a batch of one neighbour without a leaf is rejected before any
+        # write; one below the padded size leaves one padding slot, and 8
+        # slots take the rebuild path, 2^14 the climb
+        tree = SamplingTree.build((v, 1.0) for v in range(padded - 1))
+        tree.merge_leaves(2, 3, 2.0, [4], [3.0])  # unbinds 3
+        sums, bound = bytes(tree._sums), bytes(tree._bound)
+        for bad in [padded, padded - 1, -1, 3]:
+            with pytest.raises(KeyError, match="without a leaf"):
+                tree.merge_leaves(0, 1, 2.0, [bad], [5.0])
+            assert bytes(tree._sums) == sums and bytes(tree._bound) == bound
+        tree.merge_leaves(0, 1, 2.0, [], [])
+        assert tree.weight_of(0) == 2.0 and 1 not in tree
+        tree.check_consistency()
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_rejected_at_every_entry(self, bad):
         with pytest.raises(ValueError, match="NaN or infinity"):

@@ -105,6 +105,19 @@ class TestScoreExact:
             score_exact(g, 2, 1)
         assert score_exact(g, 0, 2) == pytest.approx(score_oracle(g, 0, 2), abs=1e-9)
 
+    @pytest.mark.parametrize("never", [-1, 3])
+    def test_ids_the_graph_never_had(self, never):
+        # -1 and len(size_n) have no statistics slot and no adjacency entry;
+        # both scores reject them as a bad pair before reading either
+        g = p3()
+        assert len(g.size_n) == 3
+        sketches = pair_sketches(g, 0, 2, 4, 2, make_hash_seeds(2, 1))
+        for a, b in [(never, 0), (0, never)]:
+            with pytest.raises(ValueError, match="invalid pair"):
+                score_exact(g, a, b)
+            with pytest.raises(ValueError, match="invalid pair"):
+                score_approx(g, a, b, sketches)
+
     def test_matches_re_delta_oracle(self):
         rng = random.Random(23)
         for _ in range(40):
