@@ -1,10 +1,11 @@
 """Command-line pipeline: parse an edge list, summarize, report.
 
 Input is SNAP-style whitespace-separated vertex pairs with '#' comments.
-Vertex ids are remapped to a dense 0..n-1 range in order of first
-appearance at ingest, so the graph's labels are its ids, and restored in
-the output; the summary file format is a plain-text, line-oriented format
-that round-trips bit-exactly (see write_summary).
+The parser hands the input's own labels to ``SummaryGraph.from_edge_list``,
+which alone maps them to ids, so the summary, its sketches and the report
+are the ones a library caller gets from the same pairs. The summary file
+format is a plain-text, line-oriented format that round-trips bit-exactly
+(see write_summary).
 """
 
 from __future__ import annotations
@@ -37,17 +38,14 @@ _LABEL_MIN = -(1 << 63)
 _LABEL_MAX = (1 << 63) - 1
 
 
-def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
-    """Read "u v" lines into dense-id edges.
+def parse_edge_list(stream) -> list[tuple[int, int]]:
+    """Read "u v" lines into the input's label pairs.
 
     Skips blank and '#'-comment lines. A label is an optionally signed
-    ASCII decimal in the signed 64-bit range, checked when the label is
-    first seen. Returns (edges, original_ids) where original_ids[dense_id]
-    is the label that appeared in the input. Edges are returned as given
-    (duplicates and self-loops included; the graph constructor drops them).
+    ASCII decimal in the signed 64-bit range. Edges are returned as given
+    (duplicates and self-loops included; the graph constructor drops them
+    and maps the labels to ids).
     """
-    dense: dict[int, int] = {}
-    original: list[int] = []
     edges: list[tuple[int, int]] = []
     for lineno, line in enumerate(stream, 1):
         text = line.strip()
@@ -63,21 +61,14 @@ def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-integer vertex id in {text!r}") from None
-        pair = []
-        for label in (u, v):
-            idx = dense.get(label)
-            if idx is None:
-                if not _LABEL_MIN <= label <= _LABEL_MAX:
-                    raise ValueError(f"line {lineno}: vertex id {label} outside "
-                                     f"the 64-bit integer range")
-                idx = len(original)
-                dense[label] = idx
-                original.append(label)
-            pair.append(idx)
-        edges.append((pair[0], pair[1]))
+        if not (_LABEL_MIN <= u <= _LABEL_MAX and _LABEL_MIN <= v <= _LABEL_MAX):
+            label = v if _LABEL_MIN <= u <= _LABEL_MAX else u
+            raise ValueError(f"line {lineno}: vertex id {label} outside "
+                             f"the 64-bit integer range")
+        edges.append((u, v))
     if not edges:
         raise ValueError("empty graph")
-    return edges, original
+    return edges
 
 
 # ----------------------------------------------------------------------
@@ -87,21 +78,20 @@ def parse_edge_list(stream) -> tuple[list[tuple[int, int]], list[int]]:
 _CHUNK_LINES = 8192
 
 
-def write_summary(summary: SummaryGraph, path: str, id_map=None,
+def write_summary(summary: SummaryGraph, path: str,
                   members: bool = True) -> None:
     """Serialize alive supernodes and superedges as "SUMMARY v1" text.
 
-    With ``members`` each "N" line lists its supernode's member labels
-    (mapped through id_map if given) and supernodes are renumbered 0..k-1
-    by their smallest label; without, the lines carry no labels and the
+    With ``members`` each "N" line lists its supernode's member labels,
+    as ``membership`` gives them, and supernodes are renumbered 0..k-1 by
+    their smallest label; without, the lines carry no labels and the
     order is by the label of each supernode's id. Either way identical
-    summaries serialize
-    identically. Superedges follow as "E i j" lines with i < j, in (i, j)
-    order. The membership replay and every label lookup happen before the
-    file is opened, so a bad id_map, or ``members`` on a summary whose
-    membership is unknown (ValueError), leaves no file behind; the lines
-    are then streamed, so the memory beyond the labels does not grow with
-    the number of superedges.
+    summaries serialize identically. Superedges follow as "E i j" lines
+    with i < j, in (i, j) order. The membership replay happens before the
+    file is opened, so ``members`` on a summary whose membership is
+    unknown (ValueError) leaves no file behind; the lines are then
+    streamed, so the memory beyond the labels does not grow with the
+    number of superedges.
     """
     size_n = summary.size_n
     internal_e = summary.internal_e
@@ -110,10 +100,7 @@ def write_summary(summary: SummaryGraph, path: str, id_map=None,
     if members:
         # each block's sorted labels give both its sort key and its N line
         labels = {a: [] for a in order}
-        vertices, blocks = summary.membership()
-        if id_map is not None:
-            vertices = map(id_map.__getitem__, vertices)
-        for v, block in zip(vertices, blocks):
+        for v, block in zip(*summary.membership()):
             labels[block].append(v)
         for block_labels in labels.values():
             block_labels.sort()
@@ -381,7 +368,7 @@ def main(argv=None) -> int:
         # a byte that is not UTF-8 reads as a lone surrogate: a comment
         # holding one is skipped, a data line fails with its line number
         with open(args.input, errors="surrogateescape") as stream:
-            edges, original_ids = parse_edge_list(stream)
+            edges = parse_edge_list(stream)
         graph = SummaryGraph.from_edge_list(edges)
         del edges  # nothing reads the parsed list once the graph is built
         cfg = SummarizerConfig(
@@ -392,9 +379,8 @@ def main(argv=None) -> int:
         summary = summarize(graph, cfg)
         elapsed = time.perf_counter() - started
         if args.summary_out:
-            write_summary(summary, args.summary_out, id_map=original_ids,
+            write_summary(summary, args.summary_out,
                           members=args.retain_members)
-        del original_ids  # nothing reads the labels after the write
         report = None
         if args.retain_members:
             report = build_report(original, summary, elapsed_seconds=elapsed,

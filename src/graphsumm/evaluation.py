@@ -26,7 +26,6 @@ its place is turned into one first.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import not_
@@ -48,16 +47,11 @@ class InputGraph:
     __slots__ = ("adj", "original_vertex_count", "original_edge_count")
 
     def __init__(self, graph: SummaryGraph):
-        labels = graph.labels
-        if labels == array("q", range(len(labels))):
-            # ids are labels (every CLI graph): the rows need no mapping
-            self.adj: dict[int, tuple[int, ...]] = {
-                a: tuple(entries) for a, entries in graph.adj.items()}
-        else:
-            # one int object per label, shared by every row that holds it
-            label = list(labels).__getitem__
-            self.adj = {label(a): tuple(map(label, entries))
-                        for a, entries in graph.adj.items()}
+        # one int object per label, shared by every row that holds it
+        label = list(graph.labels).__getitem__
+        self.adj: dict[int, tuple[int, ...]] = {
+            label(a): tuple(map(label, entries))
+            for a, entries in graph.adj.items()}
         self.original_vertex_count = graph.original_vertex_count
         self.original_edge_count = graph.original_edge_count
 

@@ -175,33 +175,34 @@ class SummaryGraph:
     def from_edge_list(cls, edges: Iterable[tuple[int, int]]) -> "SummaryGraph":
         """Build the identity summary: one singleton supernode per vertex.
 
-        Vertex labels are relabelled once to ids 0..n-1 in order of first
-        appearance, and ``labels`` keeps them. Duplicate edges (in either
-        orientation) and self-loops are dropped. Every merge is logged, so
-        that ``membership`` can say which supernode holds each label. A
-        negative label, or one of 2^63 or more (beyond the int64 label
-        array), raises ValueError.
+        This is the one place where vertex labels become ids: any signed
+        64-bit labels are relabelled once to ids 0..n-1 in order of first
+        appearance, and ``labels`` keeps them, so the CLI and a library
+        caller that pass the same pairs build the same graph. Duplicate
+        edges (in either orientation) and self-loops are dropped. Every
+        merge is logged, so that ``membership`` can say which supernode
+        holds each label. A label outside the signed 64-bit range (beyond
+        the int64 label array) raises ValueError.
         """
         edges = list(edges)
         if not edges:
             raise ValueError("empty graph")
-        labels = dict.fromkeys(chain.from_iterable(edges))  # first-appearance order
-        if min(labels) < 0:
-            u, v = next((u, v) for u, v in edges if u < 0 or v < 0)
-            raise ValueError(f"negative vertex id in edge ({u}, {v})")
-        if max(labels) >= 2 ** 63:
-            raise ValueError("vertex ids too large for the int64 label array")
+        # the endpoints are read as one flat stream, paired up again below
+        if set(map(len, edges)) != {2}:
+            raise ValueError("every edge must be a pair of vertex labels")
+        index = dict.fromkeys(chain.from_iterable(edges))  # first-appearance order
+        try:
+            labels = array("q", index)
+        except OverflowError:
+            raise ValueError("vertex ids too large for the int64 label array") from None
         n = len(labels)
-        label_array = array("q", labels)
-        # input that is already dense (the CLI's) needs no relabelling; the
-        # rest is relabelled edge by edge, with no second edge list
-        index = (None if label_array == array("q", range(n))
-                 else dict(zip(labels, range(n))))
+        index = dict(zip(index, range(n)))
+        # one C-level pass maps every endpoint to its id, and the list is
+        # read back two at a time: faster than a lookup per endpoint in
+        # the loop, or than interleaving the lookups with the row writes
+        ids = iter(list(map(index.__getitem__, chain.from_iterable(edges))))
         rows = [{} for _ in range(n)]
-        for u, v in edges:
-            if index is not None:
-                u = index[u]
-                v = index[v]
+        for u, v in zip(ids, ids):
             # a repeated edge re-stores the same object under keys it
             # already has, which keeps their positions
             if u != v:
@@ -214,26 +215,15 @@ class SummaryGraph:
         g.original_vertex_count = n
         g.original_edge_count = sum(map(len, rows)) // 2
         # each vertex starts as its own block
-        g.labels = g.member_ids = label_array
+        g.labels = g.member_ids = labels
         g.member_start = range(n)
         return g
 
     # ------------------------------------------------------------------
     # queries
 
-    def is_alive(self, a: int) -> bool:
-        return a in self.adj
-
     def alive_ids(self) -> Iterator[int]:
         return iter(self.adj)
-
-    def degree(self, a: int) -> int:
-        return len(self.adj[a])
-
-    def cross_count(self, a: int, b: int) -> int:
-        """Superedge multiplicity between a and b, 0 when absent."""
-        edge = self.adj[a].get(b)
-        return edge.cross_e if edge is not None else 0
 
     def membership(self) -> tuple[array, array]:
         """Aligned arrays (vertices, blocks): blocks[i] is the id of the

@@ -61,6 +61,13 @@ def merge_partition(g: SummaryGraph, partition) -> SummaryGraph:
     return g
 
 
+def cross_count(g: SummaryGraph, a: int, b: int) -> int:
+    """Superedge multiplicity between live supernodes a and b, 0 when
+    absent."""
+    edge = g.adj[a].get(b)
+    return edge.cross_e if edge is not None else 0
+
+
 def member_sets(g: SummaryGraph) -> dict[int, set[int]]:
     """Each live supernode's vertex set, grouped from the replayed
     membership."""

@@ -164,8 +164,7 @@ def test_criterion_5_small_instance_optima():
 
 def _load_snap_graph(path):
     with open(path) as stream:
-        edges, _ = parse_edge_list(stream)
-    return edges
+        return parse_edge_list(stream)
 
 
 def _facebook_normalized_re(edges, seeds, score_mode, width):

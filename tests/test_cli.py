@@ -34,14 +34,15 @@ def report_values(text):
 
 
 class TestParseEdgeList:
-    def test_comments_and_dense_remap(self):
-        edges, original = parse_text("# comment\n1 2\n2 3\n")
-        assert edges == [(0, 1), (1, 2)]
-        assert original == [1, 2, 3]
+    def test_comments_and_label_pairs(self):
+        # the parser keeps the input's labels; only the graph maps them
+        edges = parse_text("# comment\n10 2\n2 30\n")
+        assert edges == [(10, 2), (2, 30)]
+        assert list(SummaryGraph.from_edge_list(edges).labels) == [10, 2, 30]
 
     def test_tabs_and_duplicates_pass_through(self):
-        edges, _ = parse_text("1\t2\n1 2\n")
-        assert edges == [(0, 1), (0, 1)]
+        edges = parse_text("1\t2\n1 2\n")
+        assert edges == [(1, 2), (1, 2)]
         g = SummaryGraph.from_edge_list(edges)
         assert g.original_edge_count == 1
 
@@ -56,9 +57,8 @@ class TestParseEdgeList:
             parse_text(f"1 2\n{label} 2\n")
 
     def test_signed_labels(self):
-        edges, original = parse_text("-1 +2\n")
-        assert edges == [(0, 1)]
-        assert original == [-1, 2]
+        edges = parse_text("-1 +2\n")
+        assert edges == [(-1, 2)]
 
     @pytest.mark.parametrize("label", [str(2 ** 63), str(-2 ** 63 - 1)])
     def test_label_outside_64_bits(self, label):
@@ -292,17 +292,17 @@ class TestSummaryRoundTrip:
     def test_merges_after_a_round_trip(self, tmp_path_factory, n, rng):
         # the file's member lists become the start blocks of a fresh log,
         # which later merges extend like any other
-        g = SummaryGraph.from_edge_list(gnp_edges(n, 0.3, rng))
-        random_merges(g, rng, rng.randrange(g.alive_count))
         id_map = rng.sample(range(-10 ** 6, 10 ** 6), n)
+        g = SummaryGraph.from_edge_list(
+            (id_map[u], id_map[v]) for u, v in gnp_edges(n, 0.3, rng))
+        random_merges(g, rng, rng.randrange(g.alive_count))
         path = tmp_path_factory.mktemp("round") / "g.summary"
-        write_summary(g, path, id_map=id_map)
+        write_summary(g, path)
         back = read_summary(path)
         back.validate()
         sets = member_sets(back)
         assert sorted(map(sorted, sets.values())) == sorted(
-            sorted(id_map[v] for v in members)
-            for members in member_sets(g).values())
+            map(sorted, member_sets(g).values()))
         for _ in range(rng.randrange(back.alive_count)):
             a, b = rng.sample(list(back.alive_ids()), 2)
             z = back.merge(a, b)
@@ -341,7 +341,7 @@ class TestSummaryRoundTrip:
         g = SummaryGraph.from_edge_list(
             constant_degree_edges(n, 6, random.Random(13)))
         for v in range(0, n // 4, 2):
-            if g.is_alive(v) and g.is_alive(v + 1):
+            if v in g.adj and v + 1 in g.adj:
                 g.merge(v, v + 1)
         with_members = tmp_path / "members.summary"
         without = tmp_path / "plain.summary"
@@ -400,13 +400,12 @@ class TestSummaryRoundTrip:
             read_summary(path)
 
 
-def reference_write_summary(summary, path, id_map=None, members=True):
+def reference_write_summary(summary, path, members=True):
     """The list-and-join writer that the streaming write_summary replaced:
     every line is built in memory, then written in one call."""
     blocks = list(summary.nodes.items())
     if members:
-        labels = {a: sorted(vertices if id_map is None
-                            else (id_map[v] for v in vertices))
+        labels = {a: sorted(vertices)
                   for a, vertices in member_sets(summary).items()}
         blocks.sort(key=lambda block: labels[block[0]][0])
     else:
@@ -441,22 +440,26 @@ def superedge_count(g):
 
 
 class TestStreamingWrite:
-    def assert_same_bytes(self, tmp_path, g, id_map=None, members=True):
+    def assert_same_bytes(self, tmp_path, g, members=True):
         streamed = tmp_path / "streamed.summary"
         reference = tmp_path / "reference.summary"
-        write_summary(g, streamed, id_map=id_map, members=members)
-        reference_write_summary(g, reference, id_map=id_map, members=members)
+        write_summary(g, streamed, members=members)
+        reference_write_summary(g, reference, members=members)
         assert streamed.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("members", ["id_map", "dense", "none"])
     def test_random_merges_match_reference(self, tmp_path, seed, members):
+        # "id_map" builds the graph with every vertex v named id_map[v]
         rng = random.Random(seed)
         n = 120
-        g = SummaryGraph.from_edge_list(gnp_edges(n, 0.08, rng))
+        edges = gnp_edges(n, 0.08, rng)
+        if members == "id_map":
+            id_map = rng.sample(range(10 ** 6), n)
+            edges = [(id_map[u], id_map[v]) for u, v in edges]
+        g = SummaryGraph.from_edge_list(edges)
         random_merges(g, rng, rng.randrange(n // 2))
-        id_map = rng.sample(range(10 ** 6), n) if members == "id_map" else None
-        self.assert_same_bytes(tmp_path, g, id_map, members != "none")
+        self.assert_same_bytes(tmp_path, g, members != "none")
 
     @pytest.mark.parametrize("members", [True, False])
     def test_no_superedges_matches_reference(self, tmp_path, members):
@@ -465,7 +468,7 @@ class TestStreamingWrite:
         left = gnp_edges(30, 0.2, rng)
         right = [(u + 30, v + 30) for u, v in gnp_edges(30, 0.2, rng)]
         g = SummaryGraph.from_edge_list(left + right)
-        partition = [[v for v in side if g.is_alive(v)]
+        partition = [[v for v in side if v in g.adj]
                      for side in (range(30), range(30, 60))]
         for block in partition:
             rng.shuffle(block)
@@ -485,10 +488,12 @@ class TestStreamingWrite:
     def test_several_chunks_match_reference(self, tmp_path):
         rng = random.Random(7)
         n = 4000
-        g = SummaryGraph.from_edge_list(constant_degree_edges(n, 10, rng))
+        id_map = rng.sample(range(10 ** 7), n)
+        g = SummaryGraph.from_edge_list(
+            (id_map[u], id_map[v]) for u, v in constant_degree_edges(n, 10, rng))
         random_merges(g, rng, 500)
         assert superedge_count(g) > 2 * _CHUNK_LINES
-        self.assert_same_bytes(tmp_path, g, rng.sample(range(10 ** 7), n))
+        self.assert_same_bytes(tmp_path, g)
 
     def test_transient_memory_flat_in_superedge_count(self, tmp_path):
         peaks = {}
@@ -502,13 +507,6 @@ class TestStreamingWrite:
             finally:
                 tracemalloc.stop()
         assert peaks[40] < 1.5 * peaks[10]
-
-    def test_bad_id_map_leaves_no_file(self, tmp_path):
-        g = SummaryGraph.from_edge_list([(0, 1), (1, 2)])
-        path = tmp_path / "bad.summary"
-        with pytest.raises(IndexError):
-            write_summary(g, path, id_map=[])
-        assert not path.exists()
 
     def test_members_without_membership_leave_no_file(self, tmp_path):
         # a summary read back without member lists cannot write them
@@ -552,25 +550,44 @@ class TestMain:
         assert code == 0
         assert "re_l1=" in capsys.readouterr().out
 
-    def test_sketches_hash_first_appearance_ids(self, tmp_path):
-        # the parser relabels to first-appearance indices before the graph
-        # is built, so the CLI's sketches hash those and not the input's
-        # labels: renaming every vertex leaves the summary unchanged
+    def test_cli_summary_is_the_library_summary(self, tmp_path):
+        # only from_edge_list maps labels to ids, so the CLI writes the file
+        # the library writes from the same label pairs, with or without
+        # members: sketches hash the input's labels either way
         rng = random.Random(5)
-        edges = [(u, v) for u in range(200) for v in range(u + 1, 200)
+        n = 200
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.05]
-        summaries = []
-        for name, label in (("plain", lambda v: v),
-                            ("spread", lambda v: 7919 * v + 11)):
-            graph = tmp_path / f"{name}.txt"
-            graph.write_text("".join(f"{label(u)} {label(v)}\n" for u, v in edges))
-            out = tmp_path / f"{name}.summary"
-            assert main(["--input", str(graph), "--k", "50", "--seed", "3",
-                         "--score", "sketch", "--width", "4", "--depth", "2",
-                         "--summary-out", str(out),
-                         "--report", str(tmp_path / f"{name}.report")]) == 0
-            summaries.append(out.read_bytes())
-        assert summaries[0] == summaries[1]
+        names = rng.sample(range(-10 ** 12, 10 ** 12), n)
+        pairs = [(names[u], names[v]) for u, v in edges]
+        graph = tmp_path / "named.txt"
+        graph.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        partitions = {}
+        for score in ("exact", "sketch"):
+            cfg = SummarizerConfig(target_k=50, score_mode=score, sketch_width=4,
+                                   sketch_depth=2, seed=3)
+            library = summarize(SummaryGraph.from_edge_list(pairs), cfg)
+            partitions[score] = set(map(frozenset, member_sets(library).values()))
+            for members in (False, True):
+                cli_out = tmp_path / f"cli-{score}-{members}.summary"
+                argv = ["--input", str(graph), "--k", "50", "--seed", "3",
+                        "--score", score, "--width", "4", "--depth", "2",
+                        "--summary-out", str(cli_out),
+                        "--report", str(tmp_path / "report.txt")]
+                assert main(argv + ["--retain-members"] * members) == 0
+                library_out = tmp_path / f"library-{score}-{members}.summary"
+                write_summary(library, library_out, members=members)
+                assert cli_out.read_bytes() == library_out.read_bytes()
+        # the sketch changed the run, so its cells were read
+        assert partitions["sketch"] != partitions["exact"]
+        # exact scores never read a label: renaming every vertex keeps the
+        # merges, as ids are first-appearance indices under any labels
+        plain = summarize(SummaryGraph.from_edge_list(edges), SummarizerConfig(
+            target_k=50, seed=3))
+        assert len(plain.merge_log) > 0
+        assert plain.merge_log == summarize(
+            SummaryGraph.from_edge_list(pairs),
+            SummarizerConfig(target_k=50, seed=3)).merge_log
 
     def test_report_and_summary_files(self, tmp_path):
         graph = self.write_p3(tmp_path)
@@ -676,8 +693,7 @@ class TestMain:
         assert main(argv) == 0
 
         with open(graph) as stream:
-            edges, _ = parse_edge_list(stream)
-        g = SummaryGraph.from_edge_list(edges)
+            g = SummaryGraph.from_edge_list(parse_edge_list(stream))
         original = g.copy()
         summary = summarize(g, SummarizerConfig(
             target_k=30, score_mode=score, sketch_width=100, sketch_depth=2,
@@ -809,16 +825,19 @@ def cli_summary_digest(tmp_path, score, members):
 class TestGoldenSummaryFiles:
     # summary file digests of cli_summary_digest's runs, recorded when the
     # merged node began keeping a's id and leaf, each file read back and
-    # validated; the writer's output must not change
+    # validated; the writer's output must not change. The member-less and
+    # sketch files were re-recorded when the CLI stopped relabelling
+    # before the graph build: each equals the file the library writes from
+    # the same label pairs (exact mode with members kept its digest)
     GOLDEN = {
         ("exact", False):
-            "f04baf8239f6f04f13abc812385c6c41e8eb28d147b46147721c228b1433ecac",
+            "9a9aa05a1e9ea37257910c25666d0df9941eef38c25764dff794216ee6656498",
         ("exact", True):
             "bf46c58a42747403f7f12efe18ec870692bd865ab33b721ea9565be288a564ee",
         ("sketch", False):
-            "fddda72b150dda5d6796f465659310cb8ede48af274abd55ae18d3cc07a1b6d8",
+            "92f0be9ffd8cf8015d3164a245bf49b3ea3267fab5acbea9f32656bef31fe752",
         ("sketch", True):
-            "cf193eb9b8b579a94f95b395d647395b76ba583dd488b16569ca36e7d90a432f",
+            "f7a9d3a494044fe5169d4d7d7cb4a61d71e6f481f92d0d79c44c786fa3e65fec",
     }
 
     @pytest.mark.parametrize("score, members", list(GOLDEN))

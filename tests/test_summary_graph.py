@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_degree_edges, gnp_edges, member_sets
+from conftest import (constant_degree_edges, cross_count, gnp_edges,
+                      member_sets)
 from graphsumm import (SummarizerConfig, SummaryGraph, SuperEdge, re_brute,
                        re_closed, summarize)
 from graphsumm.cli import read_summary, write_summary
@@ -25,7 +26,7 @@ class TestFromEdgeList:
         g = p3()
         assert g.alive_count == 3
         assert g.original_edge_count == 2
-        assert {x: g.cross_count(1, x) for x in g.adj[1]} == {0: 1, 2: 1}
+        assert {x: cross_count(g, 1, x) for x in g.adj[1]} == {0: 1, 2: 1}
         # center's cached sum: 1^2/1 + 1^2/1
         assert g.nodes[1].d_value == pytest.approx(2.0, rel=1e-12)
 
@@ -33,7 +34,7 @@ class TestFromEdgeList:
         g = SummaryGraph.from_edge_list([(1, 2), (2, 1), (1, 1)])
         assert g.alive_count == 2
         assert g.original_edge_count == 1
-        assert g.cross_count(0, 1) == 1
+        assert cross_count(g, 0, 1) == 1
         # labels 3, 1, 2, 5, 0, 4 get ids 0..5 in order of first appearance
         g = SummaryGraph.from_edge_list(
             [(3, 1), (1, 3), (2, 2), (5, 3), (3, 5), (1, 5), (0, 4)])
@@ -57,11 +58,35 @@ class TestFromEdgeList:
         with pytest.raises(ValueError, match="empty graph"):
             SummaryGraph.from_edge_list([])
 
-    def test_negative_id_rejected(self):
-        with pytest.raises(ValueError):
-            SummaryGraph.from_edge_list([(0, -1)])
-        with pytest.raises(ValueError, match=r"edge \(3, -2\)"):
-            SummaryGraph.from_edge_list([(0, 1), (3, -2), (-5, 4)])
+    def test_signed_64_bit_labels(self, tmp_path):
+        # any signed 64-bit label is a vertex, negative ones included, and
+        # comes back from a summary file as it went in
+        low, high = -2 ** 63, 2 ** 63 - 1
+        g = SummaryGraph.from_edge_list([(0, -1), (3, -2), (-5, 4), (low, high),
+                                         (high, -1)])
+        assert list(g.labels) == [0, -1, 3, -2, -5, 4, low, high]
+        assert g.original_edge_count == 5
+        g.merge(1, 7)  # labels -1 and high
+        g.merge(6, 0)  # labels low and 0
+        g.validate()
+        path = tmp_path / "signed.summary"
+        write_summary(g, path)
+        back = read_summary(path)
+        back.validate()
+        assert sorted(map(sorted, member_sets(back).values())) \
+            == [[low, 0], [-5], [-2], [-1, high], [3], [4]]
+        for label in (2 ** 63, low - 1):
+            with pytest.raises(ValueError, match="too large for the int64 "
+                                                 "label array"):
+                SummaryGraph.from_edge_list([(0, 1), (3, label)])
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (2, 3, 4)], [(0, 1), (2,)],
+                                       [(0, 1, 2), (3,)]])
+    def test_edges_must_be_pairs(self, edges):
+        # the endpoints are relabelled as one stream, so a tuple of another
+        # length would shift every later pair
+        with pytest.raises(ValueError, match="pair of vertex labels"):
+            SummaryGraph.from_edge_list(edges)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_edge_reference_build(self, seed):
@@ -155,7 +180,7 @@ class TestMerge:
         assert g.nodes[0].size_n == 2
         assert g.nodes[0].internal_e == 1
         assert list(g.adj[0]) == [2]
-        assert g.cross_count(0, 2) == 1
+        assert cross_count(g, 0, 2) == 1
         # neighbor's cached sum moves from 1^2/1 to 1^2/2
         assert g.nodes[2].d_value == pytest.approx(0.5, rel=1e-12)
         g.validate()
@@ -165,7 +190,7 @@ class TestMerge:
         z = g.merge(0, 2)
         assert g.nodes[z].size_n == 2
         assert g.nodes[z].internal_e == 0
-        assert g.cross_count(z, 1) == 2
+        assert cross_count(g, z, 1) == 2
         assert g.nodes[1].d_value == pytest.approx(2.0, rel=1e-12)
         g.validate()
 
@@ -174,7 +199,7 @@ class TestMerge:
         z = g.merge(0, 1)
         assert g.nodes[z].size_n == 2
         assert g.nodes[z].internal_e == 1
-        assert g.cross_count(z, 2) == 2
+        assert cross_count(g, z, 2) == 2
         g.validate()
 
     def test_merge_members_union(self):
@@ -228,7 +253,7 @@ class TestNeighbors:
         g = p3()
         z = g.merge(0, 2)
         assert list(g.adj[1]) == [z]
-        assert g.cross_count(1, z) == 2
+        assert cross_count(g, 1, z) == 2
 
     def test_isolated_vertex_empty(self):
         # vertex 7 (id 2) appears only in a dropped self-loop
@@ -247,7 +272,7 @@ class TestInvariantsUnderRandomMerges:
             while g.alive_count > 1:
                 alive = list(g.alive_ids())
                 a, b = rng.sample(alive, 2)
-                touched = 2 * (g.degree(a) + g.degree(b)) - 2 * (b in g.adj[a])
+                touched = 2 * (len(g.adj[a]) + len(g.adj[b])) - 2 * (b in g.adj[a])
                 before = g.alive_count
                 assert g.merge(a, b) == a
                 assert g.alive_count == before - 1
@@ -277,12 +302,12 @@ class TestInvariantsUnderRandomMerges:
             z = g.merge(a, b)
             for x in g.alive_ids():
                 if x == z:
-                    assert g.degree(z) == len((before[a] | before[b]) - {a, b})
+                    assert len(g.adj[z]) == len((before[a] | before[b]) - {a, b})
                     continue
                 # a neighbor of a or b trades one or two keys for z
                 lost = len(before[x] & {a, b})
-                assert g.degree(x) == len(before[x]) - lost + (lost > 0)
-                assert g.degree(x) <= len(before[x])
+                assert len(g.adj[x]) == len(before[x]) - lost + (lost > 0)
+                assert len(g.adj[x]) <= len(before[x])
 
     def test_copy_is_independent(self):
         rng = random.Random(3)
@@ -476,9 +501,14 @@ class TestRelabeling:
         vertices_spread, blocks_spread = g_spread.membership()
         assert blocks_dense == blocks_spread
         assert list(vertices_spread) == [relabel[v] for v in vertices_dense]
-        # the same summary file once the dense labels are mapped
-        paths = [tmp_path / "dense.summary", tmp_path / "spread.summary"]
-        write_summary(g_dense, paths[0], id_map=relabel)
+        # the same summary file as a graph built from the spread labels
+        # with the dense run's merges
+        replayed = SummaryGraph.from_edge_list(spread)
+        log = g_dense.merge_log
+        for a, b in zip(log[::2], log[1::2]):
+            replayed.merge(a, b)
+        paths = [tmp_path / "replayed.summary", tmp_path / "spread.summary"]
+        write_summary(replayed, paths[0])
         write_summary(g_spread, paths[1])
         assert paths[0].read_bytes() == paths[1].read_bytes()
         # the brute-force oracle matches vertices to blocks by label
@@ -496,8 +526,10 @@ class TestRelabeling:
         assert list(SummaryGraph.from_edge_list([(top, 11)]).labels) == [top, 11]
         with pytest.raises(ValueError, match="too large for the int64 label array"):
             SummaryGraph.from_edge_list([(7919 * 2 ** 51, 11)])
-        with pytest.raises(ValueError, match=r"negative vertex id in edge \(11, -7908\)"):
-            SummaryGraph.from_edge_list([(11, self.spread(-1))])
+        with pytest.raises(ValueError, match="too large for the int64 label array"):
+            SummaryGraph.from_edge_list([(11, -7919 * 2 ** 51)])
+        assert list(SummaryGraph.from_edge_list([(11, self.spread(-1))]).labels) \
+            == [11, -7908]
 
 
 class TestStatisticsArrays:
