@@ -77,9 +77,6 @@ class SamplingTree:
         # 1 at each bound slot; padding slots are never bound
         self._bound = bytearray(padded)
         self._bound_count = 0
-        # Bound vertices for uniform_vertex, each once, plus any unbound
-        # since the list was made; None until a draw needs it
-        self._uniform_ids: list[int] | None = None
         # Nodes visited by every draw and update (one root-to-leaf path),
         # for cost assertions.
         self.last_op_visits = padded.bit_length()
@@ -176,7 +173,6 @@ class SamplingTree:
             raise ValueError(f"vertex {vertex} outside the tree's "
                              f"{self.capacity} slots")
         self._write((vertex,), (weight,))
-        self._uniform_ids = None  # the list may hold vertex already
         self._bound[vertex] = 1
         self._bound_count += 1
 
@@ -208,32 +204,6 @@ class SamplingTree:
         self._write([a, b, *others], [weight, 0.0, *weights])
         bound[b] = 0
         self._bound_count -= 1
-
-    def uniform_vertex(self, rng, other_than: int | None = None) -> int:
-        """A bound vertex other than other_than, drawn uniformly whatever
-        the weights. Raises ValueError when there is no such vertex.
-
-        Draws come from a list of the bound vertices (each once, in slot
-        order) kept while vertices are
-        unbound, so it also holds some stale ids; a draw of one of those,
-        or of other_than, is drawn again. The list is made again once at
-        least half of it is stale, and insert() drops it. So a call takes
-        fewer than 2 index draws on average, at most 3 when other_than is
-        bound, and remaking the list is paid for by the vertices unbound
-        since it was made (at least as many as it then holds), except the
-        first one after an insert().
-        """
-        bound = self._bound
-        if self._bound_count - (other_than is not None and other_than in self) < 1:
-            raise ValueError("no other bound vertex to draw")
-        ids = self._uniform_ids
-        if ids is None or 2 * self._bound_count <= len(ids):
-            ids = self._uniform_ids = self.vertices()
-        count = len(ids)
-        while True:
-            vertex = ids[rng.randrange(count)]
-            if vertex != other_than and bound[vertex]:
-                return vertex
 
     def _write(self, slots: Sequence[int], weights: Sequence[float]) -> None:
         """Set the leaf of each slot (valid, none twice) to the matching

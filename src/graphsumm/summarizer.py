@@ -78,8 +78,8 @@ class SummarizerConfig:
 def sample_size(rule: str, n_alive: int) -> int:
     """Candidate pairs to draw this iteration, as a function of n(t): at
     least one, else ceil(log2 n) for "logn", ceil(5 log2 n) for "5logn",
-    ceil(log2(n)^2) for "log2n", and N for "fixed:N". Raises ValueError for
-    any other rule."""
+    ceil(log2(n)^2) for "log2n", and N for "fixed:N", N written in ASCII
+    digits only. Raises ValueError for any other rule."""
     log_n = math.log2(n_alive) if n_alive > 1 else 0.0
     if rule == "logn":
         return max(1, math.ceil(log_n))
@@ -89,10 +89,12 @@ def sample_size(rule: str, n_alive: int) -> int:
         return max(1, math.ceil(log_n * log_n))
     if not rule.startswith("fixed:"):
         raise ValueError(f"unknown sample rule {rule!r}")
-    try:
-        size = int(rule[len("fixed:"):])
-    except ValueError:
-        raise ValueError(f"bad fixed sample rule {rule!r}") from None
+    digits = rule[len("fixed:"):]
+    # int() would also take "1_0", " 7", "+5", non-ASCII digits and a
+    # trailing newline, each a spelling other than the value it reads
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad fixed sample rule {rule!r}")
+    size = int(digits)
     if size < 1:
         raise ValueError("fixed sample size must be at least 1")
     return size
@@ -101,11 +103,19 @@ def sample_size(rule: str, n_alive: int) -> int:
 # ----------------------------------------------------------------------
 # per-node weight and per-pair score
 
+# The mass of a node without edges, whose error contribution is 0. A node
+# with an edge has |f| <= 8m, so a mass of at least 1/(8m) > 2^-66, and any
+# number of floors sums to under 2^-900, far below half an ulp of that: no
+# tree sum over a node with an edge changes, and the floors are drawn, each
+# equally often, only once no other node carries mass.
+_EDGELESS_WEIGHT = 2.0 ** -1000
+
+
 def node_weights(g: SummaryGraph, ids) -> list[float]:
     """Sampling mass of each node in ids: the negated reciprocal of its
-    (non-positive) error-contribution value, or 0 for a node with no edges
-    at all. The only definition of the mass; the merge loop takes every
-    weight from here."""
+    (non-positive) error-contribution value, or _EDGELESS_WEIGHT for a node
+    with no edges at all. The only definition of the mass; the merge loop
+    takes every weight from here."""
     size_n = g.size_n
     internal_e = g.internal_e
     d_value = g.d_value
@@ -116,7 +126,7 @@ def node_weights(g: SummaryGraph, ids) -> list[float]:
         internal = internal_e[x]
         if internal:
             f -= 4.0 * internal * internal / (size * (size - 1) / 2.0)
-        weights.append(-1.0 / f if f else 0.0)
+        weights.append(-1.0 / f if f else _EDGELESS_WEIGHT)
     return weights
 
 
@@ -219,22 +229,20 @@ def sample_pairs(g: SummaryGraph, tree: SamplingTree, s: int,
     Only when the partner equals the first draw is it drawn once more, with
     the first node's leaf zeroed; that gives the same distribution as
     redrawing until distinct, and the leaf is then restored bit-exactly (the
-    tree's sums depend only on its leaves). When no other node carries mass,
-    a zero total weight included, draws are uniform over the tree's bound
-    vertices, which are the alive nodes, so any two alive nodes always
-    yield a pair. The tree alone is read; g is not.
+    tree's sums depend only on its leaves). Every draw is one descent of the
+    tree: every alive node carries mass, a node without edges the floor
+    _EDGELESS_WEIGHT, so once no other node has mass the draws are uniform
+    over the edgeless ones, and any two alive nodes always yield a pair.
+    Raises ValueError when the tree has mass on fewer than two vertices.
+    The tree alone is read; g is not.
     """
     total = tree.total_weight
     get_leaf = tree.get_leaf
     random = rng.random
     pairs = []
     for _ in range(s):
-        if total > 0.0:
-            first = get_leaf(random() * total)
-            partner = get_leaf(random() * total)
-        else:
-            first = tree.uniform_vertex(rng)
-            partner = tree.uniform_vertex(rng)
+        first = get_leaf(random() * total)
+        partner = get_leaf(random() * total)
         if partner == first:
             partner = _draw_other(tree, first, rng)
         pairs.append((first, partner))
@@ -243,17 +251,13 @@ def sample_pairs(g: SummaryGraph, tree: SamplingTree, s: int,
 
 def _draw_other(tree: SamplingTree, first: int, rng: random.Random) -> int:
     """One draw conditioned on differing from first: weighted from the mass
-    left without first, or uniform over the other vertices when none is
-    left."""
+    left without first."""
     weight = tree.weight_of(first)
-    if weight > 0.0:
-        tree.update_weight(first, 0.0)
-        rest = tree.total_weight
-        partner = tree.get_leaf(rng.random() * rest) if rest > 0.0 else None
+    tree.update_weight(first, 0.0)
+    try:
+        return tree.get_leaf(rng.random() * tree.total_weight)
+    finally:
         tree.update_weight(first, weight)
-        if partner is not None:
-            return partner
-    return tree.uniform_vertex(rng, first)
 
 
 # ----------------------------------------------------------------------

@@ -765,6 +765,13 @@ class TestMain:
         assert main(["--input", str(graph), "--k", "2",
                      "--sample", "sqrtn"]) == 1
 
+    def test_fixed_sample_rule_in_another_spelling(self, tmp_path, capsys):
+        # "fixed:1_0" would run as fixed:10 while the report names 1_0
+        graph = self.write_p3(tmp_path)
+        assert main(["--input", str(graph), "--k", "2",
+                     "--sample", "fixed:1_0"]) == 1
+        assert "bad fixed sample rule 'fixed:1_0'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("k, code", [("2", 0), ("9", 1)])
     def test_collector_state_restored(self, tmp_path, capsys, enabled, k, code):

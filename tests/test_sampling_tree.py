@@ -398,51 +398,3 @@ class TestBadWrites:
             assert (bytes(tree._sums), bytes(tree._bound), len(tree)) == before
         tree.check_consistency()
 
-
-class TestUniformVertex:
-    def test_ignores_weights_and_skips_other_than(self):
-        stats = pytest.importorskip("scipy.stats")
-        tree = SamplingTree.build([(v, 10.0 ** v) for v in range(6)])
-        tree.delete(2)
-        rng = random.Random(4)
-        counts = {v: 0 for v in (0, 1, 4, 5)}
-        for _ in range(8000):
-            counts[tree.uniform_vertex(rng, 3)] += 1
-        assert stats.chisquare(list(counts.values())).pvalue > 0.001
-
-    def test_uniform_after_merges_and_a_reinsert(self):
-        stats = pytest.importorskip("scipy.stats")
-        tree = SamplingTree.build([(v, float(v)) for v in range(12)])
-        rng = random.Random(5)
-
-        def assert_uniform(expected, other_than=None):
-            counts = dict.fromkeys(expected, 0)
-            for _ in range(400 * len(expected)):
-                counts[tree.uniform_vertex(rng, other_than)] += 1
-            assert stats.chisquare(list(counts.values())).pvalue > 0.001
-
-        assert_uniform(range(12))
-        tree.merge_leaves(0, 1, 1.0, [2], [2.0])
-        tree.merge_leaves(4, 5, 1.0, [], [])
-        assert_uniform([0, 2, 4, 6, 7, 8, 9, 10, 11], other_than=3)
-        for b in (7, 8, 9, 10, 11):  # now at least half the list is stale
-            tree.merge_leaves(6, b, 1.0, [], [])
-        assert_uniform([0, 2, 3, 4, 6])
-        # two re-inserted ids are drawn, each at the same rate
-        tree.insert(9, 1.0)
-        tree.insert(7, 1.0)
-        assert_uniform([2, 3, 4, 6, 7, 9], other_than=0)
-        tree.delete(9)
-        tree.insert(9, 3.0)
-        assert_uniform([0, 2, 3, 4, 6, 7, 9])
-
-    def test_no_other_bound_vertex(self):
-        tree = SamplingTree.build([(7, 0.0), (8, 0.0)])
-        tree.delete(8)
-        rng = random.Random(0)
-        assert tree.uniform_vertex(rng) == 7
-        with pytest.raises(ValueError, match="no other bound vertex"):
-            tree.uniform_vertex(rng, 7)
-        tree.delete(7)
-        with pytest.raises(ValueError, match="no other bound vertex"):
-            tree.uniform_vertex(rng)

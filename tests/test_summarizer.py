@@ -3,6 +3,8 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (constant_degree_edges, cross_count, gnp_edges, l1_mass,
                       member_sets, pair_sketches, re_walk, scaled_vector,
@@ -13,7 +15,7 @@ from graphsumm import (CountMinSketch, SamplingTree, Summarizer,
                        score_approx, score_exact, summarize)
 from graphsumm import summarizer as summarizer_module
 from graphsumm.cli import main
-from graphsumm.summarizer import sample_size
+from graphsumm.summarizer import _EDGELESS_WEIGHT, node_weights, sample_size
 
 
 def p3():
@@ -22,6 +24,19 @@ def p3():
 
 def star3():
     return SummaryGraph.from_edge_list([(0, 1), (0, 2), (0, 3)])
+
+
+def with_loop_only_vertices(edges, count):
+    """A graph on edges plus count vertices that appear only in a
+    self-loop, so they have no edges at all."""
+    loops = [(-v, -v) for v in range(1, count + 1)]
+    return SummaryGraph.from_edge_list(list(edges) + loops)
+
+
+def weight_tree(g):
+    """The merge loop's tree: every alive node at its node_weights mass."""
+    ids = list(g.alive_ids())
+    return SamplingTree.build(zip(ids, node_weights(g, ids)))
 
 
 class TestConfig:
@@ -42,12 +57,63 @@ class TestConfig:
         with pytest.raises(ValueError):
             SummarizerConfig(target_k=2, score_mode="magic")
 
+    @pytest.mark.parametrize("rule", ["fixed:1_0", "fixed: 7", "fixed:+5",
+                                      "fixed:\u0663", "fixed:7\n", "fixed:"])
+    def test_fixed_rule_takes_ascii_digits_only(self, rule):
+        # int() reads each of these as a number, under another spelling
+        with pytest.raises(ValueError, match="bad fixed sample rule"):
+            sample_size(rule, 8)
+        with pytest.raises(ValueError, match="bad fixed sample rule"):
+            SummarizerConfig(target_k=2, sample_rule=rule)
+
 
 class TestNodeWeight:
     def test_isolated_singleton_zero(self):
-        # vertex 7 is id 2
-        g = SummaryGraph.from_edge_list([(1, 2), (7, 7)])
-        assert node_weight(g, 2) == 0.0
+        # vertex 7 is id 2: with no edges its error contribution is zero,
+        # and its mass is the floor, also once merged with another such node
+        g = SummaryGraph.from_edge_list([(1, 2), (7, 7), (9, 9)])
+        assert node_weight(g, 2) == _EDGELESS_WEIGHT == 2.0 ** -1000
+        g.merge(2, 3)
+        assert node_weight(g, 2) == _EDGELESS_WEIGHT
+        assert node_weight(g, 0) == 0.25
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 14), st.integers(1, 6), st.randoms(use_true_random=False))
+    def test_floor_is_absorbed_by_every_mass_with_an_edge(self, n, loops, rng):
+        # a node with an edge has |f| <= 8m, so its mass is at least
+        # 1/(8m), and adding every floor there could be leaves it as it is
+        g = with_loop_only_vertices(gnp_edges(n, 0.4, rng), loops)
+        for _ in range(rng.randrange(g.alive_count)):
+            a, b = rng.sample(list(g.alive_ids()), 2)
+            g.merge(a, b)
+        m = g.original_edge_count
+        floors = g.original_vertex_count * _EDGELESS_WEIGHT
+        for a in g.alive_ids():
+            weight = node_weight(g, a)
+            if g.adj[a] or g.internal_e[a]:
+                assert weight >= 1.0 / (8 * m)
+                assert weight + floors == weight
+            else:
+                assert weight == _EDGELESS_WEIGHT
+
+    def test_floors_leave_the_total_bits(self):
+        # a tree of the masses with a floor at every edgeless node has the
+        # total of the same tree with 0.0 there
+        rng = random.Random(23)
+        for _ in range(30):
+            g = with_loop_only_vertices(gnp_edges(rng.randint(2, 40), 0.2, rng),
+                                        rng.randint(1, 40))
+            for _ in range(rng.randrange(g.alive_count)):
+                a, b = rng.sample(list(g.alive_ids()), 2)
+                g.merge(a, b)
+            ids = list(g.alive_ids())
+            weights = node_weights(g, ids)
+            zeroed = [0.0 if w == _EDGELESS_WEIGHT else w for w in weights]
+            if not any(zeroed):
+                continue
+            floored = SamplingTree.build(zip(ids, weights))
+            bare = SamplingTree.build(zip(ids, zeroed))
+            assert floored.total_weight.hex() == bare.total_weight.hex()
 
     def test_path_weights(self):
         g = p3()
@@ -216,8 +282,10 @@ class TestSamplePairs:
             assert {a, b} == {z, 2}
 
     def test_zero_weight_fallback_uniform(self):
-        g = p3()
-        tree = SamplingTree.build([(a, 0.0) for a in g.alive_ids()])
+        # no node has an edge: every mass is the floor, so the draws are
+        # uniform and still yield distinct pairs over every alive node
+        g = with_loop_only_vertices([], 5)
+        tree = weight_tree(g)
         rng = random.Random(6)
         pairs = sample_pairs(g, tree, 50, rng)
         seen = set()
@@ -228,10 +296,12 @@ class TestSamplePairs:
         assert seen == set(g.alive_ids())
 
     def test_concentrated_mass_still_yields_distinct_pairs(self):
-        for weights in ([(0, 1.0), (1, 0.0), (2, 0.0)],
-                        [(0, 1e9), (1, 1.0), (2, 1.0)]):
-            g = p3()
-            tree = SamplingTree.build(weights)
+        # all mass on node 0 and only floors elsewhere (the edge merged), or
+        # on the edge's two ends with two floors beside them
+        merged = with_loop_only_vertices([(0, 1)], 2)
+        merged.merge(0, 1)
+        for g in (merged, with_loop_only_vertices([(0, 1)], 2)):
+            tree = weight_tree(g)
             sums = list(tree._sums)
             for a, b in sample_pairs(g, tree, 2000, random.Random(0)):
                 assert a != b
@@ -239,8 +309,8 @@ class TestSamplePairs:
             assert list(tree._sums) == sums
 
     def test_zero_weight_draws_read_only_the_tree(self):
-        # the uniform fallback draws from the tree's bound vertices, so it
-        # never lists or sorts the graph's alive ids
+        # floors are drawn from the tree like any mass, so sampling never
+        # lists or sorts the graph's alive ids
         class NoGraph:
             @property
             def nodes(self):
@@ -249,20 +319,22 @@ class TestSamplePairs:
             def alive_ids(self):
                 raise AssertionError("graph read")
 
-        tree = SamplingTree.build([(a, 0.0) for a in range(5)])
-        tree.delete(3)
-        pairs = sample_pairs(NoGraph(), tree, 200, random.Random(9))
+        g = with_loop_only_vertices([], 5)
+        g.merge(2, 3)
+        pairs = sample_pairs(NoGraph(), weight_tree(g), 200, random.Random(9))
         assert all(a != b for a, b in pairs)
         assert {v for pair in pairs for v in pair} == {0, 1, 2, 4}
-        tree = SamplingTree.build([(0, 1.0), (1, 0.0), (2, 0.0)])
-        pairs = sample_pairs(NoGraph(), tree, 200, random.Random(9))
+        g = with_loop_only_vertices([(0, 1)], 2)
+        g.merge(0, 1)
+        pairs = sample_pairs(NoGraph(), weight_tree(g), 200, random.Random(9))
         assert {a for a, _ in pairs} == {0}
-        assert {b for _, b in pairs} == {1, 2}
+        assert {b for _, b in pairs} == {2, 3}
 
     def test_uniform_fallback_takes_few_index_draws(self, monkeypatch):
         # one edge plus n - 2 self-loop-only vertices: once the edge is
-        # merged no node has mass, so every later draw is uniform, down to
-        # two bound vertices and a partner that must differ from the first
+        # merged its node is every first draw and every partner is drawn
+        # again from the floors alone, down to two bound vertices. Every
+        # draw is one descent, at most three per pair
         n = 8000
         g = SummaryGraph.from_edge_list([(0, 1)] + [(v, v) for v in range(2, n)])
         loop = Summarizer(g, SummarizerConfig(target_k=1, seed=3))
@@ -275,18 +347,44 @@ class TestSamplePairs:
                 return super().randrange(*args)
 
         calls = 0
-        uniform_vertex = SamplingTree.uniform_vertex
+        get_leaf = SamplingTree.get_leaf
 
-        def counted(tree, rng, other_than=None):
+        def counted(tree, r):
             nonlocal calls
             calls += 1
-            return uniform_vertex(tree, rng, other_than)
+            return get_leaf(tree, r)
 
-        monkeypatch.setattr(SamplingTree, "uniform_vertex", counted)
+        monkeypatch.setattr(SamplingTree, "get_leaf", counted)
         loop.rng = CountingRandom(3)
         loop.run()
-        assert g.alive_count == 1 and calls > 2 * n
-        assert CountingRandom.index_draws <= 4 * calls
+        pairs = sum(sample_size("logn", alive) for alive in range(2, n + 1))
+        assert g.alive_count == 1 and loop.iterations == n - 1
+        assert 2 * pairs < calls <= 3 * pairs
+        assert CountingRandom.index_draws == 0
+
+    def test_one_bound_vertex_raises(self):
+        for g in (with_loop_only_vertices([], 1), p3()):
+            while g.alive_count > 1:
+                a, b = list(g.alive_ids())[:2]
+                g.merge(a, b)
+            tree = weight_tree(g)
+            sums = bytes(tree._sums)
+            with pytest.raises(ValueError):
+                sample_pairs(g, tree, 1, random.Random(1))
+            assert bytes(tree._sums) == sums
+
+    def test_partners_uniform_among_edgeless_nodes(self):
+        # only node 0 carries mass, so it is every first draw, and its
+        # partner is drawn from the floors alone, each equally often
+        stats = pytest.importorskip("scipy.stats")
+        g = with_loop_only_vertices([(0, 1)], 7)
+        g.merge(0, 1)
+        tree = weight_tree(g)
+        partners = dict.fromkeys(range(2, 9), 0)
+        for a, b in sample_pairs(g, tree, 14_000, random.Random(31)):
+            assert a == 0
+            partners[b] += 1
+        assert stats.chisquare(list(partners.values())).pvalue > 0.001
 
     def test_partner_excludes_first_mass(self):
         stats = pytest.importorskip("scipy.stats")
