@@ -40,6 +40,7 @@ import math
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -79,7 +80,7 @@ def sample_size(rule: str, n_alive: int) -> int:
     """Candidate pairs to draw this iteration, as a function of n(t): at
     least one, else ceil(log2 n) for "logn", ceil(5 log2 n) for "5logn",
     ceil(log2(n)^2) for "log2n", and N for "fixed:N", N written in ASCII
-    digits only. Raises ValueError for any other rule."""
+    digits without leading zeros. Raises ValueError for any other rule."""
     log_n = math.log2(n_alive) if n_alive > 1 else 0.0
     if rule == "logn":
         return max(1, math.ceil(log_n))
@@ -90,9 +91,10 @@ def sample_size(rule: str, n_alive: int) -> int:
     if not rule.startswith("fixed:"):
         raise ValueError(f"unknown sample rule {rule!r}")
     digits = rule[len("fixed:"):]
-    # int() would also take "1_0", " 7", "+5", non-ASCII digits and a
-    # trailing newline, each a spelling other than the value it reads
-    if not (digits.isascii() and digits.isdigit()):
+    # int() would also take "1_0", " 7", "+5", non-ASCII digits, a
+    # trailing newline and leading zeros, each a spelling other than the
+    # value it reads, which the report and the manifest would then name
+    if not (digits.isascii() and digits.isdigit()) or str(int(digits)) != digits:
         raise ValueError(f"bad fixed sample rule {rule!r}")
     size = int(digits)
     if size < 1:
@@ -308,7 +310,6 @@ class Summarizer:
                 and cfg.sketch_width * cfg.sketch_depth < g.alive_count - 1):
             self.heavy_degree = cfg.sketch_width * cfg.sketch_depth
             self.hash_seeds = make_hash_seeds(cfg.sketch_depth, cfg.seed)
-        self.iterations = 0
         self.last_candidates: list[ScoredPair] = []
 
     def score(self, a: int, b: int) -> float:
@@ -332,21 +333,17 @@ class Summarizer:
         g = self.graph
         s = sample_size(self.cfg.sample_rule, g.alive_count)
         pairs = sample_pairs(g, self.tree, s, self.rng)
-        if self.heavy_degree is None:
-            # no pair is ever heavy: score exactly, without self.score
-            candidates = [ScoredPair(a, b, score_exact(g, a, b)) for a, b in pairs]
-        else:
-            score = self.score
-            candidates = [ScoredPair(a, b, score(a, b)) for a, b in pairs]
+        # without heavy pairs score exactly, without self.score; looked up
+        # at each step, so a patched score_exact sees every exact score
+        score = partial(score_exact, g) if self.heavy_degree is None else self.score
+        candidates = [ScoredPair(a, b, score(a, b)) for a, b in pairs]
         self.last_candidates = candidates
         best = max(candidates, key=attrgetter("score"))
         a, b = best.a, best.b
         g.merge(a, b)
-
         neighbors = g.adj[a]
         self.tree.merge_leaves(a, b, node_weight(g, a), neighbors,
                                node_weights(g, neighbors))
-        self.iterations += 1
         return a
 
     def run(self) -> SummaryGraph:

@@ -614,8 +614,8 @@ class TestMain:
         assert outputs[0] == outputs[1]
 
     def test_k_one_with_self_loop_only_vertex(self, tmp_path, capsys):
-        # vertex 5 has no edges and so no sampling mass: the last merge
-        # must still find it as the partner
+        # vertex 5 has no edges, so it carries only the floor mass of an
+        # edgeless node: the last merge must still find it as the partner
         graph = tmp_path / "loop.txt"
         graph.write_text("0 1\n5 5\n")
         out = tmp_path / "loop.summary"
