@@ -41,6 +41,24 @@ def constant_degree_edges(n: int, avg_degree: int, rng: random.Random):
     return edges
 
 
+def preferential_attachment_edges(n: int, m: int, rng: random.Random):
+    """Barabasi-Albert edge list: each vertex from m on links to m distinct
+    earlier vertices drawn with probability proportional to degree. Same
+    algorithm as the benchmark's generator."""
+    edges = []
+    endpoints: list[int] = []  # each vertex repeated once per incident edge
+    targets = list(range(m))
+    for source in range(m, n):
+        edges.extend((source, t) for t in targets)
+        endpoints.extend(targets)
+        endpoints.extend([source] * m)
+        chosen: set[int] = set()
+        while len(chosen) < m:
+            chosen.add(endpoints[rng.randrange(len(endpoints))])
+        targets = sorted(chosen)
+    return edges
+
+
 def random_partition(vertices, blocks: int, rng: random.Random) -> list[list[int]]:
     """Partition into at most `blocks` non-empty classes."""
     vertices = list(vertices)
@@ -112,6 +130,19 @@ def re_closed_loop(summary: SummaryGraph) -> float:
     scaled_d = math.fsum(node.d_value / node.size_n
                          for node in summary.nodes.values())
     return 4.0 * summary.original_edge_count - 4.0 * internal - 2.0 * scaled_d
+
+
+def forward_triangles(adj):
+    """Yield every triangle a < b < c of a graph's adjacency maps: each
+    node keeps the set of its neighbours with a larger id, and the
+    triangles at an edge a < b are the common members of a's and b's
+    sets. The enumeration the triangle queries used before their numpy
+    kernel, kept as a reference model."""
+    forward = {a: set(filter(a.__lt__, entries)) for a, entries in adj.items()}
+    for a, later in forward.items():
+        for b in later:
+            for c in later & forward[b]:
+                yield a, b, c
 
 
 def score_oracle(g: SummaryGraph, a: int, b: int) -> float:

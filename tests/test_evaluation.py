@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (constant_degree_edges, gnp_edges, merge_partition,
+from conftest import (constant_degree_edges, forward_triangles, gnp_edges,
+                      merge_partition, preferential_attachment_edges,
                       random_partition, re_closed_loop, re_walk)
 from graphsumm import (Summarizer, SummarizerConfig, SummaryGraph,
                        build_report, centrality_estimate, degree_estimate,
                        evaluation, expected_adjacency, membership_index,
-                       re_brute, re_closed, triangle_count_exact,
-                       triangle_estimate)
+                       re_brute, re_closed, summarize,
+                       triangle_count_exact, triangle_estimate)
 from graphsumm.cli import read_summary, write_summary
 
 
@@ -254,6 +255,30 @@ class TestTriangles:
         grouped = merge_partition(star.copy(), [[1, 2, 3], [0]])
         assert triangle_estimate(grouped) == pytest.approx(
             triangle_count_exact(star))
+
+
+class TestTriangleGolden:
+    """Both triangle queries on seeded preferential-attachment graphs and
+    summaries of them, pinned to the values the forward-set enumeration
+    gave: the exact count, and the bits of the estimate on the identity
+    graph and on the summary."""
+
+    GOLDEN = {
+        (600, 4, 150, 7): (423, "0x1.a700000000000p+8", "0x1.e7b800c5f12ecp+8"),
+        (2000, 5, 1500, 11): (1199, "0x1.2bc0000000000p+10",
+                              "0x1.325caa732fbb8p+10"),
+    }
+
+    @pytest.mark.parametrize("shape", GOLDEN)
+    def test_pinned_values(self, shape):
+        n, m, k, seed = shape
+        exact, identity, summarized = self.GOLDEN[shape]
+        g = SummaryGraph.from_edge_list(
+            preferential_attachment_edges(n, m, random.Random(seed)))
+        assert triangle_count_exact(g) == exact
+        assert triangle_estimate(g).hex() == identity
+        summary = summarize(g.copy(), SummarizerConfig(target_k=k, seed=seed))
+        assert triangle_estimate(summary).hex() == summarized
 
 
 class TestBuildReport:
@@ -564,16 +589,14 @@ def per_superedge_triangle_estimate(summary):
             size_x = nodes[x].size_n
             pi_ax = edge.cross_e / (size_a * size_x)
             terms.append(pi_ax * pi_ax * pairs * size_x * density)
-    forward = evaluation._forward_sets(adj)
-    for a, b in evaluation._triangle_edges(forward):
+    for a, b, c in forward_triangles(adj):
         size_a = nodes[a].size_n
         size_b = nodes[b].size_n
-        for c in forward[a] & forward[b]:
-            size_c = nodes[c].size_n
-            terms.append(size_a * size_b * size_c
-                         * (adj[a][b].cross_e / (size_a * size_b))
-                         * (adj[b][c].cross_e / (size_b * size_c))
-                         * (adj[a][c].cross_e / (size_a * size_c)))
+        size_c = nodes[c].size_n
+        terms.append(size_a * size_b * size_c
+                     * (adj[a][b].cross_e / (size_a * size_b))
+                     * (adj[b][c].cross_e / (size_b * size_c))
+                     * (adj[a][c].cross_e / (size_a * size_c)))
     return math.fsum(terms)
 
 
