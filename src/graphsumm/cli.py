@@ -20,6 +20,8 @@ from array import array
 from dataclasses import asdict
 from itertools import repeat
 
+import numpy as np
+
 from .evaluation import InputGraph, build_report, re_closed
 from .summary_graph import UNIT_EDGE, SuperEdge, SummaryGraph
 from .summarizer import SummarizerConfig, summarize
@@ -33,7 +35,8 @@ def _check_decimal_fields(line: str) -> None:
         raise ValueError("non-decimal integer field in " + repr(line.rstrip("\n")))
 
 
-# vertex labels must fit the summary file's 64-bit member lists
+# the signed 64-bit range: of vertex labels, which must fit the summary
+# file's member lists, and of every integer the file's E lines hold
 _LABEL_MIN = -(1 << 63)
 _LABEL_MAX = (1 << 63) - 1
 
@@ -74,7 +77,8 @@ def parse_edge_list(stream) -> list[tuple[int, int]]:
 # ----------------------------------------------------------------------
 # summary serialization
 
-# E lines buffered between writes; bounds the writer's transient memory
+# E lines buffered between writes, and checked together when read; bounds
+# the writer's and the reader's transient memory
 _CHUNK_LINES = 8192
 
 
@@ -153,21 +157,154 @@ def _collector_paused(fn):
     return paused
 
 
+# counts up to this square to an exact float64 (its square is below 2^53)
+_EXACT_SQUARE_MAX = 94_906_265
+
+
+def _syntax_fault(line: str) -> str | None:
+    """The message of an E line whose fields are not all integers, or
+    None."""
+    try:
+        _check_decimal_fields(line)
+        for field in line.split()[1:]:
+            int(field)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+class _SuperedgeBatches:
+    """Adds a summary file's superedges to g a batch at a time: a run of
+    contiguous E lines with four fields each is checked as arrays, and
+    only a run that passes every check is added.
+
+    A line fails on its first failing check, in the order decimal
+    fields, integers, self superedge, unknown supernode, duplicate
+    superedge, count in [1, size_i*size_j]; ``add`` reports the first
+    faulty line of the run, the one a line-by-line reader would stop at.
+    A field outside 64 bits reads as -1, which fails the id or count
+    check it meets, and the message names the field's own value.
+    """
+
+    def __init__(self, g: SummaryGraph):
+        self.g = g
+        self.known = np.zeros(len(g.size_n), bool)  # ids whose N line was read
+        self.max_key = -1  # the largest pair key added so far
+        self.cross_total = 0
+
+    def add(self, lines: list[str], fields: list[str]) -> tuple[int, str] | None:
+        """Check the run ``lines`` (``fields`` holds their four fields
+        each, tag first) and add its superedges; or return the offset in
+        the run of its first faulty line and that line's message."""
+        g = self.g
+        known = self.known
+        run = len(lines)
+        bad = run  # the first line whose fields are not all integers
+        text = "".join(lines)
+        if not text.isascii() or "_" in text:
+            bad = next(t for t, line in enumerate(lines)
+                       if not line.isascii() or "_" in line)
+        del fields[::4]  # the tags; three integer fields per line remain
+        try:
+            values = list(map(int, fields[:3 * bad]))
+        except ValueError:
+            bad = next(t for t in range(bad)
+                       if _syntax_fault(lines[t]) is not None)
+            values = list(map(int, fields[:3 * bad]))
+        try:
+            columns = np.array(values, np.int64)
+        except OverflowError:
+            columns = np.array([v if _LABEL_MIN <= v <= _LABEL_MAX else -1
+                                for v in values], np.int64)
+        i, j, count = columns.reshape(-1, 3).T
+        k = len(known)
+        in_range = (i >= 0) & (i < k) & (j >= 0) & (j < k)
+        i_ok = np.where(in_range, i, 0)
+        j_ok = np.where(in_range, j, 0)
+        fault = (i == j) | ~(in_range & known[i_ok] & known[j_ok])
+        # duplicates are looked for only before the first unknown id
+        ok = int(np.argmax(fault)) if fault.any() else bad
+        lo = np.minimum(i_ok[:ok], j_ok[:ok])
+        keys = lo * np.int64(k) + (i_ok[:ok] + j_ok[:ok] - lo)
+        order = np.argsort(keys, kind="stable")
+        duplicate = np.zeros(ok, bool)
+        duplicate[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+        # an earlier run's pair has a key no larger than max_key, so the
+        # adjacency maps are asked only about those keys
+        adj = g.adj
+        older = np.flatnonzero(keys <= self.max_key)
+        duplicate[older] |= np.fromiter(
+            map(dict.__contains__, map(adj.__getitem__, i[older].tolist()),
+                j[older].tolist()), bool, len(older))
+        fault[:ok] |= duplicate
+        size = np.asarray(g.size_n)
+        size_i = size[i_ok]
+        size_j = size[j_ok]
+        # count <= size_i * size_j, without the product's overflow
+        fault |= (count < 1) | ((count - 1) // size_i >= size_j)
+        first = int(np.argmax(fault)) if fault.any() else bad
+        if first < run:
+            return first, self._message(lines[first], first == bad,
+                                        values[3 * first:3 * first + 3],
+                                        first < ok and duplicate[first])
+
+        counts = values[2::3]
+        edges = [UNIT_EDGE] * run
+        for t in np.flatnonzero(count != 1).tolist():
+            edges[t] = SuperEdge(counts[t])
+        for a, b, edge in zip(values[0::3], values[1::3], edges):
+            adj[a][b] = adj[b][a] = edge
+        # each line adds c^2/size_j to d_value[i], then c^2/size_i to
+        # d_value[j]; np.add.at adds in that order, one term at a time
+        square = count.astype(np.float64) ** 2
+        terms = np.column_stack((square / size_j, square / size_i))
+        for t in np.flatnonzero(count > _EXACT_SQUARE_MAX).tolist():
+            square_t = counts[t] ** 2
+            terms[t] = (square_t / size_j[t].item(), square_t / size_i[t].item())
+        np.add.at(np.asarray(g.d_value), np.column_stack((i, j)).ravel(),
+                  terms.ravel())
+        if run:
+            self.max_key = max(self.max_key, int(keys.max()))
+        self.cross_total += sum(counts)
+        return None
+
+    def _message(self, line: str, syntax: bool, values: list[int],
+                 duplicate: bool) -> str:
+        """The message of a faulty line, from its own values."""
+        if syntax:
+            return _syntax_fault(line)
+        a, b, cross_e = values
+        if a == b:
+            return f"self superedge at {a}"
+        adj = self.g.adj
+        if a not in adj or b not in adj:
+            return f"superedge {a}-{b} references unknown supernode"
+        if duplicate:
+            return f"duplicate superedge {a}-{b}"
+        limit = min(self.g.size_n[a] * self.g.size_n[b], _LABEL_MAX)
+        return f"superedge {a}-{b}: count {cross_e} outside [1, {limit}]"
+
+
 @_collector_paused
 def read_summary(path: str) -> SummaryGraph:
     """Parse a SUMMARY v1 file, validating every structural invariant.
 
     An error found on one line names that line's 1-based number in the file;
     whitespace-only lines are skipped but counted. One pass over the file:
-    each supernode's d_value is accumulated as its superedges are read,
-    which is the order of its adjacency map. Count-1 superedges are all the
-    shared ``UNIT_EDGE``, as in the identity graph. Member lists, when the
-    file has them, become the graph's membership: the labels in file
-    order, each with its supernode's id as its start block. Without them
-    membership is unknown (``member_ids`` is None). Either way the merge
-    log starts empty. Every integer field is an optionally signed ASCII
-    decimal. A byte that is not UTF-8 reads as a lone surrogate, so the
-    line holding it fails that check with its line number.
+    N lines are read one at a time, and runs of E lines in batches of up
+    to ``_CHUNK_LINES`` (see ``_SuperedgeBatches``), so the first faulty
+    line still stops the read, with the message it would get alone, and
+    the memory beyond the graph is bounded by the batch. Each supernode's
+    adjacency map and d_value take its superedges in file order. Count-1
+    superedges are all the shared ``UNIT_EDGE``, as in the identity graph.
+    Member lists, when the file has them, become the graph's membership:
+    the labels in file order, each with its supernode's id as its start
+    block. Without them membership is unknown (``member_ids`` is None).
+    Either way the merge log starts empty. Every integer field is an
+    optionally signed ASCII decimal, and every count a 64-bit integer, as
+    ``size_n`` and ``internal_e`` are. A byte that is not UTF-8 reads as
+    a lone surrogate, so the line holding it fails that check with its
+    line number.
     """
     with open(path, errors="surrogateescape") as stream:
         numbered = enumerate(stream, 1)
@@ -197,43 +334,45 @@ def read_summary(path: str) -> SummaryGraph:
             g.original_edge_count = m
             adj = g.adj
             size_n = g.size_n
-            d_value = g.d_value
             member_ids = array("q")
             member_start = array("q")
             members_seen: set[int] = set()
+            superedges = _SuperedgeBatches(g)
+            known = superedges.known
             internal_total = 0
-            cross_total = 0
+            batch = _CHUNK_LINES
+            run: list[str] = []  # contiguous E lines not yet checked
+            fields_run: list[str] = []  # their fields, four per line
+
+            def add_run(last: int) -> None:
+                """Check and add the E lines of run, which ends at line
+                number last; on a fault, name its line."""
+                nonlocal lineno
+                fault = superedges.add(run, fields_run)
+                if fault is not None:
+                    offset, message = fault
+                    lineno = last - len(run) + 1 + offset
+                    raise ValueError(message)
+                run.clear()
+                fields_run.clear()
+
             for lineno, line in numbered:
                 fields = line.split()
+                if len(fields) == 4 and fields[0] == "E":
+                    run.append(line)
+                    fields_run += fields
+                    if len(run) == batch:
+                        add_run(lineno)
+                    continue
+                if run:
+                    add_run(lineno - 1)
                 if not fields:
                     continue
                 _check_decimal_fields(line)
                 tag = fields[0]
                 if tag == "E":
-                    if len(fields) != 4:
-                        raise ValueError("malformed superedge line: "
-                                         + repr(line.rstrip("\n")))
-                    i, j, cross_e = int(fields[1]), int(fields[2]), int(fields[3])
-                    if i == j:
-                        raise ValueError(f"self superedge at {i}")
-                    adj_i = adj.get(i)
-                    adj_j = adj.get(j)
-                    if adj_i is None or adj_j is None:
-                        raise ValueError(f"superedge {i}-{j} references unknown supernode")
-                    if j in adj_i:
-                        raise ValueError(f"duplicate superedge {i}-{j}")
-                    size_i = size_n[i]
-                    size_j = size_n[j]
-                    limit = size_i * size_j
-                    if not 1 <= cross_e <= limit:
-                        raise ValueError(f"superedge {i}-{j}: count {cross_e} "
-                                         f"outside [1, {limit}]")
-                    edge = UNIT_EDGE if cross_e == 1 else SuperEdge(cross_e)
-                    adj_i[j] = adj_j[i] = edge
-                    cross_total += cross_e
-                    square = cross_e ** 2
-                    d_value[i] += square / size_j
-                    d_value[j] += square / size_i
+                    raise ValueError("malformed superedge line: "
+                                     + repr(line.rstrip("\n")))
                 elif tag == "N":
                     if len(fields) < 4:
                         raise ValueError("malformed supernode line: "
@@ -269,9 +408,12 @@ def read_summary(path: str) -> SummaryGraph:
                     size_n[node_id] = size
                     g.internal_e[node_id] = internal
                     adj[node_id] = {}
+                    known[node_id] = True
                     internal_total += internal
                 else:
                     raise ValueError("unrecognized line: " + repr(line.rstrip("\n")))
+            if run:
+                add_run(lineno)
         except ValueError as err:
             raise ValueError(f"line {lineno}: {err}") from None
     if len(adj) != k:
@@ -283,6 +425,7 @@ def read_summary(path: str) -> SummaryGraph:
             raise ValueError("member lists do not cover the vertex set")
         g.member_ids = member_ids
         g.member_start = member_start
+    cross_total = superedges.cross_total
     if internal_total + cross_total != m:
         raise ValueError(f"edge conservation violated: {internal_total} internal "
                          f"+ {cross_total} cross != {m}")

@@ -17,41 +17,58 @@ conservation invariants that ``SummaryGraph.validate`` checks.
 
 All operations here are read-only over a frozen summary, and every
 vertex they take or compare is a label, the input's own vertex id. The
-original graph they compare against is an ``InputGraph``, read only
-through its label-keyed ``adj`` (iteration and ``len`` of a vertex's
-neighbours) and its two counts; an identity ``SummaryGraph`` passed in
-its place is turned into one first.
+original graph they compare against is an ``InputGraph``: CSR arrays of
+its rows, each row's label, and its two counts; an identity
+``SummaryGraph`` passed in its place is turned into one first. Both
+triangle queries run one numpy kernel over CSR arrays, of the input graph
+for the exact count and of the superedge graph for the estimate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import not_
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from .summary_graph import SummaryGraph
 
 
+def _adjacency_arrays(graph: SummaryGraph):
+    """A graph's adjacency maps as CSR arrays, in one pass over its rows:
+    the live ids in ``adj`` order, the row pointers, and each entry's
+    neighbour as a row number. Row r holds id ``ids[r]``; an identity
+    graph's row r is its vertex id r."""
+    rows = graph.adj.values()
+    k = len(rows)
+    ids = np.fromiter(graph.adj, np.int64, k)
+    indptr = np.zeros(k + 1, np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, k), out=indptr[1:])
+    row_of = np.empty(len(graph.size_n), np.int32)
+    row_of[ids] = np.arange(k, dtype=np.int32)
+    neighbours = np.fromiter(chain.from_iterable(rows), np.int64, indptr[-1])
+    return ids, indptr, row_of[neighbours]
+
+
 class InputGraph:
-    """Read-only input graph for the report: each vertex's neighbours as a
-    tuple of labels, keyed by label in the graph's key order, plus the
-    vertex and edge counts.
+    """Read-only input graph for the report, as CSR arrays: row r's
+    neighbours are the rows ``indices[indptr[r]:indptr[r + 1]]``, its
+    degree is ``np.diff(indptr)[r]`` and its label ``labels[r]``; plus the
+    vertex and edge counts. Rows follow the graph's key order, which for
+    an identity graph is its id order.
 
     Built from the identity graph before it is summarized, it takes about
-    a quarter of the memory of ``SummaryGraph.copy`` (no adjacency dicts,
-    no statistics)."""
+    a tenth of the memory of ``SummaryGraph.copy`` (no adjacency dicts,
+    no statistics, no int object per entry)."""
 
-    __slots__ = ("adj", "original_vertex_count", "original_edge_count")
+    __slots__ = ("indptr", "indices", "labels", "original_vertex_count",
+                 "original_edge_count")
 
     def __init__(self, graph: SummaryGraph):
-        # one int object per label, shared by every row that holds it
-        label = list(graph.labels).__getitem__
-        self.adj: dict[int, tuple[int, ...]] = {
-            label(a): tuple(map(label, entries))
-            for a, entries in graph.adj.items()}
+        ids, self.indptr, self.indices = _adjacency_arrays(graph)
+        self.labels = np.asarray(graph.labels, np.int64)[ids]
         self.original_vertex_count = graph.original_vertex_count
         self.original_edge_count = graph.original_edge_count
 
@@ -118,27 +135,29 @@ def re_brute(original: SummaryGraph | InputGraph, summary: SummaryGraph,
                          f"limit {oracle_limit}")
     original = _input_graph(original)
     index = membership_index(summary)
-    vertices = list(original.adj)
+    vertices = original.labels.tolist()
     try:
         blocks = [index[u] for u in vertices]
     except KeyError as missing:
         raise ValueError(f"unknown vertex {missing.args[0]}") from None
+    indptr = original.indptr.tolist()
+    indices = original.indices.tolist()
     size_n = summary.size_n
     adj = summary.adj
     density = {i: _internal_density(summary, i) for i in adj}
     total = 0.0
-    for u, block_u in zip(vertices, blocks):
-        row = set(original.adj[u])  # a tuple row would make each test linear
+    for row_u, block_u in enumerate(blocks):
+        row = set(indices[indptr[row_u]:indptr[row_u + 1]])
         size_u = size_n[block_u]
-        for v, block_v in zip(vertices, blocks):
-            if u == v:
+        for row_v, block_v in enumerate(blocks):
+            if row_u == row_v:
                 continue
             if block_u == block_v:
                 abar = density[block_u]
             else:
                 edge = adj[block_u].get(block_v)
                 abar = edge.cross_e / (size_u * size_n[block_v]) if edge else 0.0
-            total += abs(abar - 1.0) if v in row else abar
+            total += abs(abar - 1.0) if row_v in row else abar
     return total
 
 
@@ -211,31 +230,68 @@ def centrality_estimate(summary: SummaryGraph, v: int,
     return degree / two_m if two_m else 0.0
 
 
-def _forward_sets(adj) -> dict[int, set[int]]:
-    """Each node's neighbors with a larger id: every edge once, at its
-    smaller end."""
-    return {a: set(filter(a.__lt__, entries)) for a, entries in adj.items()}
+# wedges tested per numpy pass of the triangle kernel: bounds its transient
+# arrays (under 100 bytes per wedge) whatever the graph's wedge count
+_WEDGE_CHUNK = 1 << 14
 
 
-def _triangle_edges(forward: dict[int, set[int]]):
-    """Yield the edges a < b that close at least one triangle a < b < c.
+def _triangles(indptr, indices):
+    """Yield every triangle of an undirected graph in CSR form once, in
+    chunks of at most ``_WEDGE_CHUNK`` tested wedges (or one edge's, when
+    that is more): per chunk, the rows of the three corners and, aligned
+    with them, the positions in ``indices`` of the edge opposite each.
 
-    The test of each edge runs in C; only the few edges that close a
-    triangle reach Python code.
+    Each edge points from the lower to the higher (degree, row) rank, so
+    a triangle is found once, at its lowest-ranked corner, as a pair of
+    that corner's forward edges (a wedge) whose far ends are joined. The
+    forward edges are sorted as int64 keys rank*n + rank, and
+    np.searchsorted looks up each wedge's closing edge. Ranking by
+    degree keeps every forward list short (under sqrt(2m) long).
     """
-    for a, later in forward.items():
-        if len(later) < 2:  # a is then no triangle's smallest vertex
-            continue
-        closes = map(not_, map(later.isdisjoint, map(forward.__getitem__, later)))
-        for b in compress(later, closes):
-            yield a, b
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    by_rank = np.argsort(degree, kind="stable")
+    rank = np.empty(n, np.int32)
+    rank[by_rank] = np.arange(n, dtype=np.int32)
+    tail = np.repeat(rank, degree)
+    head = rank[indices]
+    forward = np.flatnonzero(tail < head)
+    low = tail[forward]
+    high = head[forward]
+    del tail, head
+    # int64 keys from int32 ranks, under numpy 1's value-based casting too
+    keys = np.multiply(low, n, dtype=np.int64) + high
+    order = np.argsort(keys)
+    keys, forward, low, high = keys[order], forward[order], low[order], high[order]
+    del order
+    # each forward edge opens a wedge with every later edge of its row
+    opens = (np.cumsum(np.bincount(low, minlength=n))[low]
+             - np.arange(1, len(keys) + 1))
+    ends = np.cumsum(opens)
+    start = 0
+    while start < len(keys):
+        limit = ends[start] - opens[start] + _WEDGE_CHUNK
+        stop = max(int(np.searchsorted(ends, limit, side="right")), start + 1)
+        count = opens[start:stop]
+        first = np.repeat(np.arange(start, stop), count)
+        # the wedges of edge p pair it with edges p+1 .. p+opens[p]
+        second = np.arange(len(first)) + np.repeat(
+            np.arange(start + 1, stop + 1) - (np.cumsum(count) - count), count)
+        wanted = np.multiply(high[first], n, dtype=np.int64) + high[second]
+        at = np.searchsorted(keys, wanted)
+        np.minimum(at, len(keys) - 1, out=at)
+        hit = keys[at] == wanted
+        first, second, at = first[hit], second[hit], at[hit]
+        yield ((by_rank[low[first]], by_rank[high[first]], by_rank[high[second]]),
+               (forward[at], forward[second], forward[first]))
+        start = stop
 
 
 def triangle_count_exact(original: SummaryGraph | InputGraph) -> int:
-    """Triangles in the original graph: each a < b < c counted once, at
-    its edge (a, b)."""
-    forward = _forward_sets(original.adj)
-    return sum(len(forward[a] & forward[b]) for a, b in _triangle_edges(forward))
+    """Triangles in the original graph, each counted once."""
+    original = _input_graph(original)
+    return sum(len(corners[0]) for corners, _ in
+               _triangles(original.indptr, original.indices))
 
 
 def triangle_estimate(summary: SummaryGraph) -> float:
@@ -249,9 +305,16 @@ def triangle_estimate(summary: SummaryGraph) -> float:
     C(n_a,2) * rho_a * d_a / n_a^2, read from the cached ``d_value`` (the
     contract of ``re_closed``): one term per block, not per superedge.
     Triples across three blocks need three superedges, so only triangles
-    of the superedge graph contribute (never the cubic loop). The terms
-    are added with math.fsum, so the total does not depend on iteration
-    order.
+    of the superedge graph contribute (never the cubic loop); the
+    triangle kernel finds them, and each one's three superedges give the
+    counts. The terms are added with math.fsum, so the total does not
+    depend on their order.
+
+    A three-block term is n_a n_b n_c pi_ab pi_bc pi_ac for corners
+    a < b < c by id, multiplied in that order, where pi_xy is
+    c_xy / (n_x n_y). Every product of two sizes is below 2^53 (for fewer
+    than 1.8e8 vertices), so each float64 operation rounds exactly once,
+    as the same expression over Python ints does.
     """
     size_n = summary.size_n
     internal_e = summary.internal_e
@@ -265,17 +328,23 @@ def triangle_estimate(summary: SummaryGraph) -> float:
         terms.append(math.comb(size_a, 3) * density ** 3)
         terms.append(math.comb(size_a, 2) * density * summary.d_value[a]
                      / (size_a * size_a))
-    forward = _forward_sets(adj)
-    for a, b in _triangle_edges(forward):
-        adj_a = adj[a]
-        size_a = size_n[a]
-        size_b = size_n[b]
-        pi_ab = adj_a[b].cross_e / (size_a * size_b)
-        for c in forward[a] & forward[b]:
-            size_c = size_n[c]
-            terms.append(size_a * size_b * size_c * pi_ab
-                         * (adj[b][c].cross_e / (size_b * size_c))
-                         * (adj_a[c].cross_e / (size_a * size_c)))
+    ids, indptr, indices = _adjacency_arrays(summary)
+    superedges = list(chain.from_iterable(map(dict.values, adj.values())))
+    size = np.asarray(size_n)[ids]
+    for corners, opposite in _triangles(indptr, indices):
+        rows = np.stack(corners)
+        by_id = np.argsort(ids[rows], axis=0)
+        size_a, size_b, size_c = size[np.take_along_axis(rows, by_id, 0)]
+        # the edge opposite a joins b and c
+        positions = np.take_along_axis(np.stack(opposite), by_id, 0)
+        c_bc, c_ac, c_ab = np.fromiter(
+            map(attrgetter("cross_e"),
+                map(superedges.__getitem__, positions.ravel().tolist())),
+            np.int64, positions.size).reshape(positions.shape)
+        terms.extend(((size_a * size_b).astype(np.float64) * size_c
+                      * (c_ab / (size_a * size_b))
+                      * (c_bc / (size_b * size_c))
+                      * (c_ac / (size_a * size_c))).tolist())
     return math.fsum(terms)
 
 
@@ -284,12 +353,16 @@ def triangle_estimate(summary: SummaryGraph) -> float:
 def _degree_errors(original, vertices, blocks, sample) -> np.ndarray:
     """|expected - input degree| for each vertex of sample, or of vertices
     (in their order) when sample is None; blocks[i] holds vertices[i]."""
-    adj = original.adj
-    try:
-        degrees = np.fromiter(map(len, map(adj.__getitem__, vertices)),
-                              np.float64, len(vertices))
-    except KeyError as missing:
-        raise ValueError(f"unknown vertex {missing.args[0]}") from None
+    labels = original.labels
+    by_label = np.argsort(labels)
+    wanted = np.asarray(vertices, np.int64)
+    at = np.searchsorted(labels, wanted, sorter=by_label)
+    np.minimum(at, len(labels) - 1, out=at)
+    rows = by_label[at]
+    unknown = np.flatnonzero(labels[rows] != wanted)
+    if len(unknown):
+        raise ValueError(f"unknown vertex {wanted[unknown[0]]}")
+    degrees = np.diff(original.indptr)[rows].astype(np.float64)
     _, position = np.unique(np.frombuffer(blocks, np.int64),
                             return_inverse=True)
     block_degree = np.bincount(position, weights=degrees) / np.bincount(position)
@@ -315,9 +388,8 @@ def build_report(original: SummaryGraph | InputGraph, summary: SummaryGraph,
     surrogate on the original graph, so the error isolates summarization;
     on a graph without edges both surrogates are 0. An empty sample, a
     vertex unknown to either graph or a vertex count that differs between
-    them raises ValueError. ``original`` is read only through ``adj`` and
-    its counts: an ``InputGraph`` of the input gives the same report as a
-    ``SummaryGraph`` copy of it.
+    them raises ValueError. ``original`` is read as an ``InputGraph``: one
+    of the input gives the same report as a ``SummaryGraph`` copy of it.
 
     A block's expected degree, (2e_a + sum_x c_ax) / n_a, is the mean
     input degree of its members, as both numerators count the same edge
@@ -325,16 +397,17 @@ def build_report(original: SummaryGraph | InputGraph, summary: SummaryGraph,
     and the input degrees, with no walk over superedges; as both
     numerators are exact integers, every degree error equals the one
     ``degree_estimate`` gives bit for bit. RE is ``re_closed``, O(k); the
-    whole report is O(n) plus the two triangle counts.
+    whole report is O(n) plus the two triangle counts, which share one
+    numpy kernel (``_triangles``).
     """
     original = _input_graph(original)
     re1 = re_closed(summary)
     vertices, blocks = summary.membership()
     sample = None
     if sample_of_vertices is None:
-        if len(vertices) != len(original.adj):
+        if len(vertices) != len(original.labels):
             raise ValueError(f"summary holds {len(vertices)} vertices, the "
-                             f"original graph {len(original.adj)}")
+                             f"original graph {len(original.labels)}")
     else:
         sample = list(sample_of_vertices)
         if not sample:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import random
+import re
 import tracemalloc
 import warnings
 
@@ -11,10 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import (constant_degree_edges, gnp_edges, member_sets,
                       merge_partition)
-from graphsumm import (SummarizerConfig, SummaryGraph, build_report,
+from graphsumm import (SummarizerConfig, SummaryGraph, build_report, cli,
                        re_closed, summarize)
 from graphsumm.cli import (_CHUNK_LINES, _build_parser, _format_report, main,
                            parse_edge_list, read_summary, write_summary)
+from graphsumm.summary_graph import UNIT_EDGE
 
 P3_TEXT = "1 2\n2 3\n"
 
@@ -437,6 +439,169 @@ def random_merges(g, rng, merges):
 
 def superedge_count(g):
     return sum(len(neighbors) for neighbors in g.adj.values()) // 2
+
+
+# Six supernodes of size 2 and their 15 superedges, one E line each from
+# line 8 on; with batches of 4 lines, line 11 ends the first batch and
+# line 12 starts the second.
+BATCHED_NODES = [f"N {i} 2 0" for i in range(6)]
+BATCHED_PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+BATCHED_FIRST_E = 8
+BATCH = 4
+
+
+def batched_summary(path, replace=None, after=()):
+    """Write the six-node file, with E lines replaced by line number
+    (``replace`` maps a line number to its text) and extra lines after
+    the last E line."""
+    lines = ["SUMMARY v1 12 15 6", *BATCHED_NODES]
+    lines += [f"E {i} {j} 1" for i, j in BATCHED_PAIRS]
+    for lineno, text in (replace or {}).items():
+        lines[lineno - 1] = text
+    path.write_text("\n".join([*lines, *after]) + "\n")
+    return path
+
+
+E_FAULTS = {
+    "field count": ("E 0 1", "malformed superedge line: 'E 0 1'"),
+    "non-decimal": ("E 0 1_0 1", "non-decimal integer field in 'E 0 1_0 1'"),
+    "non-integer": ("E 0 x 1", "invalid literal for int() with base 10: 'x'"),
+    "self": ("E 3 3 1", "self superedge at 3"),
+    "unknown": ("E 0 9 1", "superedge 0-9 references unknown supernode"),
+    "unknown beyond 64 bits": ("E 0 99999999999999999999 1",
+                               "superedge 0-99999999999999999999 references "
+                               "unknown supernode"),
+    "duplicate": ("E 0 1 1", "duplicate superedge 0-1"),
+    "duplicate reversed": ("E 1 0 1", "duplicate superedge 1-0"),
+    "count above": ("E 2 5 5", "superedge 2-5: count 5 outside [1, 4]"),
+    "count zero": ("E 2 5 0", "superedge 2-5: count 0 outside [1, 4]"),
+    "count beyond 64 bits": ("E 2 5 99999999999999999999",
+                             "superedge 2-5: count 99999999999999999999 "
+                             "outside [1, 4]"),
+}
+
+
+class TestBatchedRead:
+    """read_summary checks E lines a batch at a time; every fault still
+    names its own line, with the message it has always had. The (0, 1)
+    superedge is on line 8, so a duplicate of it on line 11 is inside
+    the first batch and one on line 12 is in the second."""
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_LINES", BATCH)
+
+    @pytest.mark.parametrize("lineno", [BATCHED_FIRST_E + BATCH - 1,
+                                        BATCHED_FIRST_E + BATCH])
+    @pytest.mark.parametrize("kind", E_FAULTS)
+    def test_fault_at_a_batch_edge_names_its_line(self, tmp_path, kind, lineno):
+        text, message = E_FAULTS[kind]
+        path = batched_summary(tmp_path / "bad.summary", {lineno: text})
+        with pytest.raises(ValueError, match=f"^line {lineno}: {re.escape(message)}$"):
+            read_summary(path)
+
+    @pytest.mark.parametrize("first, second", [("self", "field count"),
+                                               ("non-decimal", "self"),
+                                               ("count above", "duplicate"),
+                                               ("duplicate", "non-integer")])
+    def test_earlier_of_two_faults_in_a_batch_wins(self, tmp_path, first, second):
+        path = batched_summary(tmp_path / "bad.summary",
+                               {13: E_FAULTS[first][0], 14: E_FAULTS[second][0]})
+        with pytest.raises(ValueError, match=f"^line 13: "
+                                             f"{re.escape(E_FAULTS[first][1])}$"):
+            read_summary(path)
+
+    @pytest.mark.parametrize("batch", [BATCH, 1000])
+    def test_e_fault_before_an_n_fault_wins(self, tmp_path, monkeypatch, batch):
+        # the bad N line is read after the E line, in the same pending run
+        monkeypatch.setattr(cli, "_CHUNK_LINES", batch)
+        path = batched_summary(tmp_path / "bad.summary", {20: "E 4 4 1"},
+                               after=["N 0 2 0"])
+        with pytest.raises(ValueError, match="^line 20: self superedge at 4$"):
+            read_summary(path)
+
+    def test_n_fault_before_an_e_fault_wins(self, tmp_path):
+        path = tmp_path / "bad.summary"
+        path.write_text("SUMMARY v1 4 2 3\nN 0 2 0\nN 1 1 0\nE 0 1 1\n"
+                        "N 1 1 0\nE 0 0 1\n")
+        with pytest.raises(ValueError, match="^line 5: duplicate supernode id 1$"):
+            read_summary(path)
+
+    def test_n_line_after_e_lines_reads(self, tmp_path):
+        path = tmp_path / "mixed.summary"
+        path.write_text("SUMMARY v1 4 5 3\nN 0 2 1\nN 1 1 0\nE 0 1 2\n"
+                        "N 2 1 0\nE 2 0 1\n\nE 1 2 1\n")
+        back = read_summary(path)
+        back.validate()
+        assert {a: list(row) for a, row in back.adj.items()} \
+            == {0: [1, 2], 1: [0, 2], 2: [0, 1]}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_adjacency_and_d_value_follow_file_order(self, tmp_path, seed):
+        # E lines shuffled and flipped, read in batches of 4: each node's
+        # map lists its neighbours in file order, and each d_value adds
+        # its terms in file order, as a line-by-line reader would
+        rng = random.Random(seed)
+        g = SummaryGraph.from_edge_list(gnp_edges(40, 0.3, rng))
+        random_merges(g, rng, 25)
+        path = tmp_path / "g.summary"
+        write_summary(g, path)
+        lines = path.read_text().splitlines()
+        body = [line for line in lines if line.startswith("E ")]
+        rng.shuffle(body)
+        for pos, line in enumerate(body):
+            if rng.random() < 0.5:
+                _, i, j, e = line.split()
+                body[pos] = f"E {j} {i} {e}"
+        path.write_text("\n".join(
+            [line for line in lines if not line.startswith("E ")] + body) + "\n")
+        back = read_summary(path)
+        order = {a: [] for a in back.adj}
+        d_value = {a: 0.0 for a in back.adj}
+        for line in body:
+            i, j, e = map(int, line.split()[1:])
+            order[i].append(j)
+            order[j].append(i)
+            d_value[i] += e ** 2 / back.size_n[j]
+            d_value[j] += e ** 2 / back.size_n[i]
+        assert {a: list(row) for a, row in back.adj.items()} == order
+        assert {a: back.d_value[a] for a in back.adj} == d_value
+        unit = {id(edge) for row in back.adj.values() for edge in row.values()
+                if edge.cross_e == 1}
+        assert unit == {id(UNIT_EDGE)}
+        back.validate()
+
+    def test_transient_memory_flat_in_superedge_count(self, tmp_path,
+                                                      monkeypatch):
+        # memory beyond the graph read back is the batch's, whatever the
+        # number of E lines (10k against 40k here, in batches of 1024)
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 1024)
+        transient = {}
+        for degree in (10, 40):
+            path = tmp_path / f"d{degree}.summary"
+            write_summary(SummaryGraph.from_edge_list(
+                constant_degree_edges(2000, degree, random.Random(degree))), path)
+            tracemalloc.start()
+            try:
+                back = read_summary(path)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            transient[degree] = peak - kept
+            del back
+        assert transient[40] < 1.5 * transient[10]
+
+    def test_count_beyond_an_exact_float_square(self, tmp_path):
+        # 94906267^2 is above 2^53: its square in float64 is rounded, and
+        # the rounded square over 3 is not the exact quotient
+        count = 94906267
+        path = tmp_path / "big.summary"
+        path.write_text(f"SUMMARY v1 31635426 {count} 2\nN 0 3 0\n"
+                        f"N 1 31635423 0\nE 0 1 {count}\n")
+        back = read_summary(path)
+        assert back.d_value[1] == count ** 2 / 3
+        assert back.d_value[0] == count ** 2 / 31635423
+        assert back.adj[0][1].cross_e == count
 
 
 class TestStreamingWrite:

@@ -23,6 +23,17 @@ from graphsumm import (Summarizer, SummarizerConfig, SummaryGraph,
 from graphsumm.cli import read_summary, write_summary
 
 
+def neighbour_labels(original):
+    """Each input vertex's neighbour labels, keyed by label, read from the
+    CSR arrays of the graph's InputGraph."""
+    csr = evaluation.InputGraph(original)
+    labels = csr.labels.tolist()
+    indptr = csr.indptr.tolist()
+    indices = csr.indices.tolist()
+    return {label: {labels[r] for r in indices[indptr[row]:indptr[row + 1]]}
+            for row, label in enumerate(labels)}
+
+
 def p3():
     return SummaryGraph.from_edge_list([(0, 1), (1, 2)])
 
@@ -142,7 +153,7 @@ class TestReClosed:
                 random_partition(original.alive_ids(),
                                  rng.randint(1, original.alive_count), rng))
             index = membership_index(summary)
-            rows = evaluation.InputGraph(original).adj  # keyed by label
+            rows = neighbour_labels(original)
             vertices = sorted(rows)
             sq = 0.0
             for u in vertices:
@@ -190,6 +201,119 @@ class TestDegreeAndCentrality:
         summary.merge(0, 1)
         assert centrality_estimate(summary, 5) == 0.0
         assert centrality_estimate(summary, 7) == 0.0
+
+
+def brute_triangles(g):
+    """Triangles of a graph's adjacency maps, by testing every id triple."""
+    adj = g.adj
+    return [(u, v, w) for u, v, w in itertools.combinations(sorted(adj), 3)
+            if v in adj[u] and w in adj[u] and w in adj[v]]
+
+
+def hub_graph():
+    """Vertex 0 joined to 1..20, which form a clique and have a pendant
+    vertex each: 0 has the lowest degree of its neighbourhood, so its
+    C(20, 2) wedges all start at it, 19 of them at its first edge."""
+    edges = [(0, v) for v in range(1, 21)]
+    edges += [(u, v) for u in range(1, 21) for v in range(u + 1, 21)]
+    edges += [(v, 100 + v) for v in range(1, 21)]
+    return SummaryGraph.from_edge_list(edges)
+
+
+KERNEL_SHAPES = {
+    "star": lambda: SummaryGraph.from_edge_list([(0, v) for v in range(1, 13)]),
+    "clique": lambda: SummaryGraph.from_edge_list(
+        [(a, b) for a in range(9) for b in range(a + 1, 9)]),
+    "isolated": lambda: SummaryGraph.from_edge_list(
+        [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        + [(5, 5), (6, 6), (7, 8)]),
+    "edgeless": edgeless,
+    "hub": hub_graph,
+    "gnp": lambda: SummaryGraph.from_edge_list(
+        gnp_edges(40, 0.3, random.Random(41))),
+}
+
+
+class TestTriangleKernel:
+    @pytest.mark.parametrize("chunk", [1, 7, evaluation._WEDGE_CHUNK])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_matches_triple_oracle(self, monkeypatch, shape, chunk):
+        # every triangle once, and each edge it yields joins the two
+        # corners it is opposite; a small chunk splits the hub's wedges,
+        # and chunk 1 takes one forward edge per pass
+        monkeypatch.setattr(evaluation, "_WEDGE_CHUNK", chunk)
+        g = KERNEL_SHAPES[shape]()
+        csr = evaluation.InputGraph(g)
+        found = []
+        for corners, opposite in evaluation._triangles(csr.indptr, csr.indices):
+            for triangle, edges in zip(zip(*corners), zip(*opposite)):
+                found.append(tuple(sorted(triangle)))
+                for corner, edge in zip(triangle, edges):
+                    row = np.searchsorted(csr.indptr, edge, side="right") - 1
+                    assert {int(row), int(csr.indices[edge])} \
+                        == set(triangle) - {corner}
+        expected = brute_triangles(g)
+        assert sorted(found) == expected
+        assert triangle_count_exact(g) == len(expected)
+
+    def test_estimate_bits_do_not_depend_on_the_chunk(self, monkeypatch):
+        rng = random.Random(42)
+        summaries = [random_merged_summary(rng, 30, 0.4)[1] for _ in range(5)]
+        hub = hub_graph()
+        # ids 21..40 are the pendant vertices 101..120
+        merge_partition(hub, [[v, 20 + v] for v in range(1, 21, 2)])
+        summaries.append(hub)
+        default = [triangle_estimate(summary).hex() for summary in summaries]
+        monkeypatch.setattr(evaluation, "_WEDGE_CHUNK", 1)
+        assert [triangle_estimate(summary).hex()
+                for summary in summaries] == default
+
+    def test_estimate_multiplies_in_id_order(self, tmp_path):
+        # one three-block triangle and no internal edges, so the estimate
+        # is that one term; block 3 raises block 0's degree, so the kernel
+        # meets the corners in the order 1, 2, 0, and that product order
+        # rounds differently
+        path = tmp_path / "triangle.summary"
+        path.write_text("SUMMARY v1 20 40 4\nN 0 5 0\nN 1 5 0\nN 2 9 0\n"
+                        "N 3 1 0\nE 0 1 10\nE 1 2 2\nE 0 2 27\nE 0 3 1\n")
+        term = 5 * 5 * 9 * (10 / 25) * (2 / 45) * (27 / 45)
+        assert term != 5 * 5 * 9 * (2 / 45) * (27 / 45) * (10 / 25)
+        assert triangle_estimate(read_summary(path)).hex() == term.hex()
+
+    def test_memory_bounded_by_the_chunk(self):
+        # every vertex of a 300-clique has the same degree, so row r opens
+        # C(299 - r, 2) wedges: C(300, 3) = 4,455,100 in all, all closed
+        csr = evaluation.InputGraph(SummaryGraph.from_edge_list(
+            [(a, b) for a in range(300) for b in range(a + 1, 300)]))
+        tracemalloc.start()
+        try:
+            assert triangle_count_exact(csr) == math.comb(300, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one int64 array over every wedge alone would take 35.6 MB
+        assert peak < 8 * math.comb(300, 3) / 4
+
+    def test_empty_arrays_warn_nothing_under_dev_mode(self):
+        script = (
+            "import numpy as np\n"
+            "from graphsumm import SummaryGraph, evaluation\n"
+            "g = SummaryGraph.from_edge_list([(5, 5), (7, 7)])\n"
+            "assert evaluation.triangle_count_exact(g) == 0\n"
+            "assert evaluation.triangle_estimate(g) == 0.0\n"
+            "g.merge(0, 1)\n"
+            "assert evaluation.triangle_estimate(g) == 0.0\n"
+            "p3 = SummaryGraph.from_edge_list([(1, 2), (2, 3)])\n"
+            "assert evaluation.triangle_count_exact(p3) == 0\n"
+            "none = evaluation._triangles(np.zeros(1, np.int64),\n"
+            "                             np.zeros(0, np.int32))\n"
+            "assert list(none) == []\n")
+        run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c",
+                              script], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": str(
+                                 Path(evaluation.__file__).resolve().parents[1])})
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
 
 
 class TestTriangles:
@@ -436,7 +560,8 @@ class TestInputGraph:
         original, summary = self.CASES[case](random.Random(seed))
         other = self.VIEWS[view](original)
         # vertices face the report by label, in the graph's id order
-        assert list(evaluation._input_graph(other).adj) == list(original.labels)
+        assert evaluation._input_graph(other).labels.tolist() \
+            == list(original.labels)
         assert re_brute(other, summary) == re_brute(original, summary)
         assert triangle_count_exact(other) == triangle_count_exact(original)
         # the default limit takes the brute-force cross-check, 0 skips it
@@ -447,12 +572,17 @@ class TestInputGraph:
         assert build_report(other, summary, sample_of_vertices=sample) \
             == build_report(original, summary, sample_of_vertices=sample)
 
-    def test_rows_are_neighbour_tuples(self):
+    def test_rows_are_csr_arrays(self):
         g = SummaryGraph.from_edge_list([(3, 1), (1, 2), (2, 3), (9, 9)])
-        tuples = evaluation.InputGraph(g)
-        assert tuples.adj == {3: (1, 2), 1: (3, 2), 2: (1, 3), 9: ()}
-        assert (tuples.original_vertex_count, tuples.original_edge_count) \
-            == (4, 3)
+        csr = evaluation.InputGraph(g)
+        # row r is id r, labelled 3, 1, 2 and 9; its neighbours are rows,
+        # in the order of the graph's adjacency maps
+        assert csr.labels.tolist() == [3, 1, 2, 9]
+        assert csr.indptr.tolist() == [0, 2, 4, 6, 6]
+        assert csr.indices.tolist() == [1, 2, 0, 2, 1, 0]
+        assert (csr.indptr.dtype, csr.indices.dtype) == (np.int64, np.int32)
+        assert neighbour_labels(g) == {3: {1, 2}, 1: {3, 2}, 2: {1, 3}, 9: set()}
+        assert (csr.original_vertex_count, csr.original_edge_count) == (4, 3)
 
     def test_under_half_the_memory_of_a_copy(self):
         g = SummaryGraph.from_edge_list(
@@ -567,7 +697,7 @@ def walked_degree_errors(original, summary, vertices):
     """Each vertex's degree error from the block degree walked over the
     block's superedges, as degree_estimate computes it."""
     index = membership_index(summary)
-    rows = evaluation.InputGraph(original).adj  # keyed by label
+    rows = neighbour_labels(original)
     return np.array([abs(evaluation._block_degree(summary, index[v])
                          - len(rows[v])) for v in vertices])
 
@@ -593,6 +723,30 @@ def per_superedge_triangle_estimate(summary):
         size_a = nodes[a].size_n
         size_b = nodes[b].size_n
         size_c = nodes[c].size_n
+        terms.append(size_a * size_b * size_c
+                     * (adj[a][b].cross_e / (size_a * size_b))
+                     * (adj[b][c].cross_e / (size_b * size_c))
+                     * (adj[a][c].cross_e / (size_a * size_c)))
+    return math.fsum(terms)
+
+
+def forward_set_triangle_estimate(summary):
+    """triangle_estimate as the forward-set enumeration computed it: the
+    same block terms, and each three-block term over Python ints and
+    floats for corners a < b < c."""
+    adj = summary.adj
+    size_n = summary.size_n
+    terms = []
+    for a in adj:
+        if not summary.internal_e[a]:
+            continue
+        size_a = size_n[a]
+        density = evaluation._internal_density(summary, a)
+        terms.append(math.comb(size_a, 3) * density ** 3)
+        terms.append(math.comb(size_a, 2) * density * summary.d_value[a]
+                     / (size_a * size_a))
+    for a, b, c in forward_triangles(adj):
+        size_a, size_b, size_c = size_n[a], size_n[b], size_n[c]
         terms.append(size_a * size_b * size_c
                      * (adj[a][b].cross_e / (size_a * size_b))
                      * (adj[b][c].cross_e / (size_b * size_c))
@@ -646,3 +800,16 @@ class TestReportIdentities:
             assert math.isclose(triangle_estimate(summary),
                                 per_superedge_triangle_estimate(summary),
                                 rel_tol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_triangle_estimate_bits_equal_the_forward_set_form(self, seed):
+        rng = random.Random(seed)
+        summaries = [random_merged_summary(rng, 60, 0.3)[1] for _ in range(10)]
+        g = SummaryGraph.from_edge_list(
+            preferential_attachment_edges(3000, 8, rng))
+        for k in (1500, 300):
+            Summarizer(g, SummarizerConfig(target_k=k, seed=seed)).run()
+            summaries.append(g.copy())
+        for summary in summaries:
+            assert triangle_estimate(summary).hex() \
+                == forward_set_triangle_estimate(summary).hex()
